@@ -51,7 +51,7 @@ from .harness import (
 )
 from .messages import format_trace_record, load_trace
 from .metrics import MetricsCollector
-from .queues import EnqueueOutcome, UpdatableQueue
+from .queues import EnqueueOutcome
 
 # Flat setting name -> (type, default). The single source of truth for the
 # config file, the flags, and --print-config.
@@ -255,39 +255,28 @@ def cmd_figures(args: argparse.Namespace) -> int:
 
 def cmd_replay(args: argparse.Namespace) -> int:
     records = sorted(load_trace(args.trace), key=lambda rec: rec[0])
-    mode = {
-        "uqa": QueueMode.UQA_TAIL,
-        "keyed": QueueMode.UQA_KEYED,
-        "fifo": QueueMode.FIFO,
-    }[args.queue_variant]
     collector = MetricsCollector()
+    clock = SimClock()
+    receiver = Receiver(
+        clock, args.receiver_delay or 0.0, QueueMode(args.queue_variant), collector
+    )
+    queue = receiver.queue
     if args.receiver_delay is None:
-        queue = UpdatableQueue()
         for t_send, msg in records:
-            if mode is QueueMode.UQA_TAIL:
-                outcome = queue.enqueue_uqa(msg, t_send)
-            elif mode is QueueMode.UQA_KEYED:
-                outcome = queue.enqueue_keyed(msg, t_send)
-            else:
-                outcome = queue.enqueue_fifo(msg, t_send)
+            outcome = receiver.enqueue(msg, t_send)
             collector.record_enqueued(msg.size_bytes * 8.0)
             if outcome is EnqueueOutcome.REPLACED_TAIL:
                 collector.record_replaced()
             collector.record_queue_sample(t_send, len(queue))
         duration = records[-1][0] if records else 0.0
-        report = collector.finalize(duration, final_queue_len=len(queue))
     else:
-        clock = SimClock()
-        receiver = Receiver(clock, args.receiver_delay, mode, collector)
         for t_send, msg in records:
-            clock.schedule(t_send, lambda now, m=msg, r=receiver: r.deliver(m, now))
-        horizon = (records[-1][0] if records else 0.0) + args.receiver_delay * (
+            clock.schedule(t_send, receiver.deliver, msg)
+        duration = (records[-1][0] if records else 0.0) + args.receiver_delay * (
             len(records) + 1
         )
-        clock.run(horizon)
-        duration = horizon
-        report = collector.finalize(duration, final_queue_len=len(receiver.queue))
-        queue = receiver.queue
+        clock.run(duration)
+    report = collector.finalize(duration, final_queue_len=len(queue))
     print(f"final_queue_length: {len(queue)}")
     for msg in queue.snapshot():
         print(format_trace_record(msg.t_enqueued or 0.0, msg))

@@ -41,7 +41,7 @@ import heapq
 import itertools
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .messages import Message
@@ -54,49 +54,49 @@ DEFAULT_PRIORITY = 0
 
 
 class EventHandle:
-    __slots__ = ("time", "fn", "cancelled")
+    """Kept only as an importable name: events are never cancelled.
 
-    def __init__(self, time: float, fn: Callable[[float], None]):
-        self.time = time
-        self.fn = fn
-        self.cancelled = False
+    A stale TCP retransmission timer fires and returns on its own guard, so
+    ``SimClock.schedule`` returns nothing to cancel.
+    """
+
+    __slots__ = ()
 
     def cancel(self) -> None:
-        self.cancelled = True
+        pass
 
 
 class SimClock:
-    """Event loop with deterministic (time, priority, insertion) ordering."""
+    """Event loop with deterministic (time, priority, insertion) ordering.
+
+    Heap entries are plain ``(time, priority, insertion, fn, args)`` tuples;
+    the insertion counter is unique, so ``fn`` is never compared.
+    """
 
     def __init__(self) -> None:
         self.now = 0.0
-        self._heap: list[tuple[float, int, int, EventHandle]] = []
+        self._heap: list[tuple[float, int, int, Callable[..., None], tuple]] = []
         self._counter = itertools.count()
 
     def schedule(
-        self, at: float, fn: Callable[[float], None], priority: int = DEFAULT_PRIORITY
-    ) -> EventHandle:
+        self, at: float, fn: Callable[..., None], *args: object, priority: int = DEFAULT_PRIORITY
+    ) -> None:
+        """Call ``fn(*args, at)`` when the clock reaches ``at``."""
         if at < self.now:
             raise ValueError(f"cannot schedule at {at}; clock is at {self.now}")
-        handle = EventHandle(at, fn)
-        heapq.heappush(self._heap, (at, priority, next(self._counter), handle))
-        return handle
+        heapq.heappush(self._heap, (at, priority, next(self._counter), fn, args))
 
     def run(self, until: float) -> None:
         """Fire every event with time <= until, then advance the clock to until."""
         if until < self.now:
             raise ValueError(f"cannot run to {until}; clock is at {self.now}")
         heap = self._heap
+        pop = heapq.heappop
         while heap and heap[0][0] <= until:
-            t, _, _, handle = heapq.heappop(heap)
-            if handle.cancelled:
-                continue
+            t, _, _, fn, args = pop(heap)
             self.now = t
-            handle.fn(t)
+            fn(*args, t)
         self.now = until
-
-    def pending_count(self) -> int:
-        return sum(1 for *_rest, h in self._heap if not h.cancelled)
 
 
 @dataclass(slots=True)
@@ -208,6 +208,11 @@ class Receiver:
     receiver delay plus its per-message application cost. With zero delay it
     drains immediately upon arrival. ``on_consume`` fires on every dequeue
     (the reliable transports hook it to generate acknowledgements).
+
+    A dequeue that empties the queue schedules nothing: it records when the
+    consumer is next free (``ready_at``), and the next delivery schedules
+    service at that time or at its own arrival, whichever is later. So every
+    service event dequeues a message, and at most one is pending.
     """
 
     def __init__(
@@ -228,43 +233,45 @@ class Receiver:
         self.app_cost_s = app_cost_s
         self.uqa_busy_s = uqa_busy_s
         self.queue = UpdatableQueue()
+        # The one QueueMode -> insertion dispatch; mode values name the methods.
+        self.enqueue: Callable[[Message, float], EnqueueOutcome] = getattr(
+            self.queue, f"enqueue_{mode.value}"
+        )
         self.busy = False
+        self.ready_at = 0.0
         self.on_consume: Optional[Callable[[Message, float], None]] = None
         self._pending_busy = 0.0
 
     def deliver(self, msg: Message, now: float) -> EnqueueOutcome:
-        queue = self.queue
-        if self.mode is QueueMode.UQA_TAIL:
-            outcome = queue.enqueue_uqa(msg, now)
-        elif self.mode is QueueMode.UQA_KEYED:
-            outcome = queue.enqueue_keyed(msg, now)
-        else:
-            outcome = queue.enqueue_fifo(msg, now)
+        outcome = self.enqueue(msg, now)
         collector = self.collector
         collector.record_enqueued(msg.size_bytes * 8.0)
         if outcome is EnqueueOutcome.REPLACED_TAIL:
             collector.record_replaced()
         if self.mode is not QueueMode.FIFO and self.uqa_busy_s:
             self._pending_busy += self.uqa_busy_s
-        collector.record_queue_sample(now, len(queue))
+        collector.record_queue_sample(now, len(self.queue))
         if not self.busy:
             self.busy = True
-            self.clock.schedule(now, self._service, priority=SERVICE_PRIORITY)
+            start = now if now > self.ready_at else self.ready_at
+            self.clock.schedule(start, self._service, priority=SERVICE_PRIORITY)
         return outcome
 
     def _service(self, now: float) -> None:
-        msg = self.queue.dequeue(now)
-        if msg is None:
-            self.busy = False
-            return
+        queue = self.queue
+        msg = queue.dequeue(now)
         collector = self.collector
-        collector.record_queue_sample(now, len(self.queue))
+        collector.record_queue_sample(now, len(queue))
         collector.record_consumed(now - msg.t_enqueued)
         if self.on_consume is not None:
             self.on_consume(msg, now)
         hold = self.receiver_delay_s + self.app_cost_s + self._pending_busy
         self._pending_busy = 0.0
-        self.clock.schedule(now + hold, self._service, priority=SERVICE_PRIORITY)
+        if queue:
+            self.clock.schedule(now + hold, self._service, priority=SERVICE_PRIORITY)
+        else:
+            self.ready_at = now + hold
+            self.busy = False
 
 
 class UdpSender:
@@ -295,7 +302,7 @@ class UdpSender:
             collector.record_loss()
             return
         arrival = self.wire.transmit(now, msg.size_bytes)
-        self.clock.schedule(arrival, lambda t, m=msg: self.receiver.deliver(m, t))
+        self.clock.schedule(arrival, self.receiver.deliver, msg)
 
 
 class TcpConnection:
@@ -336,7 +343,7 @@ class TcpConnection:
         self.next_seq = 1  # next transport seq to assign at submission
         self.next_tx = 1  # lowest transport seq not yet transmitted
         self.highest_acked = 0
-        self.pending: dict[int, tuple[Message, Optional[EventHandle]]] = {}
+        self.pending: dict[int, Message] = {}  # transmitted, not yet acked
         self.tx_seq_of: dict[int, int] = {}  # id(message) -> transport seq
         self.expected = 1  # receiver transport: next in-order seq
         self.ooo: dict[int, Message] = {}
@@ -370,19 +377,15 @@ class TcpConnection:
         collector.add_source_busy(self.link.serialization_s(msg.size_bytes))
         if not (self.link.loss_prob > 0.0 and self.rng.random() < self.link.loss_prob):
             arrival = self.data_wire.transmit(now, msg.size_bytes)
-            self.clock.schedule(
-                arrival, lambda t, s=seq, m=msg: self._data_arrive(s, m, t)
-            )
-        handle = self.clock.schedule(
-            now + self.tcp.rto_s, lambda t, s=seq: self._rto_fire(s, t)
-        )
-        self.pending[seq] = (msg, handle)
+            self.clock.schedule(arrival, self._data_arrive, seq, msg)
+        self.clock.schedule(now + self.tcp.rto_s, self._rto_fire, seq)
+        self.pending[seq] = msg
 
     def _rto_fire(self, seq: int, now: float) -> None:
+        # Timers are never cancelled: one whose seq was acked meanwhile is a no-op.
         if seq <= self.highest_acked or seq not in self.pending:
             return
-        msg, _ = self.pending[seq]
-        self._transmit(seq, msg, now, first=False)
+        self._transmit(seq, self.pending[seq], now, first=False)
 
     # -- receiver-side transport --------------------------------------------
 
@@ -403,7 +406,7 @@ class TcpConnection:
         ack_bits = self.tcp.ack_size_bytes * 8.0
         self.collector.record_ack_generated(ack_bits)
         arrival = self.ack_wire.transmit(now, self.tcp.ack_size_bytes)
-        self.clock.schedule(arrival, lambda t, c=cum: self._ack_arrive(c, t))
+        self.clock.schedule(arrival, self._ack_arrive, cum)
 
     # -- back at the source --------------------------------------------------
 
@@ -411,9 +414,7 @@ class TcpConnection:
         self.collector.add_source_busy(self.link.serialization_s(self.tcp.ack_size_bytes))
         if cum > self.highest_acked:
             for seq in range(self.highest_acked + 1, cum + 1):
-                msg, handle = self.pending.pop(seq)
-                if handle is not None:
-                    handle.cancel()
+                msg = self.pending.pop(seq)
                 self.tx_seq_of.pop(id(msg), None)
             self.highest_acked = cum
             self._pump(now)
@@ -426,7 +427,6 @@ class Connection:
     sender: object
     receiver: Receiver
     collector: MetricsCollector
-    schedule: list = field(default_factory=list)
 
 
 def build_connection(

@@ -225,11 +225,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             config.queue_variant,
             loss_rng,
         )
-        conn.schedule = schedule
+        submit = conn.sender.submit
         for t_send, msg in schedule:
-            clock.schedule(
-                t_send, lambda now, c=conn, m=msg: c.sender.submit(m, now)
-            )
+            clock.schedule(t_send, submit, msg)
         connections.append(conn)
     clock.run(duration)
     reports = [

@@ -21,7 +21,7 @@ import enum
 from collections import deque
 from typing import Optional
 
-from .messages import Message, MessageKind, same_sender_status_pair
+from .messages import Message, MessageKind
 
 
 class EnqueueOutcome(enum.Enum):
@@ -104,14 +104,17 @@ class UpdatableQueue:
             raise ValueError("message was already enqueued once")
         msg.t_enqueued = now
         self.inserted += 1
+        messages = self._messages
         if msg.kind is MessageKind.STATUS:
-            for old in self._messages:
-                if old.kind is MessageKind.STATUS and old.sender == msg.sender:
-                    self._messages.remove(old)
-                    self._messages.append(msg)
+            sender = msg.sender
+            for i, old in enumerate(messages):
+                if old.kind is MessageKind.STATUS and old.sender == sender:
+                    # By index: deque.remove would rescan with Message.__eq__.
+                    del messages[i]
+                    messages.append(msg)
                     self.replaced += 1
                     return EnqueueOutcome.REPLACED_TAIL
-        self._messages.append(msg)
+        messages.append(msg)
         return EnqueueOutcome.INSERTED
 
     def dequeue(self, now: float = 0.0) -> Optional[Message]:

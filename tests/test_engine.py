@@ -2,7 +2,10 @@ import random
 
 import pytest
 
+from uqsim import harness
 from uqsim.engine import (
+    DEFAULT_PRIORITY,
+    SERVICE_PRIORITY,
     LinkParams,
     ProcessingCosts,
     QueueMode,
@@ -65,13 +68,12 @@ def test_priority_band_beats_insertion_order():
     assert fired == ["service", "normal"]
 
 
-def test_cancelled_event_never_fires():
+def test_schedule_passes_args_before_time():
     clock = SimClock()
     fired = []
-    handle = clock.schedule(1.0, lambda t: fired.append("x"))
-    handle.cancel()
-    clock.run(2.0)
-    assert fired == []
+    clock.schedule(1.0, lambda a, b, t: fired.append((a, b, t)), "x", 2)
+    clock.run(1.0)
+    assert fired == [("x", 2, 1.0)]
 
 
 def test_run_boundary_is_inclusive():
@@ -209,6 +211,51 @@ def test_tcp_ack_count_equals_consumed_count():
     c = conn.collector
     assert c.messages_delivered == 50
     assert c.acks_generated == c.messages_delivered
+
+
+def test_rto_timer_for_acked_seq_is_a_no_op():
+    # Loss-free, and every ack returns within one round trip (~0.03 s), far
+    # inside the 1 s timeout: each timer fires after its seq was acked and
+    # must return without retransmitting.
+    clock, conn = build(TransportKind.TCP, delay=0.01)
+    n = 50
+    for i in range(n):
+        msg = status(i + 1, t=i * 0.2)
+        clock.schedule(msg.t_created, conn.sender.submit, msg)
+    end = n * 0.2 + 2 * TcpModel().rto_s
+    clock.run(end)
+    report = conn.collector.finalize(end, final_queue_len=len(conn.receiver.queue))
+    assert report.retransmissions == 0
+    assert report.messages_delivered == n
+    assert report.conservation_residual() == 0
+    assert conn.sender.pending == {}
+
+
+@pytest.mark.parametrize(
+    "protocol, topology",
+    [(TransportKind.TCP, "one_to_one"), (TransportKind.UDP, "one_to_many")],
+)
+def test_idle_receiver_schedules_at_most_one_service_per_delivery(
+    monkeypatch, protocol, topology
+):
+    # Every service event dequeues a message, and at most one per
+    # destination is still pending when the run ends.
+    service_calls = []
+
+    class CountingClock(SimClock):
+        def schedule(self, at, fn, *args, priority=DEFAULT_PRIORITY):
+            if priority == SERVICE_PRIORITY:
+                service_calls.append(at)
+            super().schedule(at, fn, *args, priority=priority)
+
+    monkeypatch.setattr(harness, "SimClock", CountingClock)
+    cfg = ExperimentConfig(
+        protocol=protocol, topology=topology, receiver_delay_s=0.05, seed=20100
+    )
+    result = run_experiment(cfg)
+    delivered = sum(rep.messages_delivered for rep in result.per_destination)
+    assert delivered > 0
+    assert len(service_calls) <= delivered + cfg.destinations
 
 
 def test_causality_enqueue_after_created_plus_propagation():

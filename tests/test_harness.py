@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from uqsim.engine import LinkParams, TransportKind
@@ -224,6 +226,27 @@ def test_destination_csv_row_count(tmp_path):
     one_to_many_cells = 8
     assert len(lines) == 1 + one_to_one_cells + one_to_many_cells * 4
     assert lines[0].split(",")[5] == "destination"
+
+
+# SHA-256 of the default sweep's three CSVs at seed 20100. Any change to
+# simulated behaviour moves them; a pure speed change must not.
+DEFAULT_SWEEP_SHA256 = {
+    "sweep_results": "3bafeea28619237c73162cbe9bc46a2c942a93299d8e009339cc94780f0e7df7",
+    "aggregate": "46bfe9770f011371454c7601a1a1a862d80108eb327c8342628a387cc23261d1",
+    "destinations": "a1bbc12a0596215492702ac9b2aa02cffed4b5211abca3036340d22e7e7e778c",
+}
+
+
+def test_default_sweep_csvs_match_fingerprint(tmp_path):
+    sweep = run_sweep(master_seed=20100)
+    write_sweep_csv(str(tmp_path / "sweep_results"), sweep)
+    write_aggregate_csv(str(tmp_path / "aggregate"), sweep_rows(sweep))
+    write_destination_csv(str(tmp_path / "destinations"), sweep)
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in DEFAULT_SWEEP_SHA256
+    }
+    assert digests == DEFAULT_SWEEP_SHA256
 
 
 def test_aggregate_csv_header(tmp_path):
