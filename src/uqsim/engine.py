@@ -42,6 +42,7 @@ import itertools
 import random
 from collections import deque
 from dataclasses import dataclass
+from math import inf
 from typing import Callable, Optional
 
 from .messages import Message
@@ -106,12 +107,14 @@ class LinkParams:
     loss_prob: float = 0.0
 
     def validate(self) -> None:
-        if self.propagation_delay_s < 0:
+        if not 0 <= self.propagation_delay_s < inf:
             raise ValueError(
-                f"propagation_delay_s must be >= 0, got {self.propagation_delay_s}"
+                f"propagation_delay_s must be >= 0 and finite, got {self.propagation_delay_s}"
             )
-        if self.bandwidth_bps <= 0:
-            raise ValueError(f"bandwidth_bps must be positive, got {self.bandwidth_bps}")
+        if not 0 < self.bandwidth_bps < inf:
+            raise ValueError(
+                f"bandwidth_bps must be positive and finite, got {self.bandwidth_bps}"
+            )
         if not 0.0 <= self.loss_prob <= 1.0:
             raise ValueError(f"loss_prob must be in [0, 1], got {self.loss_prob}")
 
@@ -130,8 +133,8 @@ class TcpModel:
             raise ValueError(f"window_size must be >= 1, got {self.window_size}")
         if self.ack_size_bytes <= 0:
             raise ValueError(f"ack_size_bytes must be positive, got {self.ack_size_bytes}")
-        if self.rto_s <= 0:
-            raise ValueError(f"rto_s must be positive, got {self.rto_s}")
+        if not 0 < self.rto_s < inf:
+            raise ValueError(f"rto_s must be positive and finite, got {self.rto_s}")
 
 
 @dataclass(slots=True)
@@ -152,8 +155,10 @@ class ProcessingCosts:
 
     def validate(self) -> None:
         for name in ("udp_app_per_msg_s", "uqa_update_cost_s", "uqa_receiver_busy_s"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            if not 0 <= getattr(self, name) < inf:
+                raise ValueError(
+                    f"{name} must be >= 0 and finite, got {getattr(self, name)}"
+                )
 
 
 class TransportKind(enum.Enum):
@@ -224,8 +229,10 @@ class Receiver:
         app_cost_s: float = 0.0,
         uqa_busy_s: float = 0.0,
     ):
-        if receiver_delay_s < 0:
-            raise ValueError(f"receiver_delay_s must be >= 0, got {receiver_delay_s}")
+        if not 0 <= receiver_delay_s < inf:
+            raise ValueError(
+                f"receiver_delay_s must be >= 0 and finite, got {receiver_delay_s}"
+            )
         self.clock = clock
         self.receiver_delay_s = receiver_delay_s
         self.mode = mode

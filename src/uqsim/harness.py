@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from math import inf
 from typing import Iterable, Optional, Sequence
 
 from .engine import (
@@ -125,14 +126,16 @@ class ExperimentConfig:
             raise ValueError(
                 f"packet_size_bytes must be positive, got {self.packet_size_bytes}"
             )
-        if self.receiver_delay_s < 0:
+        if not 0 <= self.receiver_delay_s < inf:
             raise ValueError(
-                f"receiver_delay_s must be >= 0, got {self.receiver_delay_s}"
+                f"receiver_delay_s must be >= 0 and finite, got {self.receiver_delay_s}"
             )
         if self.message_count < 0:
             raise ValueError(f"message_count must be >= 0, got {self.message_count}")
-        if self.duration_s <= 0:
-            raise ValueError(f"run_duration_s must be positive, got {self.duration_s}")
+        if not 0 < self.duration_s < inf:
+            raise ValueError(
+                f"run_duration_s must be positive and finite, got {self.duration_s}"
+            )
         if self.n_destinations < 1:
             raise ValueError(f"n_destinations must be >= 1, got {self.n_destinations}")
         if not 0.0 <= self.p_status <= 1.0:

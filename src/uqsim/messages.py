@@ -13,6 +13,7 @@ whether an incoming status update supersedes a stored one.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
@@ -104,6 +105,8 @@ def parse_trace_record(line: str) -> TraceRecord:
     if len(parts) != 5:
         raise ValueError(f"malformed trace record: {line!r}")
     t_send = float(parts[0])
+    if not math.isfinite(t_send):
+        raise ValueError(f"trace record has a non-finite send time: {line.strip()!r}")
     msg = Message(
         seq=int(parts[2]),
         sender=int(parts[1]),

@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
+from math import inf
 from typing import Iterable, Literal
 
 from .messages import Message, MessageKind, SenderId, TraceRecord
@@ -54,8 +55,10 @@ class TrafficConfig:
             )
         if not 0.0 <= self.p_status <= 1.0:
             raise ValueError(f"p_status must be in [0, 1], got {self.p_status}")
-        if self.run_duration_s <= 0:
-            raise ValueError(f"run_duration_s must be positive, got {self.run_duration_s}")
+        if not 0 < self.run_duration_s < inf:
+            raise ValueError(
+                f"run_duration_s must be positive and finite, got {self.run_duration_s}"
+            )
         if not 0.0 < self.send_window_fraction <= 1.0:
             raise ValueError(
                 "send_window_fraction must be in (0, 1], got "

@@ -1,8 +1,11 @@
+import hashlib
+
 import pytest
 
-from uqsim.cli import build_parser, load_config_file, main
+from uqsim.cli import SETTINGS, build_parser, load_config_file, main
 from uqsim.harness import CSV_HEADER
 from uqsim.messages import dump_trace, parse_trace_record
+from uqsim.traffic import TrafficConfig, derive_seed, generate_schedule
 
 
 def run_cli(args):
@@ -203,3 +206,77 @@ def test_replay_missing_trace(tmp_path, capsys):
     rc = run_cli(["replay", "--trace", str(tmp_path / "nope.csv")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+# SHA-256 of `uqsim replay --queue-variant keyed` stdout on the trace that
+# multi_sender_trace writes. Any change to keyed coalescing moves them.
+KEYED_REPLAY_SHA256 = {
+    "drained": "c607eb3d68a9c3f2cfe16545d09f09901e3a79aa57815044b623919fa5de8d51",
+    "queued": "e974e72566105de358c62770e2ab602749a7c7c3c9d2fe19148e4e84a40b0dfc",
+}
+
+
+def multi_sender_trace(path):
+    """16 senders x 100 messages, Poisson over 9 s, merged in send order."""
+    records = []
+    for sender in range(16):
+        records += generate_schedule(
+            TrafficConfig(
+                message_count=100,
+                packet_size_bytes=64,
+                run_duration_s=10.0,
+                seed=derive_seed("keyed-replay-pin", sender),
+                sender=sender,
+                schedule="poisson",
+            )
+        )
+    records.sort(key=lambda rec: rec[0])
+    dump_trace(str(path), records)
+
+
+@pytest.mark.parametrize(
+    "case, extra",
+    [("drained", ["--receiver-delay", "0.05"]), ("queued", [])],
+)
+def test_replay_keyed_multi_sender_output_is_pinned(tmp_path, capsys, case, extra):
+    trace = tmp_path / "trace.csv"
+    multi_sender_trace(trace)
+    rc = run_cli(["replay", "--trace", str(trace), "--queue-variant", "keyed", *extra])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == KEYED_REPLAY_SHA256[case]
+
+
+def assert_clean_rejection(rc, err, needle):
+    assert rc == 1
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert needle in lines[0]
+
+
+FLOAT_SETTINGS = [name for name, (caster, _) in SETTINGS.items() if caster is float]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", FLOAT_SETTINGS)
+def test_run_rejects_non_finite_setting(tmp_path, capsys, name, value):
+    config = tmp_path / "run.conf"
+    config.write_text(f"{name} = {value}\n")
+    rc = run_cli(["run", "--config", str(config)])
+    assert_clean_rejection(rc, capsys.readouterr().err, name)
+
+
+def test_replay_rejects_non_finite_send_time(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("0.000000000,1,1,S,64\nnan,1,2,S,64\n")
+    rc = run_cli(["replay", "--trace", str(trace), "--queue-variant", "keyed"])
+    assert_clean_rejection(rc, capsys.readouterr().err, "send time")
+
+
+def test_replay_rejects_non_finite_receiver_delay(tmp_path, capsys, make_msg):
+    trace = tmp_path / "trace.csv"
+    dump_trace(str(trace), [(0.0, make_msg(sender=1, kind="S"))])
+    rc = run_cli(
+        ["replay", "--trace", str(trace), "--queue-variant", "keyed", "--receiver-delay", "nan"]
+    )
+    assert_clean_rejection(rc, capsys.readouterr().err, "receiver_delay_s")

@@ -96,6 +96,22 @@ def test_one_to_many_reports_per_destination():
     assert result.report.messages_sent == 1000
 
 
+@pytest.mark.parametrize("protocol", [TransportKind.TCP_UQA, TransportKind.UDP_UQA])
+def test_keyed_variant_conserves_in_fan_out(protocol):
+    cfg = ExperimentConfig(
+        protocol=protocol,
+        topology="one_to_many",
+        receiver_delay_s=0.1,
+        queue_variant="keyed",
+        seed=cell_seed(13, "one_to_many", 512, 0.1),
+    )
+    result = run_experiment(cfg)
+    assert len(result.per_destination) == 4
+    for report in result.per_destination:
+        assert report.conservation_residual() == 0
+        assert report.messages_replaced > 0
+
+
 def test_one_to_many_uniform_round_robin_interleave():
     cfg = ExperimentConfig(
         protocol=TransportKind.UDP,

@@ -3,7 +3,8 @@
 ``reference_enqueue`` replays the published replacement rules literally on a
 plain list: retrieve (remove) the last stored message, inspect it, reinsert.
 The production queue implements the same decision as peek-and-replace; the
-two must agree everywhere.
+two must agree everywhere. ``reference_keyed`` does the same for the keyed
+variant: scan the list for a stored same-sender status, remove it, append.
 """
 
 import random
@@ -34,6 +35,19 @@ def reference_enqueue(items: list, msg: Message) -> None:
         items.append(msg)
     else:
         items.append(msg)  # retrieved message is obsolete; drop it
+
+
+def reference_keyed(items: list, msg: Message) -> EnqueueOutcome:
+    """Keyed rule, literally: remove a stored same-sender status, then append."""
+    outcome = EnqueueOutcome.INSERTED
+    if msg.kind is MessageKind.STATUS:
+        for i, old in enumerate(items):
+            if old.kind is MessageKind.STATUS and old.sender == msg.sender:
+                del items[i]
+                outcome = EnqueueOutcome.REPLACED_TAIL
+                break
+    items.append(msg)
+    return outcome
 
 
 def ids(messages) -> list:
@@ -218,6 +232,18 @@ def test_keyed_trace_keeps_one_status_per_sender(make_msg):
     assert all(count == 1 for count in statuses.values())
 
 
+def test_keyed_single_sender_flood_stays_compact(make_msg):
+    q = UpdatableQueue()
+    for _ in range(10_000):
+        newest = make_msg(sender=3, kind="S")
+        q.enqueue_keyed(newest)
+        assert len(q._messages) <= 2 * len(q) + 1
+    assert len(q) == 1
+    assert q.replaced == 9_999
+    assert q.dequeue() is newest
+    assert not q
+
+
 # -- properties ----------------------------------------------------------------
 
 op_strategy = st.lists(
@@ -364,3 +390,34 @@ def test_keyed_at_most_one_status_per_sender(ops):
         if m.kind is MessageKind.STATUS:
             assert m.sender not in seen
             seen.add(m.sender)
+
+
+@settings(max_examples=150)
+@given(op_strategy)
+def test_keyed_matches_reference_model(ops):
+    q = UpdatableQueue()
+    reference: list = []
+    created = []
+    dequeued = []
+    for step, op in enumerate(ops):
+        now = float(step)
+        if op[0] == "enq":
+            msg = Message(seq=step, sender=op[1], kind=LETTERS[op[2]], size_bytes=8)
+            created.append(msg)
+            assert q.enqueue_keyed(msg, now) is reference_keyed(reference, msg)
+        else:
+            msg = q.dequeue(now)
+            assert msg is (reference.pop(0) if reference else None)
+            if msg is not None:
+                assert msg.t_dequeued == now
+                dequeued.append(msg)
+        contents = q.snapshot()
+        assert len(contents) == len(reference)
+        assert all(got is want for got, want in zip(contents, reference))
+        assert len(q) == len(reference)
+        assert bool(q) == bool(reference)
+        assert q.peek_tail() is (reference[-1] if reference else None)
+        assert conserved(q)
+    assert q.dequeued == len(dequeued)
+    dequeued_ids = {id(m) for m in dequeued}
+    assert all(m.t_dequeued is None for m in created if id(m) not in dequeued_ids)
