@@ -17,7 +17,7 @@ from .harness import (
     run_experiment,
     run_sweep,
 )
-from .messages import Message, MessageKind, classify, same_sender_status_pair
+from .messages import Message, MessageKind
 from .metrics import MetricsCollector, MetricsReport, littles_law_residual
 from .queues import EnqueueOutcome, UpdatableQueue
 from .traffic import TrafficConfig, TrafficGenerator, generate_schedule
@@ -42,10 +42,8 @@ __all__ = [
     "TransportKind",
     "UpdatableQueue",
     "build_connection",
-    "classify",
     "generate_schedule",
     "littles_law_residual",
     "run_experiment",
     "run_sweep",
-    "same_sender_status_pair",
 ]

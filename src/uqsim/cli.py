@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import Optional
 
@@ -31,53 +32,54 @@ from .engine import (
     TransportKind,
 )
 from .harness import (
-    CSV_HEADER,
+    CSV_COLUMNS,
     DEFAULT_MASTER_SEED,
     FIGURE_SPECS,
+    SWEEP_AXES,
     ExperimentConfig,
     cell_seed,
-    format_number,
     format_value,
-    littles_law_residual,
     parse_sweep_csv,
+    report_row,
     result_row,
     run_experiment,
     run_sweep,
     sweep_rows,
     write_aggregate_csv,
+    write_csv,
     write_destination_csv,
     write_figure_csv,
     write_sweep_csv,
 )
 from .messages import format_trace_record, load_trace
 from .metrics import MetricsCollector
-from .queues import EnqueueOutcome
+
+# ExperimentConfig fields whose settings are the fields of a nested group.
+GROUPS = {"link": LinkParams, "tcp": TcpModel, "costs": ProcessingCosts}
+# Settings the CLI defines itself: a protocol name, and the master seed that
+# cell seeds derive from.
+CLI_SETTINGS = {"protocol": (str, "udp"), "seed": (int, DEFAULT_MASTER_SEED)}
+
+
+def _derive_settings() -> dict[str, tuple[type, object]]:
+    """One setting per ExperimentConfig field, the groups flattened.
+
+    Each setting casts as the type of its field's default (float where the
+    default is None), except the two CLI_SETTINGS.
+    """
+    table: dict[str, tuple[type, object]] = {}
+    for f in fields(ExperimentConfig):
+        for m in fields(GROUPS[f.name]) if f.name in GROUPS else (f,):
+            default = m.default
+            table[m.name] = CLI_SETTINGS.get(
+                m.name, (float if default is None else type(default), default)
+            )
+    return table
+
 
 # Flat setting name -> (type, default). The single source of truth for the
 # config file, the flags, and --print-config.
-SETTINGS: dict[str, tuple[type, object]] = {
-    "protocol": (str, "udp"),
-    "topology": (str, "one_to_one"),
-    "packet_size_bytes": (int, 512),
-    "receiver_delay_s": (float, 0.0),
-    "message_count": (int, 1000),
-    "run_duration_s": (float, None),
-    "seed": (int, DEFAULT_MASTER_SEED),
-    "n_destinations": (int, 4),
-    "p_status": (float, 0.70),
-    "schedule": (str, "poisson"),
-    "send_window_fraction": (float, 0.9),
-    "queue_variant": (str, "tail"),
-    "propagation_delay_s": (float, 0.010),
-    "bandwidth_bps": (float, 1_000_000.0),
-    "loss_prob": (float, 0.0),
-    "window_size": (int, 4),
-    "ack_size_bytes": (int, 40),
-    "rto_s": (float, 1.0),
-    "udp_app_per_msg_s": (float, 0.002),
-    "uqa_update_cost_s": (float, 0.001),
-    "uqa_receiver_busy_s": (float, 0.0),
-}
+SETTINGS = _derive_settings()
 
 
 def load_config_file(path: str) -> dict[str, object]:
@@ -101,11 +103,20 @@ def load_config_file(path: str) -> dict[str, object]:
     return settings
 
 
-def effective_settings(args: argparse.Namespace) -> dict[str, object]:
+def effective_settings(
+    args: argparse.Namespace, fixed: tuple[str, ...] = ()
+) -> dict[str, object]:
+    """Defaults, then the config file, then flags; ``fixed`` must not be in the file."""
     settings = {name: default for name, (_, default) in SETTINGS.items()}
     config_path = getattr(args, "config", None)
     if config_path:
-        settings.update(load_config_file(config_path))
+        loaded = load_config_file(config_path)
+        clash = [name for name in fixed if name in loaded]
+        if clash:
+            raise ValueError(
+                f"{config_path}: cannot set {', '.join(clash)}; the sweep sets it per cell"
+            )
+        settings.update(loaded)
     for name in SETTINGS:
         value = getattr(args, name, None)
         if value is not None:
@@ -114,42 +125,20 @@ def effective_settings(args: argparse.Namespace) -> dict[str, object]:
 
 
 def build_experiment_config(settings: dict[str, object], derived_seed: int) -> ExperimentConfig:
+    """An ExperimentConfig from typed settings, with the derived cell seed."""
     try:
-        protocol = TransportKind(str(settings["protocol"]))
+        protocol = TransportKind(settings["protocol"])
     except ValueError:
         choices = ", ".join(kind.value for kind in TransportKind)
         raise ValueError(f"protocol must be one of: {choices}") from None
-    return ExperimentConfig(
-        protocol=protocol,
-        topology=str(settings["topology"]),
-        packet_size_bytes=int(settings["packet_size_bytes"]),  # type: ignore[arg-type]
-        receiver_delay_s=float(settings["receiver_delay_s"]),  # type: ignore[arg-type]
-        message_count=int(settings["message_count"]),  # type: ignore[arg-type]
-        run_duration_s=(
-            None if settings["run_duration_s"] is None else float(settings["run_duration_s"])  # type: ignore[arg-type]
-        ),
-        seed=derived_seed,
-        n_destinations=int(settings["n_destinations"]),  # type: ignore[arg-type]
-        p_status=float(settings["p_status"]),  # type: ignore[arg-type]
-        schedule=str(settings["schedule"]),
-        send_window_fraction=float(settings["send_window_fraction"]),  # type: ignore[arg-type]
-        queue_variant=str(settings["queue_variant"]),
-        link=LinkParams(
-            propagation_delay_s=float(settings["propagation_delay_s"]),  # type: ignore[arg-type]
-            bandwidth_bps=float(settings["bandwidth_bps"]),  # type: ignore[arg-type]
-            loss_prob=float(settings["loss_prob"]),  # type: ignore[arg-type]
-        ),
-        tcp=TcpModel(
-            window_size=int(settings["window_size"]),  # type: ignore[arg-type]
-            ack_size_bytes=int(settings["ack_size_bytes"]),  # type: ignore[arg-type]
-            rto_s=float(settings["rto_s"]),  # type: ignore[arg-type]
-        ),
-        costs=ProcessingCosts(
-            udp_app_per_msg_s=float(settings["udp_app_per_msg_s"]),  # type: ignore[arg-type]
-            uqa_update_cost_s=float(settings["uqa_update_cost_s"]),  # type: ignore[arg-type]
-            uqa_receiver_busy_s=float(settings["uqa_receiver_busy_s"]),  # type: ignore[arg-type]
-        ),
-    )
+    values: dict[str, object] = {
+        f.name: settings[f.name]
+        for f in fields(ExperimentConfig)
+        if f.name not in GROUPS and f.name not in CLI_SETTINGS
+    }
+    for name, group in GROUPS.items():
+        values[name] = group(**{f.name: settings[f.name] for f in fields(group)})
+    return ExperimentConfig(protocol=protocol, seed=derived_seed, **values)  # type: ignore[arg-type]
 
 
 def print_settings(settings: dict[str, object], extra: Optional[dict[str, object]] = None) -> None:
@@ -191,12 +180,11 @@ def _add_model_flags(parser: argparse.ArgumentParser, full: bool) -> None:
 
 def cmd_run(args: argparse.Namespace) -> int:
     settings = effective_settings(args)
-    master = int(settings["seed"])  # type: ignore[arg-type]
     derived = cell_seed(
-        master,
-        str(settings["topology"]),
-        int(settings["packet_size_bytes"]),  # type: ignore[arg-type]
-        float(settings["receiver_delay_s"]),  # type: ignore[arg-type]
+        settings["seed"],  # type: ignore[arg-type]
+        settings["topology"],  # type: ignore[arg-type]
+        settings["packet_size_bytes"],  # type: ignore[arg-type]
+        settings["receiver_delay_s"],  # type: ignore[arg-type]
     )
     if args.print_config:
         print_settings(settings, {"derived_cell_seed": derived})
@@ -207,22 +195,18 @@ def cmd_run(args: argparse.Namespace) -> int:
     for key, value in row.items():
         print(f"{key}: {format_value(value)}")
     if args.out:
-        columns = CSV_HEADER.split(",")
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(CSV_HEADER + "\n")
-            fh.write(",".join(format_value(row[c]) for c in columns) + "\n")
+        write_csv(args.out, CSV_COLUMNS, [row])
         print(f"wrote {args.out}")
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    settings = effective_settings(args)
+    settings = effective_settings(args, fixed=SWEEP_AXES)
     if args.print_config:
-        print_settings(settings, {"jobs": args.jobs, "out": args.out})
+        shown = {k: v for k, v in settings.items() if k not in SWEEP_AXES}
+        print_settings(shown, {"jobs": args.jobs, "out": args.out})
         return 0
-    master = int(settings["seed"])  # type: ignore[arg-type]
     base = build_experiment_config(settings, derived_seed=0)
-    sweep = run_sweep(master_seed=master, jobs=args.jobs, base=base)
     out = Path(args.out)
     aggregate_out = Path(args.aggregate_out) if args.aggregate_out else out.with_name(
         out.stem + "_aggregate" + out.suffix
@@ -232,6 +216,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if args.destinations_out
         else out.with_name(out.stem + "_destinations" + out.suffix)
     )
+    for path in (out, aggregate_out, destinations_out):
+        if not path.parent.is_dir():
+            raise ValueError(f"output directory {path.parent} does not exist")
+    sweep = run_sweep(master_seed=settings["seed"], jobs=args.jobs, base=base)  # type: ignore[arg-type]
     write_sweep_csv(str(out), sweep)
     write_aggregate_csv(str(aggregate_out), sweep_rows(sweep))
     write_destination_csv(str(destinations_out), sweep)
@@ -261,20 +249,15 @@ def cmd_replay(args: argparse.Namespace) -> int:
         clock, args.receiver_delay or 0.0, QueueMode(args.queue_variant), collector
     )
     queue = receiver.queue
+    duration = records[-1][0] if records else 0.0
     if args.receiver_delay is None:
+        # The clock never runs, so nothing is dequeued: the queue only fills.
         for t_send, msg in records:
-            outcome = receiver.enqueue(msg, t_send)
-            collector.record_enqueued(msg.size_bytes * 8.0)
-            if outcome is EnqueueOutcome.REPLACED_TAIL:
-                collector.record_replaced()
-            collector.record_queue_sample(t_send, len(queue))
-        duration = records[-1][0] if records else 0.0
+            receiver.deliver(msg, t_send)
     else:
         for t_send, msg in records:
             clock.schedule(t_send, receiver.deliver, msg)
-        duration = (records[-1][0] if records else 0.0) + args.receiver_delay * (
-            len(records) + 1
-        )
+        duration += args.receiver_delay * (len(records) + 1)
         clock.run(duration)
     report = collector.finalize(duration, final_queue_len=len(queue))
     print(f"final_queue_length: {len(queue)}")
@@ -283,11 +266,9 @@ def cmd_replay(args: argparse.Namespace) -> int:
     print(f"inserted: {queue.inserted}")
     print(f"replaced: {queue.replaced}")
     print(f"dequeued: {queue.dequeued}")
-    print(f"avg_queue_len: {format_number(report.avg_queue_len)}")
-    print(f"peak_queue_len: {format_number(report.peak_queue_len)}")
-    print(f"avg_time_in_queue_s: {format_number(report.avg_time_in_queue_s)}")
-    rate = report.messages_delivered / duration if duration > 0 else 0.0
-    print(f"littles_residual: {format_number(littles_law_residual(report, rate))}")
+    row = report_row(report)
+    for key in ("avg_queue_len", "peak_queue_len", "avg_time_in_queue_s", "littles_residual"):
+        print(f"{key}: {format_value(row[key])}")
     return 0
 
 

@@ -346,12 +346,11 @@ class TcpConnection:
         self.rng = rng
         self.data_wire = Wire(link)
         self.ack_wire = Wire(link)
-        self.send_buffer: deque[tuple[int, Message]] = deque()
+        self.send_buffer: deque[Message] = deque()
         self.next_seq = 1  # next transport seq to assign at submission
         self.next_tx = 1  # lowest transport seq not yet transmitted
         self.highest_acked = 0
         self.pending: dict[int, Message] = {}  # transmitted, not yet acked
-        self.tx_seq_of: dict[int, int] = {}  # id(message) -> transport seq
         self.expected = 1  # receiver transport: next in-order seq
         self.ooo: dict[int, Message] = {}
         receiver.on_consume = self._on_consume
@@ -362,10 +361,9 @@ class TcpConnection:
         self.collector.record_send()
         if self.kind is TransportKind.TCP_UQA and self.costs.uqa_update_cost_s:
             self.collector.add_source_busy(self.costs.uqa_update_cost_s)
-        seq = self.next_seq
+        msg.tx_seq = self.next_seq
         self.next_seq += 1
-        self.tx_seq_of[id(msg)] = seq
-        self.send_buffer.append((seq, msg))
+        self.send_buffer.append(msg)
         self._pump(now)
 
     def in_flight(self) -> int:
@@ -373,30 +371,31 @@ class TcpConnection:
 
     def _pump(self, now: float) -> None:
         while self.send_buffer and self.in_flight() < self.tcp.window_size:
-            seq, msg = self.send_buffer.popleft()
-            self.next_tx = seq + 1
-            self._transmit(seq, msg, now, first=True)
+            msg = self.send_buffer.popleft()
+            self.next_tx = msg.tx_seq + 1
+            self._transmit(msg, now, first=True)
 
-    def _transmit(self, seq: int, msg: Message, now: float, first: bool) -> None:
+    def _transmit(self, msg: Message, now: float, first: bool) -> None:
         collector = self.collector
         bits = msg.size_bytes * 8.0
         collector.record_transmission(bits, first=first)
         collector.add_source_busy(self.link.serialization_s(msg.size_bytes))
         if not (self.link.loss_prob > 0.0 and self.rng.random() < self.link.loss_prob):
             arrival = self.data_wire.transmit(now, msg.size_bytes)
-            self.clock.schedule(arrival, self._data_arrive, seq, msg)
-        self.clock.schedule(now + self.tcp.rto_s, self._rto_fire, seq)
-        self.pending[seq] = msg
+            self.clock.schedule(arrival, self._data_arrive, msg)
+        self.clock.schedule(now + self.tcp.rto_s, self._rto_fire, msg.tx_seq)
+        self.pending[msg.tx_seq] = msg
 
     def _rto_fire(self, seq: int, now: float) -> None:
         # Timers are never cancelled: one whose seq was acked meanwhile is a no-op.
         if seq <= self.highest_acked or seq not in self.pending:
             return
-        self._transmit(seq, self.pending[seq], now, first=False)
+        self._transmit(self.pending[seq], now, first=False)
 
     # -- receiver-side transport --------------------------------------------
 
-    def _data_arrive(self, seq: int, msg: Message, now: float) -> None:
+    def _data_arrive(self, msg: Message, now: float) -> None:
+        seq = msg.tx_seq
         if seq < self.expected or seq in self.ooo:
             return  # duplicate of something already delivered or buffered
         if seq > self.expected:
@@ -409,11 +408,10 @@ class TcpConnection:
             self.expected += 1
 
     def _on_consume(self, msg: Message, now: float) -> None:
-        cum = self.tx_seq_of[id(msg)]
         ack_bits = self.tcp.ack_size_bytes * 8.0
         self.collector.record_ack_generated(ack_bits)
         arrival = self.ack_wire.transmit(now, self.tcp.ack_size_bytes)
-        self.clock.schedule(arrival, self._ack_arrive, cum)
+        self.clock.schedule(arrival, self._ack_arrive, msg.tx_seq)
 
     # -- back at the source --------------------------------------------------
 
@@ -421,8 +419,7 @@ class TcpConnection:
         self.collector.add_source_busy(self.link.serialization_s(self.tcp.ack_size_bytes))
         if cum > self.highest_acked:
             for seq in range(self.highest_acked + 1, cum + 1):
-                msg = self.pending.pop(seq)
-                self.tx_seq_of.pop(id(msg), None)
+                del self.pending[seq]
             self.highest_acked = cum
             self._pump(now)
 

@@ -47,19 +47,8 @@ DEFAULT_DURATIONS = {"one_to_one": 180.0, "one_to_many": 720.0}
 DEFAULT_DESTINATIONS = 4
 DEFAULT_MASTER_SEED = 20100
 
-CSV_HEADER = (
-    "protocol,topology,packet_size_bytes,receiver_delay_s,seed,"
-    "messages_sent,messages_delivered,messages_replaced,messages_lost,"
-    "acks_generated,avg_client_throughput_bps,avg_server_throughput_bps,"
-    "avg_queue_len,peak_queue_len,avg_time_in_queue_s,littles_residual"
-)
-
-AGGREGATE_HEADER = (
-    "protocol,topology,receiver_delay_s,"
-    "messages_sent,messages_delivered,messages_replaced,messages_lost,"
-    "acks_generated,avg_client_throughput_bps,avg_server_throughput_bps,"
-    "avg_queue_len,peak_queue_len,avg_time_in_queue_s"
-)
+# The settings default_configs sets per cell; the rest come from the base config.
+SWEEP_AXES = ("protocol", "topology", "packet_size_bytes", "receiver_delay_s")
 
 METRIC_COLUMNS = (
     "messages_sent",
@@ -73,6 +62,14 @@ METRIC_COLUMNS = (
     "peak_queue_len",
     "avg_time_in_queue_s",
 )
+CSV_COLUMNS = (
+    ("protocol", "topology", "packet_size_bytes", "receiver_delay_s", "seed")
+    + METRIC_COLUMNS
+    + ("littles_residual",)
+)
+CSV_HEADER = ",".join(CSV_COLUMNS)
+AGGREGATE_COLUMNS = ("protocol", "topology", "receiver_delay_s") + METRIC_COLUMNS
+AGGREGATE_HEADER = ",".join(AGGREGATE_COLUMNS)
 
 # Figure id -> (metric column, topology). 6-10 are one-to-one, 11-13 fan-out.
 FIGURE_SPECS = {
@@ -117,42 +114,34 @@ class ExperimentConfig:
     def destinations(self) -> int:
         return self.n_destinations if self.topology == "one_to_many" else 1
 
+    def traffic(self, dest: int = 0) -> TrafficConfig:
+        """The traffic stream sent to one destination."""
+        return TrafficConfig(
+            message_count=self.message_count,
+            packet_size_bytes=self.packet_size_bytes,
+            run_duration_s=self.duration_s,
+            seed=derive_seed(self.seed, "traffic", dest),
+            p_status=self.p_status,
+            schedule=self.schedule,  # type: ignore[arg-type]
+            send_window_fraction=self.send_window_fraction,
+        )
+
     def validate(self) -> None:
         if not isinstance(self.protocol, TransportKind):
             raise ValueError(f"protocol must be a TransportKind, got {self.protocol!r}")
         if self.topology not in TOPOLOGIES:
             raise ValueError(f"topology must be one of {TOPOLOGIES}, got {self.topology!r}")
-        if self.packet_size_bytes <= 0:
-            raise ValueError(
-                f"packet_size_bytes must be positive, got {self.packet_size_bytes}"
-            )
         if not 0 <= self.receiver_delay_s < inf:
             raise ValueError(
                 f"receiver_delay_s must be >= 0 and finite, got {self.receiver_delay_s}"
             )
-        if self.message_count < 0:
-            raise ValueError(f"message_count must be >= 0, got {self.message_count}")
-        if not 0 < self.duration_s < inf:
-            raise ValueError(
-                f"run_duration_s must be positive and finite, got {self.duration_s}"
-            )
         if self.n_destinations < 1:
             raise ValueError(f"n_destinations must be >= 1, got {self.n_destinations}")
-        if not 0.0 <= self.p_status <= 1.0:
-            raise ValueError(f"p_status must be in [0, 1], got {self.p_status}")
-        if self.schedule not in ("uniform", "poisson"):
-            raise ValueError(
-                f"schedule must be uniform or poisson, got {self.schedule!r}"
-            )
         if self.queue_variant not in ("tail", "keyed"):
             raise ValueError(
                 f"queue_variant must be tail or keyed, got {self.queue_variant!r}"
             )
-        if not 0.0 < self.send_window_fraction <= 1.0:
-            raise ValueError(
-                "send_window_fraction must be in (0, 1], got "
-                f"{self.send_window_fraction}"
-            )
+        self.traffic().validate()
         self.link.validate()
         self.tcp.validate()
         self.costs.validate()
@@ -180,17 +169,7 @@ def destination_schedules(config: ExperimentConfig) -> list[list[TraceRecord]]:
     n_dest = config.destinations
     schedules: list[list[TraceRecord]] = []
     for dest in range(n_dest):
-        stream_seed = derive_seed(config.seed, "traffic", dest)
-        traffic = TrafficConfig(
-            message_count=config.message_count,
-            packet_size_bytes=config.packet_size_bytes,
-            run_duration_s=config.duration_s,
-            seed=stream_seed,
-            sender=0,
-            p_status=config.p_status,
-            schedule=config.schedule,  # type: ignore[arg-type]
-            send_window_fraction=config.send_window_fraction,
-        )
+        traffic = config.traffic(dest)
         if config.schedule == "uniform" and n_dest > 1:
             # Round-robin interleave on the global grid: destination k gets
             # sends number k, k+n, k+2n, ...
@@ -260,7 +239,6 @@ def default_configs(
                             topology=topology,
                             packet_size_bytes=size,
                             receiver_delay_s=delay,
-                            run_duration_s=template.run_duration_s,
                             seed=cell_seed(master_seed, topology, size, delay),
                         )
                     )
@@ -321,29 +299,25 @@ def format_value(value: object) -> str:
     return format_number(float(value))  # type: ignore[arg-type]
 
 
-def result_row(result: ExperimentResult) -> dict[str, object]:
-    cfg = result.config
-    rep = result.report
+def report_row(rep: MetricsReport) -> dict[str, object]:
+    """The metric columns of one report plus its Little's-law residual."""
+    row: dict[str, object] = {col: getattr(rep, col) for col in METRIC_COLUMNS}
     rate = (
         rep.messages_delivered / rep.run_duration_s if rep.run_duration_s > 0 else 0.0
     )
+    row["littles_residual"] = littles_law_residual(rep, rate)
+    return row
+
+
+def result_row(result: ExperimentResult) -> dict[str, object]:
+    cfg = result.config
     return {
         "protocol": cfg.protocol.value,
         "topology": cfg.topology,
         "packet_size_bytes": cfg.packet_size_bytes,
         "receiver_delay_s": cfg.receiver_delay_s,
         "seed": cfg.seed,
-        "messages_sent": rep.messages_sent,
-        "messages_delivered": rep.messages_delivered,
-        "messages_replaced": rep.messages_replaced,
-        "messages_lost": rep.messages_lost,
-        "acks_generated": rep.acks_generated,
-        "avg_client_throughput_bps": rep.avg_client_throughput_bps,
-        "avg_server_throughput_bps": rep.avg_server_throughput_bps,
-        "avg_queue_len": rep.avg_queue_len,
-        "peak_queue_len": rep.peak_queue_len,
-        "avg_time_in_queue_s": rep.avg_time_in_queue_s,
-        "littles_residual": littles_law_residual(rep, rate),
+        **report_row(result.report),
     }
 
 
@@ -351,50 +325,27 @@ def sweep_rows(sweep: SweepResult) -> list[dict[str, object]]:
     return [result_row(result) for result in sweep.results]
 
 
-def _format_csv_line(columns: Sequence[str], row: dict[str, object]) -> str:
-    return ",".join(format_value(row[col]) for col in columns)
+def write_csv(path: str, columns: Sequence[str], rows: Iterable[dict[str, object]]) -> None:
+    """The one CSV writer: a header line, then one line per row."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(format_value(row[col]) for col in columns) + "\n")
 
 
 def write_sweep_csv(path: str, sweep: SweepResult) -> None:
-    columns = CSV_HEADER.split(",")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for row in sweep_rows(sweep):
-            fh.write(_format_csv_line(columns, row) + "\n")
+    write_csv(path, CSV_COLUMNS, sweep_rows(sweep))
 
 
 def write_destination_csv(path: str, sweep: SweepResult) -> None:
     """Per-destination rows for fan-out cells (plus the single 1:1 row)."""
-    columns = CSV_HEADER.split(",")
-    columns.insert(5, "destination")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
-        for result in sweep.results:
-            base = result_row(result)
-            for dest, rep in enumerate(result.per_destination):
-                rate = (
-                    rep.messages_delivered / rep.run_duration_s
-                    if rep.run_duration_s > 0
-                    else 0.0
-                )
-                row = dict(base)
-                row["destination"] = dest
-                row.update(
-                    {
-                        "messages_sent": rep.messages_sent,
-                        "messages_delivered": rep.messages_delivered,
-                        "messages_replaced": rep.messages_replaced,
-                        "messages_lost": rep.messages_lost,
-                        "acks_generated": rep.acks_generated,
-                        "avg_client_throughput_bps": rep.avg_client_throughput_bps,
-                        "avg_server_throughput_bps": rep.avg_server_throughput_bps,
-                        "avg_queue_len": rep.avg_queue_len,
-                        "peak_queue_len": rep.peak_queue_len,
-                        "avg_time_in_queue_s": rep.avg_time_in_queue_s,
-                        "littles_residual": littles_law_residual(rep, rate),
-                    }
-                )
-                fh.write(_format_csv_line(columns, row) + "\n")
+    columns = CSV_COLUMNS[:5] + ("destination",) + CSV_COLUMNS[5:]
+    rows = []
+    for result in sweep.results:
+        base = result_row(result)
+        for dest, rep in enumerate(result.per_destination):
+            rows.append({**base, "destination": dest, **report_row(rep)})
+    write_csv(path, columns, rows)
 
 
 # -- aggregation over packet sizes -------------------------------------------
@@ -433,11 +384,7 @@ def aggregate_rows(rows: Iterable[dict[str, object]]) -> list[dict[str, object]]
 
 
 def write_aggregate_csv(path: str, rows: Iterable[dict[str, object]]) -> None:
-    columns = AGGREGATE_HEADER.split(",")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(AGGREGATE_HEADER + "\n")
-        for row in aggregate_rows(rows):
-            fh.write(_format_csv_line(columns, row) + "\n")
+    write_csv(path, AGGREGATE_COLUMNS, aggregate_rows(rows))
 
 
 # -- figure data --------------------------------------------------------------
@@ -474,12 +421,8 @@ def figure_table(rows: Iterable[dict[str, object]], figure: int) -> list[dict[st
 
 
 def write_figure_csv(path: str, rows: Iterable[dict[str, object]], figure: int) -> None:
-    table = figure_table(rows, figure)
     columns = ["receiver_delay_s"] + [kind.value for kind in PROTOCOL_ORDER]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
-        for entry in table:
-            fh.write(_format_csv_line(columns, entry) + "\n")
+    write_csv(path, columns, figure_table(rows, figure))
 
 
 def parse_sweep_csv(path: str) -> list[dict[str, object]]:
@@ -488,14 +431,13 @@ def parse_sweep_csv(path: str) -> list[dict[str, object]]:
         lines = [line.strip() for line in fh if line.strip()]
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"{path} does not carry the expected sweep CSV header")
-    columns = CSV_HEADER.split(",")
     rows = []
     for line in lines[1:]:
         parts = line.split(",")
-        if len(parts) != len(columns):
+        if len(parts) != len(CSV_COLUMNS):
             raise ValueError(f"malformed sweep CSV line: {line!r}")
         row: dict[str, object] = {}
-        for col, part in zip(columns, parts):
+        for col, part in zip(CSV_COLUMNS, parts):
             if col in ("protocol", "topology"):
                 row[col] = part
             elif col == "seed":

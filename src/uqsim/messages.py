@@ -13,8 +13,8 @@ whether an incoming status update supersedes a stored one.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
+from math import inf
 from typing import Iterable, Iterator, Optional
 
 SenderId = int
@@ -49,42 +49,14 @@ class Message:
     t_created: float = 0.0
     t_enqueued: Optional[float] = field(default=None, compare=False)
     t_dequeued: Optional[float] = field(default=None, compare=False)
+    # Transport sequence number; a reliable sender sets it at submission.
+    tx_seq: int = field(default=0, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.size_bytes <= 0:
             raise ValueError(f"size_bytes must be positive, got {self.size_bytes}")
         if self.sender < 0:
             raise ValueError(f"sender must be non-negative, got {self.sender}")
-
-
-def classify(kind: MessageKind) -> tuple[bool, bool]:
-    """Return (requires_ack, replaceable) for a message kind.
-
-    Commands require an application acknowledgement; only status updates are
-    replaceable by a newer same-sender status. Pure and total.
-    """
-    if kind is MessageKind.COMMAND:
-        return (True, False)
-    if kind is MessageKind.STATUS:
-        return (False, True)
-    return (False, False)
-
-
-def requires_ack(kind: MessageKind) -> bool:
-    return classify(kind)[0]
-
-
-def replaceable(kind: MessageKind) -> bool:
-    return classify(kind)[1]
-
-
-def same_sender_status_pair(a: Message, b: Message) -> bool:
-    """True iff both messages are status updates from the same sender."""
-    return (
-        a.kind is MessageKind.STATUS
-        and b.kind is MessageKind.STATUS
-        and a.sender == b.sender
-    )
 
 
 # Trace-record line format: t_send,sender_id,seq,kind,size_bytes
@@ -105,8 +77,8 @@ def parse_trace_record(line: str) -> TraceRecord:
     if len(parts) != 5:
         raise ValueError(f"malformed trace record: {line!r}")
     t_send = float(parts[0])
-    if not math.isfinite(t_send):
-        raise ValueError(f"trace record has a non-finite send time: {line.strip()!r}")
+    if not 0 <= t_send < inf:
+        raise ValueError(f"trace record send time must be finite and >= 0: {line.strip()!r}")
     msg = Message(
         seq=int(parts[2]),
         sender=int(parts[1]),

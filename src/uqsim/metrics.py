@@ -29,7 +29,7 @@ Zero-duration or zero-traffic runs report zeros rather than NaNs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 LITTLES_EPSILON = 1e-12
 
@@ -62,15 +62,6 @@ class MetricsReport:
             + self.messages_lost
             + self.final_queue_len
         )
-
-    @property
-    def messages_in_transport(self) -> float:
-        """Messages still in a send buffer, on the wire, or reorder-buffered.
-
-        Zero whenever the run drained fully; equals the conservation residual
-        because the queue's own counters always balance.
-        """
-        return self.messages_sent - self.messages_lost - self.delivered_to_queue
 
 
 def littles_law_residual(report: MetricsReport, effective_arrival_rate: float) -> float:
@@ -203,25 +194,6 @@ def mean_report(reports: list[MetricsReport]) -> MetricsReport:
     if not reports:
         raise ValueError("mean_report needs at least one report")
     n = len(reports)
-
-    def avg(attr: str) -> float:
-        return sum(getattr(r, attr) for r in reports) / n
-
     return MetricsReport(
-        avg_client_throughput_bps=avg("avg_client_throughput_bps"),
-        avg_server_throughput_bps=avg("avg_server_throughput_bps"),
-        avg_queue_len=avg("avg_queue_len"),
-        peak_queue_len=avg("peak_queue_len"),
-        avg_time_in_queue_s=avg("avg_time_in_queue_s"),
-        messages_sent=avg("messages_sent"),
-        messages_delivered=avg("messages_delivered"),
-        messages_replaced=avg("messages_replaced"),
-        messages_lost=avg("messages_lost"),
-        acks_generated=avg("acks_generated"),
-        run_duration_s=avg("run_duration_s"),
-        delivered_to_queue=avg("delivered_to_queue"),
-        final_queue_len=avg("final_queue_len"),
-        retransmissions=avg("retransmissions"),
-        data_bits_sent=avg("data_bits_sent"),
-        source_busy_s=avg("source_busy_s"),
+        **{f.name: sum(getattr(r, f.name) for r in reports) / n for f in fields(MetricsReport)}
     )

@@ -18,7 +18,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 from math import inf
-from typing import Iterable, Literal
+from typing import Literal
 
 from .messages import Message, MessageKind, SenderId, TraceRecord
 
@@ -138,12 +138,3 @@ def generate_schedule(config: TrafficConfig) -> list[TraceRecord]:
             prev = t
     return records
 
-
-def status_fraction(messages: Iterable[Message]) -> float:
-    total = 0
-    status = 0
-    for msg in messages:
-        total += 1
-        if msg.kind is MessageKind.STATUS:
-            status += 1
-    return status / total if total else 0.0

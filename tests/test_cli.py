@@ -2,8 +2,10 @@ import hashlib
 
 import pytest
 
-from uqsim.cli import SETTINGS, build_parser, load_config_file, main
-from uqsim.harness import CSV_HEADER
+from uqsim import cli
+from uqsim.cli import SETTINGS, build_experiment_config, build_parser, load_config_file, main
+from uqsim.engine import TransportKind
+from uqsim.harness import CSV_HEADER, SWEEP_AXES, ExperimentConfig
 from uqsim.messages import dump_trace, parse_trace_record
 from uqsim.traffic import TrafficConfig, derive_seed, generate_schedule
 
@@ -280,3 +282,83 @@ def test_replay_rejects_non_finite_receiver_delay(tmp_path, capsys, make_msg):
         ["replay", "--trace", str(trace), "--queue-variant", "keyed", "--receiver-delay", "nan"]
     )
     assert_clean_rejection(rc, capsys.readouterr().err, "receiver_delay_s")
+
+
+@pytest.mark.parametrize("case", ["queued", "drained"])
+def test_replay_rejects_negative_send_time(tmp_path, capsys, case):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("0.5,1,1,S,64\n-1.0,1,2,S,64\n0.7,1,3,S,64\n")
+    extra = ["--receiver-delay", "0.05"] if case == "drained" else []
+    rc = run_cli(["replay", "--trace", str(trace), "--queue-variant", "uqa", *extra])
+    assert_clean_rejection(rc, capsys.readouterr().err, "send time")
+
+
+def refuse_to_sweep(*args, **kwargs):
+    raise AssertionError("run_sweep must not be called")
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["protocol = tcp", "topology = one_to_many", "packet_size_bytes = 32", "receiver_delay_s = nan"],
+)
+def test_sweep_rejects_matrix_axis_in_config(tmp_path, capsys, monkeypatch, line):
+    monkeypatch.setattr(cli, "run_sweep", refuse_to_sweep)
+    config = tmp_path / "sweep.conf"
+    config.write_text(line + "\n")
+    rc = run_cli(["sweep", "--config", str(config), "--out", str(tmp_path / "res.csv")])
+    assert_clean_rejection(rc, capsys.readouterr().err, line.split(" = ")[0])
+
+
+def test_sweep_print_config_omits_matrix_axes(capsys):
+    rc = run_cli(["sweep", "--print-config"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    listed = {line.split("=", 1)[0] for line in out.splitlines()}
+    assert listed.isdisjoint(SWEEP_AXES)
+    assert listed == (set(SETTINGS) - set(SWEEP_AXES)) | {"jobs", "out"}
+
+
+def test_sweep_into_missing_directory_fails_before_running(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_sweep", refuse_to_sweep)
+    rc = run_cli(["sweep", "--out", str(tmp_path / "absent" / "res.csv")])
+    assert_clean_rejection(rc, capsys.readouterr().err, "absent")
+
+
+# `uqsim run --print-config` at defaults, as printed before SETTINGS was
+# derived from the config dataclasses.
+DEFAULT_RUN_CONFIG = """\
+ack_size_bytes=40
+bandwidth_bps=1000000.0
+derived_cell_seed=2616431056626070054
+loss_prob=0.0
+message_count=1000
+n_destinations=4
+p_status=0.7
+packet_size_bytes=512
+propagation_delay_s=0.01
+protocol=udp
+queue_variant=tail
+receiver_delay_s=0.0
+rto_s=1.0
+run_duration_s=None
+schedule=poisson
+seed=20100
+send_window_fraction=0.9
+topology=one_to_one
+udp_app_per_msg_s=0.002
+uqa_receiver_busy_s=0.0
+uqa_update_cost_s=0.001
+window_size=4
+"""
+
+
+def test_run_print_config_at_defaults_is_pinned(capsys):
+    assert run_cli(["run", "--print-config"]) == 0
+    assert capsys.readouterr().out == DEFAULT_RUN_CONFIG
+
+
+def test_setting_defaults_are_the_dataclass_defaults():
+    derived = 2616431056626070054
+    defaults = {name: default for name, (_, default) in SETTINGS.items()}
+    config = build_experiment_config(defaults, derived)
+    assert config == ExperimentConfig(protocol=TransportKind.UDP, seed=derived)

@@ -1,60 +1,13 @@
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from uqsim.messages import (
     Message,
     MessageKind,
-    classify,
     dump_trace,
     format_trace_record,
     load_trace,
     parse_trace_record,
-    requires_ack,
-    replaceable,
-    same_sender_status_pair,
 )
-
-
-def test_classify_status():
-    assert classify(MessageKind.STATUS) == (False, True)
-
-
-def test_classify_command():
-    assert classify(MessageKind.COMMAND) == (True, False)
-
-
-def test_classify_event():
-    assert classify(MessageKind.EVENT) == (False, False)
-
-
-def test_classify_is_pure_and_total():
-    for kind in MessageKind:
-        assert classify(kind) == classify(kind)
-        assert requires_ack(kind) == classify(kind)[0]
-        assert replaceable(kind) == classify(kind)[1]
-
-
-def test_only_status_is_replaceable():
-    assert [k for k in MessageKind if replaceable(k)] == [MessageKind.STATUS]
-
-
-def test_same_sender_status_pair(make_msg):
-    assert same_sender_status_pair(make_msg(sender=1, kind="S"), make_msg(sender=1, kind="S"))
-    assert not same_sender_status_pair(make_msg(sender=1, kind="S"), make_msg(sender=2, kind="S"))
-    assert not same_sender_status_pair(make_msg(sender=1, kind="S"), make_msg(sender=1, kind="C"))
-
-
-@given(
-    sender_a=st.integers(min_value=0, max_value=5),
-    sender_b=st.integers(min_value=0, max_value=5),
-    kind_a=st.sampled_from(list(MessageKind)),
-    kind_b=st.sampled_from(list(MessageKind)),
-)
-def test_same_sender_status_pair_symmetric(sender_a, sender_b, kind_a, kind_b):
-    a = Message(seq=1, sender=sender_a, kind=kind_a, size_bytes=8)
-    b = Message(seq=2, sender=sender_b, kind=kind_b, size_bytes=8)
-    assert same_sender_status_pair(a, b) == same_sender_status_pair(b, a)
 
 
 def test_message_rejects_nonpositive_size():

@@ -10,7 +10,6 @@ from uqsim.traffic import (
     derive_seed,
     draw_kind,
     generate_schedule,
-    status_fraction,
 )
 
 
@@ -131,12 +130,6 @@ def test_generator_next_message_increments_seq():
     second = gen.next_message(1.0)
     assert (first.seq, second.seq) == (1, 2)
     assert second.t_created == 1.0
-
-
-def test_status_fraction_helper():
-    schedule = generate_schedule(cfg(p_status=1.0, message_count=10))
-    assert status_fraction(m for _, m in schedule) == 1.0
-    assert status_fraction([]) == 0.0
 
 
 def test_derive_seed_is_stable_and_distinct():
