@@ -10,8 +10,8 @@ Subcommands:
 
 Configuration comes from defaults, then an optional key=value file
 (--config), then flags; later layers override earlier ones. --print-config
-shows the effective settings and exits. Exit status is 0 on success and
-nonzero with a diagnostic on stderr otherwise.
+validates the effective settings, prints them and exits. Exit status is 0
+on success and nonzero with a diagnostic on stderr otherwise.
 """
 
 from __future__ import annotations
@@ -35,7 +35,9 @@ from .harness import (
     CSV_COLUMNS,
     DEFAULT_MASTER_SEED,
     FIGURE_SPECS,
+    QUEUE_VARIANTS,
     SWEEP_AXES,
+    TOPOLOGIES,
     ExperimentConfig,
     cell_seed,
     format_value,
@@ -53,6 +55,7 @@ from .harness import (
 )
 from .messages import format_trace_record, load_trace
 from .metrics import MetricsCollector
+from .traffic import SCHEDULES
 
 # ExperimentConfig fields whose settings are the fields of a nested group.
 GROUPS = {"link": LinkParams, "tcp": TcpModel, "costs": ProcessingCosts}
@@ -141,12 +144,15 @@ def build_experiment_config(settings: dict[str, object], derived_seed: int) -> E
     return ExperimentConfig(protocol=protocol, seed=derived_seed, **values)  # type: ignore[arg-type]
 
 
-def print_settings(settings: dict[str, object], extra: Optional[dict[str, object]] = None) -> None:
-    merged = dict(settings)
-    if extra:
-        merged.update(extra)
-    for key in sorted(merged):
-        print(f"{key}={merged[key]}")
+def require_output_dirs(*paths: Path) -> None:
+    for path in paths:
+        if not path.parent.is_dir():
+            raise ValueError(f"output directory {path.parent} does not exist")
+
+
+def print_settings(settings: dict[str, object]) -> None:
+    for key in sorted(settings):
+        print(f"{key}={settings[key]}")
 
 
 def _add_model_flags(parser: argparse.ArgumentParser, full: bool) -> None:
@@ -156,9 +162,9 @@ def _add_model_flags(parser: argparse.ArgumentParser, full: bool) -> None:
     parser.add_argument("--window", dest="window_size", type=int, default=None,
                         help="tcp window size in packets")
     parser.add_argument("--queue-variant", dest="queue_variant",
-                        choices=("tail", "keyed"), default=None,
+                        choices=QUEUE_VARIANTS, default=None,
                         help="updatable-queue replacement scope")
-    parser.add_argument("--schedule", choices=("uniform", "poisson"), default=None,
+    parser.add_argument("--schedule", choices=SCHEDULES, default=None,
                         help="send schedule shape")
     parser.add_argument("--config", default=None, help="key=value configuration file")
     parser.add_argument("--print-config", action="store_true",
@@ -166,8 +172,7 @@ def _add_model_flags(parser: argparse.ArgumentParser, full: bool) -> None:
     if full:
         parser.add_argument("--protocol", choices=[k.value for k in TransportKind],
                             default=None)
-        parser.add_argument("--topology", choices=("one_to_one", "one_to_many"),
-                            default=None)
+        parser.add_argument("--topology", choices=TOPOLOGIES, default=None)
         parser.add_argument("--packet-size", dest="packet_size_bytes", type=int,
                             default=None)
         parser.add_argument("--receiver-delay", dest="receiver_delay_s", type=float,
@@ -186,10 +191,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         settings["packet_size_bytes"],  # type: ignore[arg-type]
         settings["receiver_delay_s"],  # type: ignore[arg-type]
     )
-    if args.print_config:
-        print_settings(settings, {"derived_cell_seed": derived})
-        return 0
     config = build_experiment_config(settings, derived)
+    config.validate()
+    if args.print_config:
+        print_settings({**settings, "derived_cell_seed": derived})
+        return 0
+    if args.out:
+        require_output_dirs(Path(args.out))
     result = run_experiment(config)
     row = result_row(result)
     for key, value in row.items():
@@ -201,24 +209,21 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {args.jobs}")
     settings = effective_settings(args, fixed=SWEEP_AXES)
+    base = build_experiment_config(settings, derived_seed=0)
+    base.validate()
     if args.print_config:
         shown = {k: v for k, v in settings.items() if k not in SWEEP_AXES}
-        print_settings(shown, {"jobs": args.jobs, "out": args.out})
+        print_settings({**shown, "jobs": args.jobs, "out": args.out})
         return 0
-    base = build_experiment_config(settings, derived_seed=0)
     out = Path(args.out)
-    aggregate_out = Path(args.aggregate_out) if args.aggregate_out else out.with_name(
-        out.stem + "_aggregate" + out.suffix
+    aggregate_out = Path(args.aggregate_out or out.with_name(f"{out.stem}_aggregate{out.suffix}"))
+    destinations_out = Path(
+        args.destinations_out or out.with_name(f"{out.stem}_destinations{out.suffix}")
     )
-    destinations_out = (
-        Path(args.destinations_out)
-        if args.destinations_out
-        else out.with_name(out.stem + "_destinations" + out.suffix)
-    )
-    for path in (out, aggregate_out, destinations_out):
-        if not path.parent.is_dir():
-            raise ValueError(f"output directory {path.parent} does not exist")
+    require_output_dirs(out, aggregate_out, destinations_out)
     sweep = run_sweep(master_seed=settings["seed"], jobs=args.jobs, base=base)  # type: ignore[arg-type]
     write_sweep_csv(str(out), sweep)
     write_aggregate_csv(str(aggregate_out), sweep_rows(sweep))
@@ -306,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_replay = sub.add_parser("replay", help="replay a trace file through a queue variant")
     p_replay.add_argument("--trace", required=True)
     p_replay.add_argument(
-        "--queue-variant", choices=("uqa", "fifo", "keyed"), default="uqa"
+        "--queue-variant", choices=[mode.value for mode in QueueMode], default="uqa"
     )
     p_replay.add_argument(
         "--receiver-delay",

@@ -41,7 +41,7 @@ import heapq
 import itertools
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import inf
 from typing import Callable, Optional
 
@@ -142,22 +142,20 @@ class ProcessingCosts:
     """Per-message processing costs outside raw link time.
 
     udp_app_per_msg_s: application-level datagram handling at the consumer
-    (datagram transports only). uqa_update_cost_s: keyed-data bookkeeping a
-    sender pays per message when its transport send queue is updatable
-    (tcp_uqa only; a datagram sender keeps no send queue). Both appear in
-    the throughput work accounting; uqa_receiver_busy_s additionally holds
-    the receiver busy per updatable-queue insertion and is zero by default.
+    (datagram transports only), added to its hold after every dequeue.
+    uqa_update_cost_s: keyed-data bookkeeping a sender pays per message when
+    its transport send queue is updatable (tcp_uqa only; a datagram sender
+    keeps no send queue), counted as source busy time.
     """
 
     udp_app_per_msg_s: float = 0.002
     uqa_update_cost_s: float = 0.001
-    uqa_receiver_busy_s: float = 0.0
 
     def validate(self) -> None:
-        for name in ("udp_app_per_msg_s", "uqa_update_cost_s", "uqa_receiver_busy_s"):
-            if not 0 <= getattr(self, name) < inf:
+        for f in fields(self):
+            if not 0 <= getattr(self, f.name) < inf:
                 raise ValueError(
-                    f"{name} must be >= 0 and finite, got {getattr(self, name)}"
+                    f"{f.name} must be >= 0 and finite, got {getattr(self, f.name)}"
                 )
 
 
@@ -227,18 +225,15 @@ class Receiver:
         mode: QueueMode,
         collector: MetricsCollector,
         app_cost_s: float = 0.0,
-        uqa_busy_s: float = 0.0,
     ):
         if not 0 <= receiver_delay_s < inf:
             raise ValueError(
                 f"receiver_delay_s must be >= 0 and finite, got {receiver_delay_s}"
             )
         self.clock = clock
-        self.receiver_delay_s = receiver_delay_s
-        self.mode = mode
         self.collector = collector
         self.app_cost_s = app_cost_s
-        self.uqa_busy_s = uqa_busy_s
+        self.hold_s = receiver_delay_s + app_cost_s  # busy time after each dequeue
         self.queue = UpdatableQueue()
         # The one QueueMode -> insertion dispatch; mode values name the methods.
         self.enqueue: Callable[[Message, float], EnqueueOutcome] = getattr(
@@ -247,22 +242,18 @@ class Receiver:
         self.busy = False
         self.ready_at = 0.0
         self.on_consume: Optional[Callable[[Message, float], None]] = None
-        self._pending_busy = 0.0
 
-    def deliver(self, msg: Message, now: float) -> EnqueueOutcome:
+    def deliver(self, msg: Message, now: float) -> None:
         outcome = self.enqueue(msg, now)
         collector = self.collector
         collector.record_enqueued(msg.size_bytes * 8.0)
         if outcome is EnqueueOutcome.REPLACED_TAIL:
             collector.record_replaced()
-        if self.mode is not QueueMode.FIFO and self.uqa_busy_s:
-            self._pending_busy += self.uqa_busy_s
         collector.record_queue_sample(now, len(self.queue))
         if not self.busy:
             self.busy = True
             start = now if now > self.ready_at else self.ready_at
             self.clock.schedule(start, self._service, priority=SERVICE_PRIORITY)
-        return outcome
 
     def _service(self, now: float) -> None:
         queue = self.queue
@@ -272,12 +263,10 @@ class Receiver:
         collector.record_consumed(now - msg.t_enqueued)
         if self.on_consume is not None:
             self.on_consume(msg, now)
-        hold = self.receiver_delay_s + self.app_cost_s + self._pending_busy
-        self._pending_busy = 0.0
         if queue:
-            self.clock.schedule(now + hold, self._service, priority=SERVICE_PRIORITY)
+            self.clock.schedule(now + self.hold_s, self._service, priority=SERVICE_PRIORITY)
         else:
-            self.ready_at = now + hold
+            self.ready_at = now + self.hold_s
             self.busy = False
 
 
@@ -328,19 +317,17 @@ class TcpConnection:
     def __init__(
         self,
         clock: SimClock,
-        kind: TransportKind,
         link: LinkParams,
         tcp: TcpModel,
-        costs: ProcessingCosts,
+        update_cost_s: float,
         receiver: Receiver,
         collector: MetricsCollector,
         rng: random.Random,
     ):
         self.clock = clock
-        self.kind = kind
         self.link = link
         self.tcp = tcp
-        self.costs = costs
+        self.update_cost_s = update_cost_s
         self.receiver = receiver
         self.collector = collector
         self.rng = rng
@@ -348,7 +335,6 @@ class TcpConnection:
         self.ack_wire = Wire(link)
         self.send_buffer: deque[Message] = deque()
         self.next_seq = 1  # next transport seq to assign at submission
-        self.next_tx = 1  # lowest transport seq not yet transmitted
         self.highest_acked = 0
         self.pending: dict[int, Message] = {}  # transmitted, not yet acked
         self.expected = 1  # receiver transport: next in-order seq
@@ -359,21 +345,16 @@ class TcpConnection:
 
     def submit(self, msg: Message, now: float) -> None:
         self.collector.record_send()
-        if self.kind is TransportKind.TCP_UQA and self.costs.uqa_update_cost_s:
-            self.collector.add_source_busy(self.costs.uqa_update_cost_s)
+        if self.update_cost_s:
+            self.collector.add_source_busy(self.update_cost_s)
         msg.tx_seq = self.next_seq
         self.next_seq += 1
         self.send_buffer.append(msg)
         self._pump(now)
 
-    def in_flight(self) -> int:
-        return (self.next_tx - 1) - self.highest_acked
-
     def _pump(self, now: float) -> None:
-        while self.send_buffer and self.in_flight() < self.tcp.window_size:
-            msg = self.send_buffer.popleft()
-            self.next_tx = msg.tx_seq + 1
-            self._transmit(msg, now, first=True)
+        while self.send_buffer and len(self.pending) < self.tcp.window_size:
+            self._transmit(self.send_buffer.popleft(), now, first=True)
 
     def _transmit(self, msg: Message, now: float, first: bool) -> None:
         collector = self.collector
@@ -388,9 +369,9 @@ class TcpConnection:
 
     def _rto_fire(self, seq: int, now: float) -> None:
         # Timers are never cancelled: one whose seq was acked meanwhile is a no-op.
-        if seq <= self.highest_acked or seq not in self.pending:
-            return
-        self._transmit(self.pending[seq], now, first=False)
+        msg = self.pending.get(seq)
+        if msg is not None:
+            self._transmit(msg, now, first=False)
 
     # -- receiver-side transport --------------------------------------------
 
@@ -443,25 +424,19 @@ def build_connection(
     queue_variant: str,
     rng: random.Random,
 ) -> Connection:
-    """Assemble sender, receiver, and collector for one destination."""
-    link.validate()
-    tcp.validate()
-    costs.validate()
+    """Assemble one destination from validated parameters; the one place costs resolve."""
     collector = MetricsCollector()
-    mode = queue_mode_for(kind, queue_variant)
-    app_cost = 0.0 if kind.reliable else costs.udp_app_per_msg_s
-    uqa_busy = costs.uqa_receiver_busy_s if mode is not QueueMode.FIFO else 0.0
     receiver = Receiver(
         clock,
         receiver_delay_s,
-        mode,
+        queue_mode_for(kind, queue_variant),
         collector,
-        app_cost_s=app_cost,
-        uqa_busy_s=uqa_busy,
+        app_cost_s=0.0 if kind.reliable else costs.udp_app_per_msg_s,
     )
     sender: object
     if kind.reliable:
-        sender = TcpConnection(clock, kind, link, tcp, costs, receiver, collector, rng)
+        update_cost = costs.uqa_update_cost_s if kind is TransportKind.TCP_UQA else 0.0
+        sender = TcpConnection(clock, link, tcp, update_cost, receiver, collector, rng)
     else:
         sender = UdpSender(clock, link, receiver, collector, rng)
     return Connection(sender=sender, receiver=receiver, collector=collector)

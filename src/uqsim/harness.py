@@ -40,6 +40,7 @@ PROTOCOL_ORDER = (
     TransportKind.UDP_UQA,
 )
 TOPOLOGIES = ("one_to_one", "one_to_many")
+QUEUE_VARIANTS = ("tail", "keyed")  # replacement scope of the *_uqa queues
 DEFAULT_PACKET_SIZES = (32, 256, 512)
 DEFAULT_RECEIVER_DELAYS = (0.0, 0.033, 0.05, 0.1)
 DEFAULT_MESSAGE_COUNT = 1000
@@ -137,9 +138,9 @@ class ExperimentConfig:
             )
         if self.n_destinations < 1:
             raise ValueError(f"n_destinations must be >= 1, got {self.n_destinations}")
-        if self.queue_variant not in ("tail", "keyed"):
+        if self.queue_variant not in QUEUE_VARIANTS:
             raise ValueError(
-                f"queue_variant must be tail or keyed, got {self.queue_variant!r}"
+                f"queue_variant must be one of {QUEUE_VARIANTS}, got {self.queue_variant!r}"
             )
         self.traffic().validate()
         self.link.validate()
@@ -397,25 +398,20 @@ def figure_table(rows: Iterable[dict[str, object]], figure: int) -> list[dict[st
             f"unknown figure id {figure}; known: {sorted(FIGURE_SPECS)}"
         )
     metric, topology = FIGURE_SPECS[figure]
+    # aggregate_rows gives at most one row per (protocol, topology, delay).
     agg = aggregate_rows(rows)
-    delays = sorted({float(r["receiver_delay_s"]) for r in agg if r["topology"] == topology})  # type: ignore[arg-type]
+    by_key = {(r["protocol"], r["topology"], r["receiver_delay_s"]): r for r in agg}
+    delays = sorted({delay for _, top, delay in by_key if top == topology})
     table = []
     for delay in delays:
         entry: dict[str, object] = {"receiver_delay_s": delay}
         for kind in PROTOCOL_ORDER:
-            matches = [
-                r
-                for r in agg
-                if r["topology"] == topology
-                and r["protocol"] == kind.value
-                and float(r["receiver_delay_s"]) == delay  # type: ignore[arg-type]
-            ]
-            if len(matches) != 1:
+            row = by_key.get((kind.value, topology, delay))
+            if row is None:
                 raise ValueError(
-                    f"figure {figure}: expected one aggregate row for "
-                    f"({kind.value}, {topology}, {delay}), found {len(matches)}"
+                    f"figure {figure}: no aggregate row for ({kind.value}, {topology}, {delay})"
                 )
-            entry[kind.value] = matches[0][metric]
+            entry[kind.value] = row[metric]
         table.append(entry)
     return table
 

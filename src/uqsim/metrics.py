@@ -51,8 +51,6 @@ class MetricsReport:
     delivered_to_queue: float = 0.0
     final_queue_len: float = 0.0
     retransmissions: float = 0.0
-    data_bits_sent: float = 0.0
-    source_busy_s: float = 0.0
 
     def conservation_residual(self) -> float:
         """sent - (delivered + replaced + lost + final queue); 0 when conserved."""
@@ -184,8 +182,6 @@ class MetricsCollector:
             delivered_to_queue=float(self.delivered_to_queue),
             final_queue_len=float(final_queue_len),
             retransmissions=float(self.retransmissions),
-            data_bits_sent=self.data_bits_sent,
-            source_busy_s=self.source_busy_s,
         )
 
 

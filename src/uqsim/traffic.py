@@ -18,11 +18,12 @@ import hashlib
 import random
 from dataclasses import dataclass
 from math import inf
-from typing import Literal
+from typing import Literal, get_args
 
 from .messages import Message, MessageKind, SenderId, TraceRecord
 
 ScheduleKind = Literal["uniform", "poisson"]
+SCHEDULES: tuple[str, ...] = get_args(ScheduleKind)
 
 # Minimum spacing enforced between send times so event order is total.
 TIME_EPSILON = 1e-9
@@ -64,8 +65,8 @@ class TrafficConfig:
                 "send_window_fraction must be in (0, 1], got "
                 f"{self.send_window_fraction}"
             )
-        if self.schedule not in ("uniform", "poisson"):
-            raise ValueError(f"schedule must be uniform or poisson, got {self.schedule}")
+        if self.schedule not in SCHEDULES:
+            raise ValueError(f"schedule must be one of {SCHEDULES}, got {self.schedule!r}")
 
 
 def draw_kind(rng: random.Random, p_status: float) -> MessageKind:

@@ -5,7 +5,13 @@ import pytest
 from uqsim import cli
 from uqsim.cli import SETTINGS, build_experiment_config, build_parser, load_config_file, main
 from uqsim.engine import TransportKind
-from uqsim.harness import CSV_HEADER, SWEEP_AXES, ExperimentConfig
+from uqsim.harness import (
+    CSV_HEADER,
+    SWEEP_AXES,
+    ExperimentConfig,
+    run_sweep,
+    write_sweep_csv,
+)
 from uqsim.messages import dump_trace, parse_trace_record
 from uqsim.traffic import TrafficConfig, derive_seed, generate_schedule
 
@@ -325,7 +331,7 @@ def test_sweep_into_missing_directory_fails_before_running(tmp_path, capsys, mon
 
 
 # `uqsim run --print-config` at defaults, as printed before SETTINGS was
-# derived from the config dataclasses.
+# derived from the config dataclasses (less the removed uqa_receiver_busy_s).
 DEFAULT_RUN_CONFIG = """\
 ack_size_bytes=40
 bandwidth_bps=1000000.0
@@ -346,7 +352,6 @@ seed=20100
 send_window_fraction=0.9
 topology=one_to_one
 udp_app_per_msg_s=0.002
-uqa_receiver_busy_s=0.0
 uqa_update_cost_s=0.001
 window_size=4
 """
@@ -362,3 +367,66 @@ def test_setting_defaults_are_the_dataclass_defaults():
     defaults = {name: default for name, (_, default) in SETTINGS.items()}
     config = build_experiment_config(defaults, derived)
     assert config == ExperimentConfig(protocol=TransportKind.UDP, seed=derived)
+
+
+@pytest.mark.parametrize(
+    "command, line",
+    [("run", "window_size = 0"), ("sweep", "window_size = 0"), ("run", "protocol = bogus")],
+)
+def test_print_config_rejects_invalid_setting(tmp_path, capsys, command, line):
+    config = tmp_path / "bad.conf"
+    config.write_text(line + "\n")
+    rc = run_cli([command, "--config", str(config), "--print-config"])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_clean_rejection(rc, captured.err, line.split(" = ")[0])
+
+
+def test_removed_receiver_busy_setting_is_unknown(tmp_path, capsys):
+    assert len(SETTINGS) == 20
+    config = tmp_path / "old.conf"
+    config.write_text("uqa_receiver_busy_s = 0.0\n")
+    rc = run_cli(["run", "--config", str(config)])
+    assert_clean_rejection(rc, capsys.readouterr().err, "uqa_receiver_busy_s")
+
+
+def refuse_to_run(*args, **kwargs):
+    raise AssertionError("run_experiment must not be called")
+
+
+def test_run_into_missing_directory_fails_before_running(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_experiment", refuse_to_run)
+    out = tmp_path / "missing" / "row.csv"
+    rc = run_cli(["run", "--messages", "50", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_clean_rejection(rc, captured.err, "missing")
+
+
+@pytest.mark.parametrize("extra", [["--jobs", "0"], ["--jobs", "-3", "--print-config"]])
+def test_sweep_rejects_jobs_below_one(tmp_path, capsys, monkeypatch, extra):
+    monkeypatch.setattr(cli, "run_sweep", refuse_to_sweep)
+    rc = run_cli(["sweep", "--out", str(tmp_path / "res.csv"), *extra])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_clean_rejection(rc, captured.err, "jobs")
+
+
+def test_figures_reject_sweep_csv_missing_a_group(tmp_path, capsys):
+    sweep = run_sweep(
+        master_seed=5,
+        base=ExperimentConfig(protocol=TransportKind.TCP, message_count=20),
+        packet_sizes=(32, 256),
+        receiver_delays=(0.0, 0.05),
+    )
+    full = tmp_path / "full.csv"
+    write_sweep_csv(str(full), sweep)
+    # Drop both packet sizes of one (protocol, topology, delay) group.
+    lines = full.read_text().splitlines(keepends=True)
+    gap = ["udp_uqa", "one_to_one", "0.05"]
+    kept = [line for line in lines if [line.split(",")[i] for i in (0, 1, 3)] != gap]
+    assert len(kept) == len(lines) - 2
+    gapped = tmp_path / "gapped.csv"
+    gapped.write_text("".join(kept))
+    rc = run_cli(["figures", "--from", str(gapped), "--out-dir", str(tmp_path / "figs")])
+    assert_clean_rejection(rc, capsys.readouterr().err, "udp_uqa")

@@ -144,6 +144,21 @@ def test_udp_arrival_time_is_serialization_plus_propagation():
     assert msg.t_enqueued == pytest.approx(SER_512 + PROP)
 
 
+@pytest.mark.parametrize("kind", [TransportKind.UDP, TransportKind.TCP])
+def test_fan_out_has_one_uplink_per_destination(kind):
+    # Each destination's sender owns its source Wire, so two messages sent
+    # to two destinations at t=0 serialize in parallel, not back to back.
+    clock = SimClock()
+    messages = [status(1, sender=0), status(1, sender=1)]
+    for msg in messages:
+        conn = build_connection(
+            clock, kind, LinkParams(), TcpModel(), ProcessingCosts(), 0.0, "tail", random.Random(1)
+        )
+        conn.sender.submit(msg, 0.0)
+    clock.run(1.0)
+    assert [m.t_enqueued for m in messages] == pytest.approx([SER_512 + PROP] * 2)
+
+
 def test_udp_certain_loss_delivers_nothing():
     clock, conn = build(TransportKind.UDP, link=LinkParams(loss_prob=1.0))
     for i in range(1000):
