@@ -12,6 +12,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from uqsim.cli import run_guarded  # noqa: E402
 from uqsim.engine import TransportKind  # noqa: E402
 from uqsim.harness import ExperimentConfig, run_experiment  # noqa: E402
 from uqsim.metrics import littles_law_residual  # noqa: E402
@@ -47,4 +48,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run_guarded(main))

@@ -13,9 +13,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from uqsim.cli import run_guarded  # noqa: E402
 from uqsim.harness import (  # noqa: E402
     DEFAULT_MASTER_SEED,
     FIGURE_SPECS,
+    check_jobs,
     run_sweep,
     sweep_rows,
     write_aggregate_csv,
@@ -32,6 +34,7 @@ def main() -> int:
     parser.add_argument("--out-dir", default="results")
     args = parser.parse_args()
 
+    check_jobs(args.jobs)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -52,4 +55,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run_guarded(main))

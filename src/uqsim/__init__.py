@@ -20,7 +20,7 @@ from .harness import (
 from .messages import Message, MessageKind
 from .metrics import MetricsCollector, MetricsReport, littles_law_residual
 from .queues import EnqueueOutcome, UpdatableQueue
-from .traffic import TrafficConfig, TrafficGenerator, generate_schedule
+from .traffic import TrafficConfig, generate_schedule
 
 __all__ = [
     "EnqueueOutcome",
@@ -38,7 +38,6 @@ __all__ = [
     "SweepResult",
     "TcpModel",
     "TrafficConfig",
-    "TrafficGenerator",
     "TransportKind",
     "UpdatableQueue",
     "build_connection",

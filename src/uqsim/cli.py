@@ -17,10 +17,11 @@ on success and nonzero with a diagnostic on stderr otherwise.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from .engine import (
     LinkParams,
@@ -40,6 +41,7 @@ from .harness import (
     TOPOLOGIES,
     ExperimentConfig,
     cell_seed,
+    check_jobs,
     format_value,
     parse_sweep_csv,
     report_row,
@@ -209,8 +211,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {args.jobs}")
+    check_jobs(args.jobs)
     settings = effective_settings(args, fixed=SWEEP_AXES)
     base = build_experiment_config(settings, derived_seed=0)
     base.validate()
@@ -323,14 +324,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def run_guarded(command: Callable[[], int]) -> int:
+    """Exit status of ``command``: 1 with one ``error:`` line on a ValueError,
+    RuntimeError or OSError; 0, quietly, if stdout is closed. stdout is flushed
+    here, then pointed at os.devnull, so the flush at exit cannot fail again."""
     try:
-        return args.func(args)
+        status = command()
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
+    return run_guarded(lambda: args.func(args))
 
 
 if __name__ == "__main__":

@@ -232,7 +232,6 @@ class Receiver:
             )
         self.clock = clock
         self.collector = collector
-        self.app_cost_s = app_cost_s
         self.hold_s = receiver_delay_s + app_cost_s  # busy time after each dequeue
         self.queue = UpdatableQueue()
         # The one QueueMode -> insertion dispatch; mode values name the methods.
@@ -275,17 +274,15 @@ class UdpSender:
 
     def __init__(
         self,
-        clock: SimClock,
         link: LinkParams,
         receiver: Receiver,
-        collector: MetricsCollector,
         rng: random.Random,
     ):
-        self.clock = clock
+        self.clock = receiver.clock
         self.link = link
         self.wire = Wire(link)
         self.receiver = receiver
-        self.collector = collector
+        self.collector = receiver.collector
         self.rng = rng
 
     def submit(self, msg: Message, now: float) -> None:
@@ -316,20 +313,18 @@ class TcpConnection:
 
     def __init__(
         self,
-        clock: SimClock,
         link: LinkParams,
         tcp: TcpModel,
         update_cost_s: float,
         receiver: Receiver,
-        collector: MetricsCollector,
         rng: random.Random,
     ):
-        self.clock = clock
+        self.clock = receiver.clock
         self.link = link
         self.tcp = tcp
         self.update_cost_s = update_cost_s
         self.receiver = receiver
-        self.collector = collector
+        self.collector = receiver.collector
         self.rng = rng
         self.data_wire = Wire(link)
         self.ack_wire = Wire(link)
@@ -405,15 +400,6 @@ class TcpConnection:
             self._pump(now)
 
 
-@dataclass(slots=True)
-class Connection:
-    """One source-to-destination pipeline plus its measurement state."""
-
-    sender: object
-    receiver: Receiver
-    collector: MetricsCollector
-
-
 def build_connection(
     clock: SimClock,
     kind: TransportKind,
@@ -423,20 +409,16 @@ def build_connection(
     receiver_delay_s: float,
     queue_variant: str,
     rng: random.Random,
-) -> Connection:
-    """Assemble one destination from validated parameters; the one place costs resolve."""
-    collector = MetricsCollector()
+) -> UdpSender | TcpConnection:
+    """Assemble one destination's sender; the one place costs resolve."""
     receiver = Receiver(
         clock,
         receiver_delay_s,
         queue_mode_for(kind, queue_variant),
-        collector,
+        MetricsCollector(),
         app_cost_s=0.0 if kind.reliable else costs.udp_app_per_msg_s,
     )
-    sender: object
     if kind.reliable:
         update_cost = costs.uqa_update_cost_s if kind is TransportKind.TCP_UQA else 0.0
-        sender = TcpConnection(clock, link, tcp, update_cost, receiver, collector, rng)
-    else:
-        sender = UdpSender(clock, link, receiver, collector, rng)
-    return Connection(sender=sender, receiver=receiver, collector=collector)
+        return TcpConnection(link, tcp, update_cost, receiver, rng)
+    return UdpSender(link, receiver, rng)

@@ -31,7 +31,7 @@ from .engine import (
 )
 from .messages import TraceRecord
 from .metrics import MetricsReport, littles_law_residual, mean_report
-from .traffic import TrafficConfig, TrafficGenerator, derive_seed, generate_schedule
+from .traffic import TrafficConfig, derive_seed, generate_schedule
 
 PROTOCOL_ORDER = (
     TransportKind.TCP,
@@ -168,23 +168,7 @@ def destination_schedules(config: ExperimentConfig) -> list[list[TraceRecord]]:
     exponential stream with the matching per-destination mean rate.
     """
     n_dest = config.destinations
-    schedules: list[list[TraceRecord]] = []
-    for dest in range(n_dest):
-        traffic = config.traffic(dest)
-        if config.schedule == "uniform" and n_dest > 1:
-            # Round-robin interleave on the global grid: destination k gets
-            # sends number k, k+n, k+2n, ...
-            gen = TrafficGenerator(traffic)
-            window = config.duration_s * config.send_window_fraction
-            global_gap = window / (config.message_count * n_dest)
-            records = []
-            for i in range(config.message_count):
-                t = (i * n_dest + dest) * global_gap
-                records.append((t, gen.next_message(t)))
-            schedules.append(records)
-        else:
-            schedules.append(generate_schedule(traffic))
-    return schedules
+    return [generate_schedule(config.traffic(dest), dest, n_dest) for dest in range(n_dest)]
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -192,13 +176,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     config.validate()
     clock = SimClock()
     duration = config.duration_s
-    schedules = destination_schedules(config)
-    connections = []
-    for dest, schedule in enumerate(schedules):
+    senders = []
+    for dest, schedule in enumerate(destination_schedules(config)):
         loss_rng = random.Random(
             derive_seed(config.seed, "loss", config.protocol.value, dest)
         )
-        conn = build_connection(
+        sender = build_connection(
             clock,
             config.protocol,
             config.link,
@@ -208,14 +191,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             config.queue_variant,
             loss_rng,
         )
-        submit = conn.sender.submit
+        submit = sender.submit
         for t_send, msg in schedule:
             clock.schedule(t_send, submit, msg)
-        connections.append(conn)
+        senders.append(sender)
     clock.run(duration)
     reports = [
-        conn.collector.finalize(duration, final_queue_len=len(conn.receiver.queue))
-        for conn in connections
+        sender.collector.finalize(duration, final_queue_len=len(sender.receiver.queue))
+        for sender in senders
     ]
     return ExperimentResult(config=config, per_destination=reports, report=mean_report(reports))
 
@@ -248,8 +231,12 @@ def default_configs(
 
 @dataclass(slots=True)
 class SweepResult:
-    master_seed: int
     results: list[ExperimentResult]
+
+
+def check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
 
 
 def run_sweep(
@@ -260,6 +247,7 @@ def run_sweep(
     receiver_delays: Sequence[float] = DEFAULT_RECEIVER_DELAYS,
 ) -> SweepResult:
     """Run every cell of the matrix; abort naming the cell on any failure."""
+    check_jobs(jobs)
     configs = default_configs(master_seed, base, packet_sizes, receiver_delays)
     results: list[ExperimentResult]
     if jobs > 1:
@@ -267,7 +255,7 @@ def run_sweep(
             results = list(pool.map(_run_cell, configs, chunksize=4))
     else:
         results = [_run_cell(config) for config in configs]
-    return SweepResult(master_seed=master_seed, results=results)
+    return SweepResult(results=results)
 
 
 def _run_cell(config: ExperimentConfig) -> ExperimentResult:

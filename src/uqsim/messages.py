@@ -25,13 +25,6 @@ class MessageKind(enum.Enum):
     COMMAND = "C"
     EVENT = "E"
 
-    @classmethod
-    def from_letter(cls, letter: str) -> "MessageKind":
-        try:
-            return cls(letter)
-        except ValueError:
-            raise ValueError(f"unknown message kind letter {letter!r}") from None
-
 
 @dataclass(slots=True)
 class Message:
@@ -82,7 +75,7 @@ def parse_trace_record(line: str) -> TraceRecord:
     msg = Message(
         seq=int(parts[2]),
         sender=int(parts[1]),
-        kind=MessageKind.from_letter(parts[3]),
+        kind=MessageKind(parts[3]),
         size_bytes=int(parts[4]),
         t_created=t_send,
     )

@@ -19,8 +19,8 @@ When superseded entries outnumber live ones the deque is compacted in
 place, so it never holds more than twice the live length reached at the
 last keyed insertion.
 
-Cost per operation: ``enqueue_fifo``, ``enqueue_uqa``, ``dequeue``,
-``len`` and ``peek_tail`` are O(1); ``enqueue_keyed`` is O(1) amortized
+Cost per operation: ``enqueue_fifo``, ``enqueue_uqa``, ``dequeue`` and
+``len`` are O(1); ``enqueue_keyed`` is O(1) amortized
 (compaction is linear but pays for the superseded entries that triggered
 it); ``snapshot`` is linear.
 
@@ -74,9 +74,6 @@ class UpdatableQueue:
     def __bool__(self) -> bool:
         # The tail is always live, so a non-empty deque is a non-empty queue.
         return bool(self._messages)
-
-    def peek_tail(self) -> Optional[Message]:
-        return self._messages[-1] if self._messages else None
 
     def _is_live(self, msg: Message) -> bool:
         return msg.kind is not MessageKind.STATUS or self._status_of[msg.sender] is msg

@@ -1,8 +1,8 @@
 """Seeded traffic generation: 70% status, 30% command/event.
 
 Kinds are drawn per message (Bernoulli), splitting the non-status share
-evenly between command and event. Send times are either uniformly paced or
-Poisson (exponential inter-arrivals with the same mean); both schedules fit
+evenly between command and event. ``generate_schedule`` alone sets send
+times, uniformly paced or Poisson (exponential gaps with the same mean),
 inside ``run_duration_s * send_window_fraction`` so every message is sent
 within the run with headroom for the receiver to drain.
 
@@ -79,63 +79,37 @@ def draw_kind(rng: random.Random, p_status: float) -> MessageKind:
     return MessageKind.EVENT
 
 
-class TrafficGenerator:
-    """Stateful generator owning one RNG stream and one seq counter."""
-
-    def __init__(self, config: TrafficConfig):
-        config.validate()
-        self.config = config
-        self.rng = random.Random(config.seed)
-        self._next_seq = 1
-
-    def next_message(self, t_created: float = 0.0) -> Message:
-        cfg = self.config
-        msg = Message(
-            seq=self._next_seq,
-            sender=cfg.sender,
-            kind=draw_kind(self.rng, cfg.p_status),
-            size_bytes=cfg.packet_size_bytes,
-            t_created=t_created,
-        )
-        self._next_seq += 1
-        return msg
-
-
-def generate_schedule(config: TrafficConfig) -> list[TraceRecord]:
+def generate_schedule(config: TrafficConfig, slot: int = 0, slots: int = 1) -> list[TraceRecord]:
     """Build the full (t_send, message) schedule for one stream.
 
-    Uniform: t_i = i * window / count. Poisson: exponential gaps with the
-    same mean, truncated at the window end; any tail messages are placed
-    back-to-back (epsilon-separated) at the truncation point so the count is
-    exact. Times are strictly increasing either way.
+    Uniform: slot ``slot`` of ``slots`` streams sharing one round-robin grid,
+    t_i = (i * slots + slot) * window / (n * slots). Poisson: exponential gaps
+    with mean window / n, truncated at the window end; any tail messages are
+    placed back-to-back (epsilon-separated) at the truncation point so the
+    count is exact. Times are strictly increasing either way.
     """
-    gen = TrafficGenerator(config)
-    cfg = config
-    n = cfg.message_count
+    config.validate()
+    n = config.message_count
     if n == 0:
         return []
-    window = cfg.run_duration_s * cfg.send_window_fraction
+    rng = random.Random(config.seed)
+    window = config.run_duration_s * config.send_window_fraction
+    uniform = config.schedule == "uniform"
+    gap = window / (n * slots)
+    mean_gap = window / n
     records: list[TraceRecord] = []
-    if cfg.schedule == "uniform":
-        gap = window / n
-        prev = -1.0
-        for i in range(n):
-            t = i * gap
-            if t <= prev:
-                t = prev + TIME_EPSILON
-            records.append((t, gen.next_message(t)))
-            prev = t
-    else:
-        mean_gap = window / n
-        t = 0.0
-        prev = -1.0
-        for _ in range(n):
-            t += gen.rng.expovariate(1.0 / mean_gap)
+    t = 0.0
+    prev = -1.0
+    for i in range(n):
+        if uniform:
+            t = (i * slots + slot) * gap
+        else:
+            t += rng.expovariate(1.0 / mean_gap)
             if t > window:
                 t = window
-            if t <= prev:
-                t = prev + TIME_EPSILON
-            records.append((t, gen.next_message(t)))
-            prev = t
+        if t <= prev:
+            t = prev + TIME_EPSILON
+        kind = draw_kind(rng, config.p_status)
+        records.append((t, Message(i + 1, config.sender, kind, config.packet_size_bytes, t)))
+        prev = t
     return records
-

@@ -108,11 +108,17 @@ def test_sweep_writes_all_csvs(tmp_path, capsys):
     assert len(dest) == 1 + 48 + 48 * 4
 
 
-def test_figures_from_sweep_csv(tmp_path, capsys):
-    out = tmp_path / "res.csv"
+@pytest.fixture(scope="module")
+def sweep_csv(tmp_path_factory):
+    """One default sweep at seed 5, shared by the figures tests."""
+    out = tmp_path_factory.mktemp("sweep") / "res.csv"
     assert run_cli(["sweep", "--seed", "5", "--out", str(out)]) == 0
+    return out
+
+
+def test_figures_from_sweep_csv(tmp_path, capsys, sweep_csv):
     fig_dir = tmp_path / "figs"
-    rc = run_cli(["figures", "--from", str(out), "--out-dir", str(fig_dir)])
+    rc = run_cli(["figures", "--from", str(sweep_csv), "--out-dir", str(fig_dir)])
     assert rc == 0
     files = sorted(p.name for p in fig_dir.iterdir())
     assert files == [f"figure_{i:02d}.csv" for i in range(6, 14)]
@@ -122,19 +128,15 @@ def test_figures_from_sweep_csv(tmp_path, capsys):
         assert len(lines) == 1 + 4
 
 
-def test_figures_single_figure(tmp_path):
-    out = tmp_path / "res.csv"
-    assert run_cli(["sweep", "--seed", "5", "--out", str(out)]) == 0
+def test_figures_single_figure(tmp_path, sweep_csv):
     fig_dir = tmp_path / "one"
-    rc = run_cli(["figures", "--from", str(out), "--out-dir", str(fig_dir), "--figure", "8"])
+    rc = run_cli(["figures", "--from", str(sweep_csv), "--out-dir", str(fig_dir), "--figure", "8"])
     assert rc == 0
     assert [p.name for p in fig_dir.iterdir()] == ["figure_08.csv"]
 
 
-def test_figures_unknown_id(tmp_path, capsys):
-    out = tmp_path / "res.csv"
-    assert run_cli(["sweep", "--seed", "5", "--out", str(out)]) == 0
-    rc = run_cli(["figures", "--from", str(out), "--out-dir", str(tmp_path), "--figure", "42"])
+def test_figures_unknown_id(tmp_path, capsys, sweep_csv):
+    rc = run_cli(["figures", "--from", str(sweep_csv), "--out-dir", str(tmp_path), "--figure", "42"])
     assert rc == 1
     assert "unknown figure id" in capsys.readouterr().err
 

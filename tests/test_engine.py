@@ -123,7 +123,7 @@ def test_wire_idle_restart():
 
 def build(kind, *, delay=0.0, link=None, tcp=None, costs=None, variant="tail", seed=1):
     clock = SimClock()
-    conn = build_connection(
+    sender = build_connection(
         clock,
         kind,
         link or LinkParams(),
@@ -133,13 +133,13 @@ def build(kind, *, delay=0.0, link=None, tcp=None, costs=None, variant="tail", s
         variant,
         random.Random(seed),
     )
-    return clock, conn
+    return clock, sender
 
 
 def test_udp_arrival_time_is_serialization_plus_propagation():
-    clock, conn = build(TransportKind.UDP)
+    clock, sender = build(TransportKind.UDP)
     msg = status(1)
-    conn.sender.submit(msg, 0.0)
+    sender.submit(msg, 0.0)
     clock.run(1.0)
     assert msg.t_enqueued == pytest.approx(SER_512 + PROP)
 
@@ -151,32 +151,32 @@ def test_fan_out_has_one_uplink_per_destination(kind):
     clock = SimClock()
     messages = [status(1, sender=0), status(1, sender=1)]
     for msg in messages:
-        conn = build_connection(
+        sender = build_connection(
             clock, kind, LinkParams(), TcpModel(), ProcessingCosts(), 0.0, "tail", random.Random(1)
         )
-        conn.sender.submit(msg, 0.0)
+        sender.submit(msg, 0.0)
     clock.run(1.0)
     assert [m.t_enqueued for m in messages] == pytest.approx([SER_512 + PROP] * 2)
 
 
 def test_udp_certain_loss_delivers_nothing():
-    clock, conn = build(TransportKind.UDP, link=LinkParams(loss_prob=1.0))
+    clock, sender = build(TransportKind.UDP, link=LinkParams(loss_prob=1.0))
     for i in range(1000):
-        conn.sender.submit(status(i + 1), 0.0)
+        sender.submit(status(i + 1), 0.0)
     clock.run(5.0)
-    report = conn.collector.finalize(5.0, final_queue_len=len(conn.receiver.queue))
+    report = sender.collector.finalize(5.0, final_queue_len=len(sender.receiver.queue))
     assert report.messages_lost == 1000
     assert report.delivered_to_queue == 0
     assert report.messages_delivered == 0
 
 
 def test_udp_accounting_under_partial_loss():
-    clock, conn = build(TransportKind.UDP, link=LinkParams(loss_prob=0.3), seed=5)
+    clock, sender = build(TransportKind.UDP, link=LinkParams(loss_prob=0.3), seed=5)
     for i in range(2000):
         msg = status(i + 1, t=i * 0.01)
-        clock.schedule(msg.t_created, lambda t, m=msg: conn.sender.submit(m, t))
+        clock.schedule(msg.t_created, lambda t, m=msg: sender.submit(m, t))
     clock.run(60.0)
-    c = conn.collector
+    c = sender.collector
     assert c.messages_sent == 2000
     assert c.messages_sent == c.delivered_to_queue + c.messages_lost
     assert 0 < c.messages_lost < 2000
@@ -187,10 +187,10 @@ def test_tcp_window_one_staggers_arrivals_by_round_trip():
     #   data arrives at ser+prop; consumed immediately (no delay); the ack
     #   returns after ack_ser+prop; only then may the next packet leave.
     # Arrival spacing is therefore exactly ser + ack_ser + 2*prop.
-    clock, conn = build(TransportKind.TCP, tcp=TcpModel(window_size=1))
+    clock, sender = build(TransportKind.TCP, tcp=TcpModel(window_size=1))
     messages = [status(1), status(2, sender=1), status(3, sender=2)]
     for msg in messages:
-        conn.sender.submit(msg, 0.0)
+        sender.submit(msg, 0.0)
     clock.run(5.0)
     arrivals = [m.t_enqueued for m in messages]
     round_trip = SER_512 + ACK_SER + 2 * PROP
@@ -200,30 +200,30 @@ def test_tcp_window_one_staggers_arrivals_by_round_trip():
 
 
 def test_tcp_delivers_exactly_once_in_order_under_loss():
-    clock, conn = build(
+    clock, sender = build(
         TransportKind.TCP, link=LinkParams(loss_prob=0.2), seed=11
     )
     consumed = []
-    transport_hook = conn.receiver.on_consume
-    conn.receiver.on_consume = lambda m, t: (consumed.append(m.seq), transport_hook(m, t))
+    transport_hook = sender.receiver.on_consume
+    sender.receiver.on_consume = lambda m, t: (consumed.append(m.seq), transport_hook(m, t))
     n = 200
     for i in range(n):
         msg = status(i + 1, t=i * 2.7)
-        clock.schedule(msg.t_created, lambda t, m=msg: conn.sender.submit(m, t))
+        clock.schedule(msg.t_created, lambda t, m=msg: sender.submit(m, t))
     clock.run(n * 2.7 + 60.0)
-    assert conn.collector.delivered_to_queue == n
+    assert sender.collector.delivered_to_queue == n
     assert consumed == list(range(1, n + 1))
-    assert conn.collector.retransmissions > 0
-    assert conn.collector.messages_lost == 0
+    assert sender.collector.retransmissions > 0
+    assert sender.collector.messages_lost == 0
 
 
 def test_tcp_ack_count_equals_consumed_count():
-    clock, conn = build(TransportKind.TCP, delay=0.05)
+    clock, sender = build(TransportKind.TCP, delay=0.05)
     for i in range(50):
         msg = status(i + 1, t=i * 0.2)
-        clock.schedule(msg.t_created, lambda t, m=msg: conn.sender.submit(m, t))
+        clock.schedule(msg.t_created, lambda t, m=msg: sender.submit(m, t))
     clock.run(60.0)
-    c = conn.collector
+    c = sender.collector
     assert c.messages_delivered == 50
     assert c.acks_generated == c.messages_delivered
 
@@ -232,18 +232,18 @@ def test_rto_timer_for_acked_seq_is_a_no_op():
     # Loss-free, and every ack returns within one round trip (~0.03 s), far
     # inside the 1 s timeout: each timer fires after its seq was acked and
     # must return without retransmitting.
-    clock, conn = build(TransportKind.TCP, delay=0.01)
+    clock, sender = build(TransportKind.TCP, delay=0.01)
     n = 50
     for i in range(n):
         msg = status(i + 1, t=i * 0.2)
-        clock.schedule(msg.t_created, conn.sender.submit, msg)
+        clock.schedule(msg.t_created, sender.submit, msg)
     end = n * 0.2 + 2 * TcpModel().rto_s
     clock.run(end)
-    report = conn.collector.finalize(end, final_queue_len=len(conn.receiver.queue))
+    report = sender.collector.finalize(end, final_queue_len=len(sender.receiver.queue))
     assert report.retransmissions == 0
     assert report.messages_delivered == n
     assert report.conservation_residual() == 0
-    assert conn.sender.pending == {}
+    assert sender.pending == {}
 
 
 @pytest.mark.parametrize(
@@ -275,10 +275,10 @@ def test_idle_receiver_schedules_at_most_one_service_per_delivery(
 
 def test_causality_enqueue_after_created_plus_propagation():
     for kind in TransportKind:
-        clock, conn = build(kind, delay=0.01)
+        clock, sender = build(kind, delay=0.01)
         messages = [status(i + 1, t=i * 0.05) for i in range(100)]
         for msg in messages:
-            clock.schedule(msg.t_created, lambda t, m=msg: conn.sender.submit(m, t))
+            clock.schedule(msg.t_created, lambda t, m=msg: sender.submit(m, t))
         clock.run(30.0)
         for msg in messages:
             assert msg.t_enqueued is not None
@@ -360,10 +360,11 @@ def test_queue_mode_selection():
 
 
 def test_udp_receiver_carries_app_cost_tcp_does_not():
-    _, udp_conn = build(TransportKind.UDP)
-    _, tcp_conn = build(TransportKind.TCP)
-    assert udp_conn.receiver.app_cost_s == ProcessingCosts().udp_app_per_msg_s
-    assert tcp_conn.receiver.app_cost_s == 0.0
+    # Zero receiver delay, so each hold is the application cost alone.
+    _, udp = build(TransportKind.UDP)
+    _, tcp = build(TransportKind.TCP)
+    assert udp.receiver.hold_s == ProcessingCosts().udp_app_per_msg_s
+    assert tcp.receiver.hold_s == 0.0
 
 
 # -- determinism -------------------------------------------------------------------

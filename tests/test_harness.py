@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from uqsim import harness
 from uqsim.engine import LinkParams, TransportKind
 from uqsim.harness import (
     AGGREGATE_HEADER,
@@ -193,6 +194,16 @@ def test_parallel_sweep_matches_serial():
     assert sweep_rows(serial) == sweep_rows(parallel)
 
 
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_run_sweep_rejects_jobs_below_one_before_any_cell(monkeypatch, jobs):
+    def refuse_cell(config):
+        raise AssertionError("no cell may run")
+
+    monkeypatch.setattr(harness, "_run_cell", refuse_cell)
+    with pytest.raises(ValueError, match="jobs must be >= 1"):
+        run_sweep(jobs=jobs)
+
+
 def test_sweep_failure_names_cell():
     bad = ExperimentConfig(protocol=TransportKind.UDP, link=LinkParams(loss_prob=2.0))
     with pytest.raises(RuntimeError, match="protocol=tcp topology=one_to_one packet_size=256"):
@@ -263,6 +274,34 @@ def test_default_sweep_csvs_match_fingerprint(tmp_path):
         for name in DEFAULT_SWEEP_SHA256
     }
     assert digests == DEFAULT_SWEEP_SHA256
+
+
+# SHA-256 over every record of destination_schedules for a UDP, 256-byte
+# cell of seed 20100, per topology and schedule shape. The sweep pin covers
+# only Poisson; these also pin the uniform grid, one-to-one and round-robin.
+SCHEDULE_SHA256 = {
+    ("one_to_one", "uniform"): "0a53c63448c0acabef80af2047bde6b25fad51d00ab130e8b517696d77314b4c",
+    ("one_to_one", "poisson"): "3eec43215636eba5717271968d17f9579087585c724e0724f482985762a38e9f",
+    ("one_to_many", "uniform"): "d2b27f3c54cab9db345f6e278e9d6937fd144ef90680034d80b0c487af207d49",
+    ("one_to_many", "poisson"): "34132c5b02aeb7ea9018a3737849e4325ab8eccedc05b70e7ae94388c7934abc",
+}
+
+
+@pytest.mark.parametrize("topology, schedule", sorted(SCHEDULE_SHA256))
+def test_destination_schedules_match_fingerprint(topology, schedule):
+    cfg = ExperimentConfig(
+        protocol=TransportKind.UDP,
+        topology=topology,
+        packet_size_bytes=256,
+        schedule=schedule,
+        seed=cell_seed(20100, topology, 256, 0.05),
+    )
+    digest = hashlib.sha256()
+    for dest, records in enumerate(destination_schedules(cfg)):
+        for t, m in records:
+            line = f"{dest},{t!r},{m.seq},{m.kind.value},{m.size_bytes},{m.t_created!r}\n"
+            digest.update(line.encode())
+    assert digest.hexdigest() == SCHEDULE_SHA256[(topology, schedule)]
 
 
 def test_aggregate_csv_header(tmp_path):

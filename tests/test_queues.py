@@ -68,7 +68,7 @@ def test_same_sender_status_replaces_tail(make_msg):
     outcome = q.enqueue_uqa(new)
     assert outcome is EnqueueOutcome.REPLACED_TAIL
     assert len(q) == 1
-    assert q.peek_tail() is new
+    assert q.snapshot()[-1] is new
     assert q.replaced == 1
 
 
@@ -416,7 +416,7 @@ def test_keyed_matches_reference_model(ops):
         assert all(got is want for got, want in zip(contents, reference))
         assert len(q) == len(reference)
         assert bool(q) == bool(reference)
-        assert q.peek_tail() is (reference[-1] if reference else None)
+        assert (contents[-1] if contents else None) is (reference[-1] if reference else None)
         assert conserved(q)
     assert q.dequeued == len(dequeued)
     dequeued_ids = {id(m) for m in dequeued}

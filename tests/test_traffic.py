@@ -6,7 +6,6 @@ import pytest
 from uqsim.messages import MessageKind, dump_trace, load_trace
 from uqsim.traffic import (
     TrafficConfig,
-    TrafficGenerator,
     derive_seed,
     draw_kind,
     generate_schedule,
@@ -124,12 +123,13 @@ def test_schedule_exports_to_trace_format(tmp_path):
         assert (m_out.sender, m_out.seq, m_out.kind) == (m_in.sender, m_in.seq, m_in.kind)
 
 
-def test_generator_next_message_increments_seq():
-    gen = TrafficGenerator(cfg(message_count=10))
-    first = gen.next_message(0.0)
-    second = gen.next_message(1.0)
-    assert (first.seq, second.seq) == (1, 2)
-    assert second.t_created == 1.0
+def test_schedule_seq_increments_and_t_created_is_send_time():
+    for kind in ("uniform", "poisson"):
+        schedule = generate_schedule(cfg(message_count=10, schedule=kind))
+        (t0, first), (t1, second) = schedule[:2]
+        assert (first.seq, second.seq) == (1, 2)
+        assert 0.0 <= t0 < t1
+        assert all(m.t_created == t for t, m in schedule)
 
 
 def test_derive_seed_is_stable_and_distinct():
