@@ -56,7 +56,6 @@ from .harness import (
     write_sweep_csv,
 )
 from .messages import format_trace_record, load_trace
-from .metrics import MetricsCollector
 from .traffic import SCHEDULES
 
 # ExperimentConfig fields whose settings are the fields of a nested group.
@@ -249,11 +248,8 @@ def cmd_figures(args: argparse.Namespace) -> int:
 
 def cmd_replay(args: argparse.Namespace) -> int:
     records = sorted(load_trace(args.trace), key=lambda rec: rec[0])
-    collector = MetricsCollector()
     clock = SimClock()
-    receiver = Receiver(
-        clock, args.receiver_delay or 0.0, QueueMode(args.queue_variant), collector
-    )
+    receiver = Receiver(clock, args.receiver_delay or 0.0, QueueMode(args.queue_variant))
     queue = receiver.queue
     duration = records[-1][0] if records else 0.0
     if args.receiver_delay is None:
@@ -265,14 +261,13 @@ def cmd_replay(args: argparse.Namespace) -> int:
             clock.schedule(t_send, receiver.deliver, msg)
         duration += args.receiver_delay * (len(records) + 1)
         clock.run(duration)
-    report = collector.finalize(duration, final_queue_len=len(queue))
     print(f"final_queue_length: {len(queue)}")
     for msg in queue.snapshot():
         print(format_trace_record(msg.t_enqueued or 0.0, msg))
     print(f"inserted: {queue.inserted}")
     print(f"replaced: {queue.replaced}")
     print(f"dequeued: {queue.dequeued}")
-    row = report_row(report)
+    row = report_row(receiver.collector.finalize(duration, queue))
     for key in ("avg_queue_len", "peak_queue_len", "avg_time_in_queue_s", "littles_residual"):
         print(f"{key}: {format_value(row[key])}")
     return 0

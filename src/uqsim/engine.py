@@ -205,7 +205,7 @@ class Wire:
 
 
 class Receiver:
-    """Consumer draining one queue.
+    """Consumer draining one queue; owns its destination's metrics collector.
 
     Drains one message at a time; after each dequeue it is busy for the
     receiver delay plus its per-message application cost. With zero delay it
@@ -223,7 +223,6 @@ class Receiver:
         clock: SimClock,
         receiver_delay_s: float,
         mode: QueueMode,
-        collector: MetricsCollector,
         app_cost_s: float = 0.0,
     ):
         if not 0 <= receiver_delay_s < inf:
@@ -231,7 +230,7 @@ class Receiver:
                 f"receiver_delay_s must be >= 0 and finite, got {receiver_delay_s}"
             )
         self.clock = clock
-        self.collector = collector
+        self.collector = MetricsCollector()
         self.hold_s = receiver_delay_s + app_cost_s  # busy time after each dequeue
         self.queue = UpdatableQueue()
         # The one QueueMode -> insertion dispatch; mode values name the methods.
@@ -243,12 +242,9 @@ class Receiver:
         self.on_consume: Optional[Callable[[Message, float], None]] = None
 
     def deliver(self, msg: Message, now: float) -> None:
-        outcome = self.enqueue(msg, now)
-        collector = self.collector
-        collector.record_enqueued(msg.size_bytes * 8.0)
-        if outcome is EnqueueOutcome.REPLACED_TAIL:
-            collector.record_replaced()
-        collector.record_queue_sample(now, len(self.queue))
+        self.enqueue(msg, now)
+        self.collector.data_bits_enqueued += msg.size_bytes * 8.0
+        self.collector.record_queue_sample(now, len(self.queue))
         if not self.busy:
             self.busy = True
             start = now if now > self.ready_at else self.ready_at
@@ -257,9 +253,8 @@ class Receiver:
     def _service(self, now: float) -> None:
         queue = self.queue
         msg = queue.dequeue(now)
-        collector = self.collector
-        collector.record_queue_sample(now, len(queue))
-        collector.record_consumed(now - msg.t_enqueued)
+        self.collector.record_queue_sample(now, len(queue))
+        self.collector.wait_time_sum_s += now - msg.t_enqueued
         if self.on_consume is not None:
             self.on_consume(msg, now)
         if queue:
@@ -287,12 +282,11 @@ class UdpSender:
 
     def submit(self, msg: Message, now: float) -> None:
         collector = self.collector
-        collector.record_send()
-        bits = msg.size_bytes * 8.0
-        collector.record_transmission(bits, first=True)
-        collector.add_source_busy(self.link.serialization_s(msg.size_bytes))
+        collector.messages_sent += 1
+        collector.data_bits_sent += msg.size_bytes * 8.0
+        collector.source_busy_s += self.link.serialization_s(msg.size_bytes)
         if self.link.loss_prob > 0.0 and self.rng.random() < self.link.loss_prob:
-            collector.record_loss()
+            collector.messages_lost += 1
             return
         arrival = self.wire.transmit(now, msg.size_bytes)
         self.clock.schedule(arrival, self.receiver.deliver, msg)
@@ -339,9 +333,9 @@ class TcpConnection:
     # -- source side -------------------------------------------------------
 
     def submit(self, msg: Message, now: float) -> None:
-        self.collector.record_send()
+        self.collector.messages_sent += 1
         if self.update_cost_s:
-            self.collector.add_source_busy(self.update_cost_s)
+            self.collector.source_busy_s += self.update_cost_s
         msg.tx_seq = self.next_seq
         self.next_seq += 1
         self.send_buffer.append(msg)
@@ -353,9 +347,11 @@ class TcpConnection:
 
     def _transmit(self, msg: Message, now: float, first: bool) -> None:
         collector = self.collector
-        bits = msg.size_bytes * 8.0
-        collector.record_transmission(bits, first=first)
-        collector.add_source_busy(self.link.serialization_s(msg.size_bytes))
+        if first:
+            collector.data_bits_sent += msg.size_bytes * 8.0
+        else:
+            collector.retransmissions += 1
+        collector.source_busy_s += self.link.serialization_s(msg.size_bytes)
         if not (self.link.loss_prob > 0.0 and self.rng.random() < self.link.loss_prob):
             arrival = self.data_wire.transmit(now, msg.size_bytes)
             self.clock.schedule(arrival, self._data_arrive, msg)
@@ -384,15 +380,15 @@ class TcpConnection:
             self.expected += 1
 
     def _on_consume(self, msg: Message, now: float) -> None:
-        ack_bits = self.tcp.ack_size_bytes * 8.0
-        self.collector.record_ack_generated(ack_bits)
+        self.collector.acks_generated += 1
+        self.collector.ack_bits_generated += self.tcp.ack_size_bytes * 8.0
         arrival = self.ack_wire.transmit(now, self.tcp.ack_size_bytes)
         self.clock.schedule(arrival, self._ack_arrive, msg.tx_seq)
 
     # -- back at the source --------------------------------------------------
 
     def _ack_arrive(self, cum: int, now: float) -> None:
-        self.collector.add_source_busy(self.link.serialization_s(self.tcp.ack_size_bytes))
+        self.collector.source_busy_s += self.link.serialization_s(self.tcp.ack_size_bytes)
         if cum > self.highest_acked:
             for seq in range(self.highest_acked + 1, cum + 1):
                 del self.pending[seq]
@@ -415,7 +411,6 @@ def build_connection(
         clock,
         receiver_delay_s,
         queue_mode_for(kind, queue_variant),
-        MetricsCollector(),
         app_cost_s=0.0 if kind.reliable else costs.udp_app_per_msg_s,
     )
     if kind.reliable:

@@ -47,6 +47,7 @@ DEFAULT_MESSAGE_COUNT = 1000
 DEFAULT_DURATIONS = {"one_to_one": 180.0, "one_to_many": 720.0}
 DEFAULT_DESTINATIONS = 4
 DEFAULT_MASTER_SEED = 20100
+CELLS_PER_TASK = 4  # pool task size of a parallel sweep
 
 # The settings default_configs sets per cell; the rest come from the base config.
 SWEEP_AXES = ("protocol", "topology", "packet_size_bytes", "receiver_delay_s")
@@ -196,10 +197,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             clock.schedule(t_send, submit, msg)
         senders.append(sender)
     clock.run(duration)
-    reports = [
-        sender.collector.finalize(duration, final_queue_len=len(sender.receiver.queue))
-        for sender in senders
-    ]
+    reports = [sender.collector.finalize(duration, sender.receiver.queue) for sender in senders]
     return ExperimentResult(config=config, per_destination=reports, report=mean_report(reports))
 
 
@@ -251,8 +249,10 @@ def run_sweep(
     configs = default_configs(master_seed, base, packet_sizes, receiver_delays)
     results: list[ExperimentResult]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_cell, configs, chunksize=4))
+        # The pool starts every worker at once; more than one per chunk would idle.
+        chunks = -(-len(configs) // CELLS_PER_TASK)
+        with ProcessPoolExecutor(max_workers=min(jobs, chunks)) as pool:
+            results = list(pool.map(_run_cell, configs, chunksize=CELLS_PER_TASK))
     else:
         results = [_run_cell(config) for config in configs]
     return SweepResult(results=results)

@@ -21,8 +21,11 @@ Definitions, chosen to make the four transports comparable:
 
 * ``avg_time_in_queue_s`` - mean of (t_dequeued - t_enqueued) over delivered
   messages only. Replaced (coalesced) messages were never delivered and are
-  excluded; they still appear in ``messages_replaced`` so the accounting
-  identity sent = delivered + replaced + lost + final queue holds.
+  excluded; they still appear in ``messages_replaced``.
+
+``conservation_residual()`` counts the messages still in transport at run
+end (in TCP's send buffer, window or reorder buffer, or datagrams on the
+wire); it is 0 whenever the run drains, as in every default sweep cell.
 
 Zero-duration or zero-traffic runs report zeros rather than NaNs.
 """
@@ -30,6 +33,8 @@ Zero-duration or zero-traffic runs report zeros rather than NaNs.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+
+from .queues import UpdatableQueue
 
 LITTLES_EPSILON = 1e-12
 
@@ -53,7 +58,7 @@ class MetricsReport:
     retransmissions: float = 0.0
 
     def conservation_residual(self) -> float:
-        """sent - (delivered + replaced + lost + final queue); 0 when conserved."""
+        """sent - (delivered + replaced + lost + final queue): messages in transport."""
         return self.messages_sent - (
             self.messages_delivered
             + self.messages_replaced
@@ -73,18 +78,19 @@ def littles_law_residual(report: MetricsReport, effective_arrival_rate: float) -
 
 
 class MetricsCollector:
-    """Accumulates one destination's measurements during a run.
+    """One destination's measurements that no other object keeps.
 
-    Queue samples must arrive with non-decreasing timestamps; the integral of
-    length over time and the peak are maintained incrementally.
+    The receive queue keeps the receive-side counts, which ``finalize``
+    reads, and the transport its in-flight state. The collector keeps the
+    source side, acks, bits, summed wait and length integral; the senders
+    and the receiver add to them directly. Queue samples must arrive with
+    non-decreasing timestamps; the integral of length over time and the
+    peak are maintained incrementally.
     """
 
     def __init__(self) -> None:
         self.messages_sent = 0
         self.messages_lost = 0
-        self.messages_replaced = 0
-        self.messages_delivered = 0
-        self.delivered_to_queue = 0
         self.acks_generated = 0
         self.retransmissions = 0
         self.data_bits_sent = 0.0
@@ -97,40 +103,6 @@ class MetricsCollector:
         self._last_sample_t = 0.0
         self._last_len = 0
         self._have_sample = False
-
-    # -- source side -------------------------------------------------------
-
-    def record_send(self) -> None:
-        self.messages_sent += 1
-
-    def record_transmission(self, bits: float, first: bool) -> None:
-        if first:
-            self.data_bits_sent += bits
-        else:
-            self.retransmissions += 1
-
-    def record_loss(self) -> None:
-        self.messages_lost += 1
-
-    def add_source_busy(self, seconds: float) -> None:
-        self.source_busy_s += seconds
-
-    # -- receiver side -----------------------------------------------------
-
-    def record_enqueued(self, bits: float) -> None:
-        self.delivered_to_queue += 1
-        self.data_bits_enqueued += bits
-
-    def record_replaced(self) -> None:
-        self.messages_replaced += 1
-
-    def record_consumed(self, wait_s: float) -> None:
-        self.messages_delivered += 1
-        self.wait_time_sum_s += wait_s
-
-    def record_ack_generated(self, bits: float) -> None:
-        self.acks_generated += 1
-        self.ack_bits_generated += bits
 
     def record_queue_sample(self, t: float, length: int) -> None:
         if self._have_sample:
@@ -147,7 +119,8 @@ class MetricsCollector:
 
     # -- finalize ----------------------------------------------------------
 
-    def finalize(self, run_duration_s: float, final_queue_len: int = 0) -> MetricsReport:
+    def finalize(self, run_duration_s: float, queue: UpdatableQueue) -> MetricsReport:
+        """The report at ``run_duration_s``; the receive-side counts come from ``queue``."""
         if run_duration_s < 0:
             raise ValueError(f"run_duration_s must be >= 0, got {run_duration_s}")
         len_integral = self._len_integral
@@ -155,8 +128,8 @@ class MetricsCollector:
             len_integral += self._last_len * (run_duration_s - self._last_sample_t)
         avg_len = len_integral / run_duration_s if run_duration_s > 0 else 0.0
         avg_wait = (
-            self.wait_time_sum_s / self.messages_delivered
-            if self.messages_delivered
+            self.wait_time_sum_s / queue.dequeued
+            if queue.dequeued
             else 0.0
         )
         client_bps = (
@@ -174,13 +147,13 @@ class MetricsCollector:
             peak_queue_len=float(self._peak_len),
             avg_time_in_queue_s=avg_wait,
             messages_sent=float(self.messages_sent),
-            messages_delivered=float(self.messages_delivered),
-            messages_replaced=float(self.messages_replaced),
+            messages_delivered=float(queue.dequeued),
+            messages_replaced=float(queue.replaced),
             messages_lost=float(self.messages_lost),
             acks_generated=float(self.acks_generated),
             run_duration_s=run_duration_s,
-            delivered_to_queue=float(self.delivered_to_queue),
-            final_queue_len=float(final_queue_len),
+            delivered_to_queue=float(queue.inserted),
+            final_queue_len=float(len(queue)),
             retransmissions=float(self.retransmissions),
         )
 

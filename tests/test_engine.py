@@ -19,7 +19,6 @@ from uqsim.engine import (
 )
 from uqsim.harness import ExperimentConfig, run_experiment
 from uqsim.messages import Message, MessageKind
-from uqsim.metrics import MetricsCollector
 
 SER_512 = 512 * 8 / 1_000_000  # 0.004096 s at the default link rate
 ACK_SER = 40 * 8 / 1_000_000  # 0.00032 s
@@ -164,7 +163,7 @@ def test_udp_certain_loss_delivers_nothing():
     for i in range(1000):
         sender.submit(status(i + 1), 0.0)
     clock.run(5.0)
-    report = sender.collector.finalize(5.0, final_queue_len=len(sender.receiver.queue))
+    report = sender.collector.finalize(5.0, sender.receiver.queue)
     assert report.messages_lost == 1000
     assert report.delivered_to_queue == 0
     assert report.messages_delivered == 0
@@ -178,7 +177,7 @@ def test_udp_accounting_under_partial_loss():
     clock.run(60.0)
     c = sender.collector
     assert c.messages_sent == 2000
-    assert c.messages_sent == c.delivered_to_queue + c.messages_lost
+    assert c.messages_sent == sender.receiver.queue.inserted + c.messages_lost
     assert 0 < c.messages_lost < 2000
 
 
@@ -211,7 +210,7 @@ def test_tcp_delivers_exactly_once_in_order_under_loss():
         msg = status(i + 1, t=i * 2.7)
         clock.schedule(msg.t_created, lambda t, m=msg: sender.submit(m, t))
     clock.run(n * 2.7 + 60.0)
-    assert sender.collector.delivered_to_queue == n
+    assert sender.receiver.queue.inserted == n
     assert consumed == list(range(1, n + 1))
     assert sender.collector.retransmissions > 0
     assert sender.collector.messages_lost == 0
@@ -223,9 +222,8 @@ def test_tcp_ack_count_equals_consumed_count():
         msg = status(i + 1, t=i * 0.2)
         clock.schedule(msg.t_created, lambda t, m=msg: sender.submit(m, t))
     clock.run(60.0)
-    c = sender.collector
-    assert c.messages_delivered == 50
-    assert c.acks_generated == c.messages_delivered
+    assert sender.receiver.queue.dequeued == 50
+    assert sender.collector.acks_generated == sender.receiver.queue.dequeued
 
 
 def test_rto_timer_for_acked_seq_is_a_no_op():
@@ -239,7 +237,7 @@ def test_rto_timer_for_acked_seq_is_a_no_op():
         clock.schedule(msg.t_created, sender.submit, msg)
     end = n * 0.2 + 2 * TcpModel().rto_s
     clock.run(end)
-    report = sender.collector.finalize(end, final_queue_len=len(sender.receiver.queue))
+    report = sender.collector.finalize(end, sender.receiver.queue)
     assert report.retransmissions == 0
     assert report.messages_delivered == n
     assert report.conservation_residual() == 0
@@ -290,17 +288,16 @@ def test_causality_enqueue_after_created_plus_propagation():
 
 def make_receiver(mode=QueueMode.FIFO, delay=0.0, app_cost=0.0):
     clock = SimClock()
-    collector = MetricsCollector()
-    receiver = Receiver(clock, delay, mode, collector, app_cost_s=app_cost)
-    return clock, receiver, collector
+    receiver = Receiver(clock, delay, mode, app_cost_s=app_cost)
+    return clock, receiver
 
 
 def test_zero_delay_drains_immediately():
-    clock, receiver, collector = make_receiver(delay=0.0)
+    clock, receiver = make_receiver(delay=0.0)
     for i in range(10):
         clock.schedule(i * 0.1, lambda t, m=status(i + 1): receiver.deliver(m, t))
     clock.run(2.0)
-    report = collector.finalize(2.0)
+    report = receiver.collector.finalize(2.0, receiver.queue)
     assert report.messages_delivered == 10
     assert report.peak_queue_len == 1  # transient occupancy only
     assert report.avg_queue_len == 0.0
@@ -311,23 +308,23 @@ def test_overloaded_fifo_grows_one_per_service_interval():
     # Arrivals every 0.05 s against a 0.1 s service delay: the backlog grows
     # by one message per 0.1 s. Forty arrivals by t = 1.96, twenty dequeues
     # (t = 0, 0.1, ..., 1.9) leave exactly twenty waiting.
-    clock, receiver, collector = make_receiver(delay=0.1)
+    clock, receiver = make_receiver(delay=0.1)
     for i in range(40):
         clock.schedule(i * 0.05, lambda t, m=status(i + 1): receiver.deliver(m, t))
     clock.run(1.96)
     assert len(receiver.queue) == 20
-    assert collector.messages_delivered == 20
+    assert receiver.queue.dequeued == 20
 
 
 def test_overloaded_uqa_single_sender_stays_bounded():
     # Same overload, all statuses from one sender, coalescing insertion:
     # every arrival either lands in an empty queue or replaces the stored
     # tail, so the backlog never exceeds one message.
-    clock, receiver, collector = make_receiver(mode=QueueMode.UQA_TAIL, delay=0.1)
+    clock, receiver = make_receiver(mode=QueueMode.UQA_TAIL, delay=0.1)
     for i in range(40):
         clock.schedule(i * 0.05, lambda t, m=status(i + 1): receiver.deliver(m, t))
     clock.run(2.0)
-    report = collector.finalize(2.0, final_queue_len=len(receiver.queue))
+    report = receiver.collector.finalize(2.0, receiver.queue)
     assert report.peak_queue_len == 1
     assert len(receiver.queue) <= 1
     assert receiver.queue.replaced > 0
@@ -337,7 +334,7 @@ def test_overloaded_uqa_single_sender_stays_bounded():
 def test_dequeue_processed_before_simultaneous_arrival():
     # A service tick and an arrival at the same instant: the stored message
     # leaves first, so the newcomer cannot coalesce with it.
-    clock, receiver, _ = make_receiver(mode=QueueMode.UQA_TAIL, delay=1.0)
+    clock, receiver = make_receiver(mode=QueueMode.UQA_TAIL, delay=1.0)
     clock.schedule(0.0, lambda t: receiver.deliver(status(1), t))  # consumed at t=0
     clock.schedule(0.5, lambda t: receiver.deliver(status(2), t))  # waits until t=1
     clock.schedule(1.0, lambda t: receiver.deliver(status(3), t))  # arrives at tick
@@ -349,7 +346,7 @@ def test_dequeue_processed_before_simultaneous_arrival():
 def test_receiver_rejects_negative_delay():
     clock = SimClock()
     with pytest.raises(ValueError, match="receiver_delay_s"):
-        Receiver(clock, -0.1, QueueMode.FIFO, MetricsCollector())
+        Receiver(clock, -0.1, QueueMode.FIFO)
 
 
 def test_queue_mode_selection():
@@ -365,6 +362,78 @@ def test_udp_receiver_carries_app_cost_tcp_does_not():
     _, tcp = build(TransportKind.TCP)
     assert udp.receiver.hold_s == ProcessingCosts().udp_app_per_msg_s
     assert tcp.receiver.hold_s == 0.0
+
+
+# -- accounting against transport state --------------------------------------------
+
+
+def run_cell_keeping_senders(monkeypatch, config):
+    """Run one harness cell; also return the senders it built."""
+    senders = []
+
+    def keep(*args):
+        senders.append(build_connection(*args))
+        return senders[-1]
+
+    monkeypatch.setattr(harness, "build_connection", keep)
+    return run_experiment(config), senders
+
+
+def test_residual_is_tcp_messages_in_transport(monkeypatch):
+    # 300 messages in 18 s against a consumer that takes 0.1 s each: the run
+    # ends with messages still in the send buffer, the window and, under
+    # loss, the reorder buffer. Each of them was assigned a transport seq
+    # and not yet handed to the receiver.
+    cfg = ExperimentConfig(
+        protocol=TransportKind.TCP, receiver_delay_s=0.1, message_count=300,
+        run_duration_s=20.0, link=LinkParams(loss_prob=0.1), seed=3,
+    )
+    result, (sender,) = run_cell_keeping_senders(monkeypatch, cfg)
+    residual = result.report.conservation_residual()
+    assert residual > 0
+    assert residual == sender.next_seq - sender.expected
+
+
+def test_residual_is_udp_datagrams_in_flight(monkeypatch):
+    # A 2 s propagation delay and sends until 1 s before the run end: the
+    # last datagrams are still on the wire, as pending deliver events.
+    cfg = ExperimentConfig(
+        protocol=TransportKind.UDP, topology="one_to_many", message_count=300,
+        run_duration_s=20.0, send_window_fraction=0.95, seed=3,
+        link=LinkParams(propagation_delay_s=2.0, loss_prob=0.1),
+    )
+    result, senders = run_cell_keeping_senders(monkeypatch, cfg)
+    in_flight = [
+        sum(entry[3] == sender.receiver.deliver for entry in sender.clock._heap)
+        for sender in senders
+    ]
+    assert len(in_flight) == cfg.destinations
+    assert sum(in_flight) > 0
+    assert [rep.conservation_residual() for rep in result.per_destination] == in_flight
+
+
+@pytest.mark.parametrize(
+    "protocol, variant",
+    [(TransportKind.TCP, "tail"), (TransportKind.UDP_UQA, "keyed")],
+)
+def test_delivered_to_queue_counts_receiver_deliver_calls(monkeypatch, protocol, variant):
+    # The traced benchmark fails a run whose Receiver.deliver call count and
+    # summed delivered_to_queue differ.
+    calls = []
+    deliver = Receiver.deliver
+
+    def counting(self, msg, now):
+        calls.append(msg)
+        deliver(self, msg, now)
+
+    monkeypatch.setattr(Receiver, "deliver", counting)
+    cfg = ExperimentConfig(
+        protocol=protocol, topology="one_to_many", queue_variant=variant,
+        receiver_delay_s=0.05, message_count=200, link=LinkParams(loss_prob=0.1), seed=9,
+    )
+    result = run_experiment(cfg)
+    assert len(calls) > 0
+    assert sum(rep.delivered_to_queue for rep in result.per_destination) == len(calls)
 
 
 # -- determinism -------------------------------------------------------------------

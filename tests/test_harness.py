@@ -194,6 +194,32 @@ def test_parallel_sweep_matches_serial():
     assert sweep_rows(serial) == sweep_rows(parallel)
 
 
+@pytest.mark.parametrize("jobs, workers", [(1000, 4), (3, 3)])
+def test_parallel_sweep_starts_at_most_one_worker_per_task(monkeypatch, jobs, workers):
+    # The pool starts every worker at once, so workers beyond the task count
+    # would only idle. The fake pool maps serially and starts no process.
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, iterable, chunksize):
+            assert chunksize == harness.CELLS_PER_TASK
+            return map(fn, iterable)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    sweep = small_sweep(jobs=jobs)  # 16 cells: 4 tasks of 4
+    assert pools == [workers]
+    assert len(sweep.results) == 16
+
+
 @pytest.mark.parametrize("jobs", [0, -2])
 def test_run_sweep_rejects_jobs_below_one_before_any_cell(monkeypatch, jobs):
     def refuse_cell(config):

@@ -7,12 +7,17 @@ from pathlib import Path
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_benchmark_loads_and_installs_every_wrapper(monkeypatch):
+def load_benchmark(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
     run = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, "perfbench_run", run)
     spec.loader.exec_module(run)
+    return run
+
+
+def test_benchmark_loads_and_installs_every_wrapper(monkeypatch):
+    run = load_benchmark(monkeypatch)
     import spans
 
     tracer = spans.Tracer()
@@ -21,3 +26,15 @@ def test_benchmark_loads_and_installs_every_wrapper(monkeypatch):
     finally:
         tracer.restore()
     assert "harness.write_sweep_csv" in tracer.names
+
+
+def test_replay_keyed_workload_passes_its_check(monkeypatch, tmp_path):
+    # One untimed call of the replay-keyed workload: its check reads the
+    # replay's counters and fails the call when they do not balance.
+    run = load_benchmark(monkeypatch)
+    monkeypatch.setattr(run, "WORK", tmp_path)
+    replay = run.Replay(20100)
+    status, out = replay.call()
+    assert status == 0
+    assert f"inserted: {replay.messages}" in out
+    assert replay.check((status, out)) == set()
