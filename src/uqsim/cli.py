@@ -3,8 +3,8 @@
 Subcommands:
   run     - one experiment cell, summary to stdout, optional CSV row
   sweep   - the full default matrix; writes results, aggregate, and
-            per-destination CSVs
-  figures - per-figure CSVs (delay rows x protocol columns) from a sweep CSV
+            per-destination CSVs, and the per-figure CSVs (delay rows x
+            protocol columns) built from the same rows
   replay  - push a trace file through a queue variant and print the final
             queue and its counters; optionally drain it through a receiver
 
@@ -20,6 +20,7 @@ import argparse
 import os
 import sys
 from dataclasses import fields
+from math import isfinite
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -43,7 +44,6 @@ from .harness import (
     cell_seed,
     check_jobs,
     format_value,
-    parse_sweep_csv,
     report_row,
     result_row,
     run_experiment,
@@ -219,29 +219,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print_settings({**shown, "jobs": args.jobs, "out": args.out})
         return 0
     out = Path(args.out)
-    aggregate_out = Path(args.aggregate_out or out.with_name(f"{out.stem}_aggregate{out.suffix}"))
-    destinations_out = Path(
-        args.destinations_out or out.with_name(f"{out.stem}_destinations{out.suffix}")
-    )
-    require_output_dirs(out, aggregate_out, destinations_out)
+    require_output_dirs(out)  # every other output goes next to it
+
+    def sibling(tag: str) -> str:
+        return str(out.with_name(f"{out.stem}_{tag}{out.suffix}"))
+
     sweep = run_sweep(master_seed=settings["seed"], jobs=args.jobs, base=base)  # type: ignore[arg-type]
+    rows = sweep_rows(sweep)
     write_sweep_csv(str(out), sweep)
-    write_aggregate_csv(str(aggregate_out), sweep_rows(sweep))
-    write_destination_csv(str(destinations_out), sweep)
+    write_aggregate_csv(sibling("aggregate"), rows)
+    write_destination_csv(sibling("destinations"), sweep)
     print(f"wrote {out} ({len(sweep.results)} cells)")
-    print(f"wrote {aggregate_out}")
-    print(f"wrote {destinations_out}")
-    return 0
-
-
-def cmd_figures(args: argparse.Namespace) -> int:
-    rows = parse_sweep_csv(args.source)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    figures = args.figure if args.figure else sorted(FIGURE_SPECS)
-    for figure in figures:
-        path = out_dir / f"figure_{figure:02d}.csv"
-        write_figure_csv(str(path), rows, figure)
+    print(f"wrote {sibling('aggregate')}")
+    print(f"wrote {sibling('destinations')}")
+    for figure in sorted(FIGURE_SPECS):
+        path = sibling(f"figure_{figure:02d}")
+        write_figure_csv(path, rows, figure)
         print(f"wrote {path}")
     return 0
 
@@ -257,9 +250,16 @@ def cmd_replay(args: argparse.Namespace) -> int:
         for t_send, msg in records:
             receiver.deliver(msg, t_send)
     else:
+        duration += args.receiver_delay * (len(records) + 1)
+        # The length integral and the summed wait are each at most
+        # messages * horizon; past the largest float they become inf or NaN.
+        if not isfinite(duration * max(len(records), 1)):
+            raise ValueError(
+                f"--receiver-delay {args.receiver_delay} is too large for {len(records)} "
+                "messages: the drain horizon times the message count overflows a float"
+            )
         for t_send, msg in records:
             clock.schedule(t_send, receiver.deliver, msg)
-        duration += args.receiver_delay * (len(records) + 1)
         clock.run(duration)
     print(f"final_queue_length: {len(queue)}")
     for msg in queue.snapshot():
@@ -288,21 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run the full experiment matrix")
     _add_model_flags(p_sweep, full=False)
     p_sweep.add_argument("--jobs", type=int, default=1, help="parallel worker count")
-    p_sweep.add_argument("--out", default="sweep_results.csv")
-    p_sweep.add_argument("--aggregate-out", default=None)
-    p_sweep.add_argument("--destinations-out", default=None)
+    p_sweep.add_argument("--out", default="sweep_results.csv",
+                         help="results CSV; the other ten CSVs go next to it")
     p_sweep.set_defaults(func=cmd_sweep)
-
-    p_fig = sub.add_parser("figures", help="emit per-figure CSV files from a sweep CSV")
-    p_fig.add_argument("--from", dest="source", required=True, help="sweep results CSV")
-    p_fig.add_argument("--out-dir", default="figures")
-    p_fig.add_argument(
-        "--figure",
-        type=int,
-        action="append",
-        help=f"figure id in {sorted(FIGURE_SPECS)}; repeatable (default: all)",
-    )
-    p_fig.set_defaults(func=cmd_figures)
 
     p_replay = sub.add_parser("replay", help="replay a trace file through a queue variant")
     p_replay.add_argument("--trace", required=True)

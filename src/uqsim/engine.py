@@ -83,13 +83,13 @@ class SimClock:
         self, at: float, fn: Callable[..., None], *args: object, priority: int = DEFAULT_PRIORITY
     ) -> None:
         """Call ``fn(*args, at)`` when the clock reaches ``at``."""
-        if at < self.now:
+        if not at >= self.now:
             raise ValueError(f"cannot schedule at {at}; clock is at {self.now}")
         heapq.heappush(self._heap, (at, priority, next(self._counter), fn, args))
 
     def run(self, until: float) -> None:
         """Fire every event with time <= until, then advance the clock to until."""
-        if until < self.now:
+        if not until >= self.now:
             raise ValueError(f"cannot run to {until}; clock is at {self.now}")
         heap = self._heap
         pop = heapq.heappop

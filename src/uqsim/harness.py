@@ -69,9 +69,7 @@ CSV_COLUMNS = (
     + METRIC_COLUMNS
     + ("littles_residual",)
 )
-CSV_HEADER = ",".join(CSV_COLUMNS)
 AGGREGATE_COLUMNS = ("protocol", "topology", "receiver_delay_s") + METRIC_COLUMNS
-AGGREGATE_HEADER = ",".join(AGGREGATE_COLUMNS)
 
 # Figure id -> (metric column, topology). 6-10 are one-to-one, 11-13 fan-out.
 FIGURE_SPECS = {
@@ -408,25 +406,3 @@ def write_figure_csv(path: str, rows: Iterable[dict[str, object]], figure: int) 
     columns = ["receiver_delay_s"] + [kind.value for kind in PROTOCOL_ORDER]
     write_csv(path, columns, figure_table(rows, figure))
 
-
-def parse_sweep_csv(path: str) -> list[dict[str, object]]:
-    """Read a sweep CSV back into row dictionaries (numbers as floats)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError(f"{path} does not carry the expected sweep CSV header")
-    rows = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != len(CSV_COLUMNS):
-            raise ValueError(f"malformed sweep CSV line: {line!r}")
-        row: dict[str, object] = {}
-        for col, part in zip(CSV_COLUMNS, parts):
-            if col in ("protocol", "topology"):
-                row[col] = part
-            elif col == "seed":
-                row[col] = int(part)
-            else:
-                row[col] = float(part)
-        rows.append(row)
-    return rows

@@ -84,8 +84,8 @@ class MetricsCollector:
     reads, and the transport its in-flight state. The collector keeps the
     source side, acks, bits, summed wait and length integral; the senders
     and the receiver add to them directly. Queue samples must arrive with
-    non-decreasing timestamps; the integral of length over time and the
-    peak are maintained incrementally.
+    non-decreasing timestamps from t = 0, where the queue is empty; the
+    integral of length over time and the peak are maintained incrementally.
     """
 
     def __init__(self) -> None:
@@ -102,18 +102,15 @@ class MetricsCollector:
         self._peak_len = 0
         self._last_sample_t = 0.0
         self._last_len = 0
-        self._have_sample = False
 
     def record_queue_sample(self, t: float, length: int) -> None:
-        if self._have_sample:
-            if t < self._last_sample_t:
-                raise ValueError(
-                    f"queue samples must be time-ordered: {t} < {self._last_sample_t}"
-                )
-            self._len_integral += self._last_len * (t - self._last_sample_t)
+        if t < self._last_sample_t:
+            raise ValueError(
+                f"queue samples must be time-ordered: {t} < {self._last_sample_t}"
+            )
+        self._len_integral += self._last_len * (t - self._last_sample_t)
         self._last_sample_t = t
         self._last_len = length
-        self._have_sample = True
         if length > self._peak_len:
             self._peak_len = length
 
@@ -124,7 +121,7 @@ class MetricsCollector:
         if run_duration_s < 0:
             raise ValueError(f"run_duration_s must be >= 0, got {run_duration_s}")
         len_integral = self._len_integral
-        if self._have_sample and run_duration_s > self._last_sample_t:
+        if run_duration_s > self._last_sample_t:
             len_integral += self._last_len * (run_duration_s - self._last_sample_t)
         avg_len = len_integral / run_duration_s if run_duration_s > 0 else 0.0
         avg_wait = (

@@ -1,4 +1,6 @@
 import hashlib
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -6,11 +8,13 @@ from uqsim import cli
 from uqsim.cli import SETTINGS, build_experiment_config, build_parser, load_config_file, main
 from uqsim.engine import TransportKind
 from uqsim.harness import (
-    CSV_HEADER,
+    CSV_COLUMNS,
+    FIGURE_SPECS,
     SWEEP_AXES,
     ExperimentConfig,
     run_sweep,
-    write_sweep_csv,
+    sweep_rows,
+    write_figure_csv,
 )
 from uqsim.messages import dump_trace, parse_trace_record
 from uqsim.traffic import TrafficConfig, derive_seed, generate_schedule
@@ -35,7 +39,7 @@ def test_run_writes_csv(tmp_path, capsys):
     )
     assert rc == 0
     lines = out_path.read_text().splitlines()
-    assert lines[0] == CSV_HEADER
+    assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == 2
     assert lines[1].startswith("tcp,one_to_one,512,")
 
@@ -100,50 +104,38 @@ def test_sweep_writes_all_csvs(tmp_path, capsys):
     rc = run_cli(["sweep", "--seed", "5", "--jobs", "2", "--out", str(out)])
     assert rc == 0
     results = out.read_text().splitlines()
-    assert results[0] == CSV_HEADER
+    assert results[0] == ",".join(CSV_COLUMNS)
     assert len(results) == 1 + 96
     agg = (tmp_path / "res_aggregate.csv").read_text().splitlines()
     assert len(agg) == 1 + 32
     dest = (tmp_path / "res_destinations.csv").read_text().splitlines()
     assert len(dest) == 1 + 48 + 48 * 4
-
-
-@pytest.fixture(scope="module")
-def sweep_csv(tmp_path_factory):
-    """One default sweep at seed 5, shared by the figures tests."""
-    out = tmp_path_factory.mktemp("sweep") / "res.csv"
-    assert run_cli(["sweep", "--seed", "5", "--out", str(out)]) == 0
-    return out
-
-
-def test_figures_from_sweep_csv(tmp_path, capsys, sweep_csv):
-    fig_dir = tmp_path / "figs"
-    rc = run_cli(["figures", "--from", str(sweep_csv), "--out-dir", str(fig_dir)])
-    assert rc == 0
-    files = sorted(p.name for p in fig_dir.iterdir())
-    assert files == [f"figure_{i:02d}.csv" for i in range(6, 14)]
-    for path in fig_dir.iterdir():
-        lines = path.read_text().splitlines()
+    figures = sorted(p.name for p in tmp_path.glob("res_figure_*.csv"))
+    assert figures == [f"res_figure_{i:02d}.csv" for i in range(6, 14)]
+    for name in figures:
+        lines = (tmp_path / name).read_text().splitlines()
         assert lines[0] == "receiver_delay_s,tcp,udp,tcp_uqa,udp_uqa"
         assert len(lines) == 1 + 4
+    wrote = [line for line in capsys.readouterr().out.splitlines() if line.startswith("wrote ")]
+    assert len(wrote) == 3 + len(FIGURE_SPECS)
 
 
-def test_figures_single_figure(tmp_path, sweep_csv):
-    fig_dir = tmp_path / "one"
-    rc = run_cli(["figures", "--from", str(sweep_csv), "--out-dir", str(fig_dir), "--figure", "8"])
-    assert rc == 0
-    assert [p.name for p in fig_dir.iterdir()] == ["figure_08.csv"]
-
-
-def test_figures_unknown_id(tmp_path, capsys, sweep_csv):
-    rc = run_cli(["figures", "--from", str(sweep_csv), "--out-dir", str(tmp_path), "--figure", "42"])
-    assert rc == 1
-    assert "unknown figure id" in capsys.readouterr().err
-
-
-def test_figures_missing_file(tmp_path, capsys):
-    rc = run_cli(["figures", "--from", str(tmp_path / "absent.csv")])
-    assert rc == 1
+def test_sweep_figures_are_the_tables_of_its_own_rows(tmp_path, capsys, monkeypatch):
+    # A 16-cell, 20-message matrix stands in for the default sweep.
+    small = run_sweep(
+        master_seed=5,
+        base=ExperimentConfig(protocol=TransportKind.TCP, message_count=20),
+        packet_sizes=(32, 256),
+        receiver_delays=(0.0, 0.05),
+    )
+    monkeypatch.setattr(cli, "run_sweep", lambda **kwargs: small)
+    assert run_cli(["sweep", "--out", str(tmp_path / "res.csv")]) == 0
+    rows = sweep_rows(small)
+    for figure in sorted(FIGURE_SPECS):
+        expected = tmp_path / f"expected_{figure:02d}.csv"
+        write_figure_csv(str(expected), rows, figure)
+        written = tmp_path / f"res_figure_{figure:02d}.csv"
+        assert written.read_bytes() == expected.read_bytes()
 
 
 def test_replay_coalesces_statuses(tmp_path, capsys, make_msg):
@@ -292,6 +284,20 @@ def test_replay_rejects_non_finite_receiver_delay(tmp_path, capsys, make_msg):
     assert_clean_rejection(rc, capsys.readouterr().err, "receiver_delay_s")
 
 
+@pytest.mark.parametrize("delay", ["1e308", "8e306"])
+def test_replay_rejects_receiver_delay_whose_drain_overflows(tmp_path, capsys, make_msg, delay):
+    # 1e308 makes the drain horizon inf; 8e306 keeps it finite, but the
+    # length integral over 20 messages would still overflow.
+    trace = tmp_path / "trace.csv"
+    dump_trace(str(trace), [(0.1 * i, make_msg(sender=i % 3, kind="S")) for i in range(20)])
+    rc = run_cli(
+        ["replay", "--trace", str(trace), "--queue-variant", "uqa", "--receiver-delay", delay]
+    )
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_clean_rejection(rc, captured.err, "--receiver-delay")
+
+
 @pytest.mark.parametrize("case", ["queued", "drained"])
 def test_replay_rejects_negative_send_time(tmp_path, capsys, case):
     trace = tmp_path / "trace.csv"
@@ -414,21 +420,17 @@ def test_sweep_rejects_jobs_below_one(tmp_path, capsys, monkeypatch, extra):
     assert_clean_rejection(rc, captured.err, "jobs")
 
 
-def test_figures_reject_sweep_csv_missing_a_group(tmp_path, capsys):
-    sweep = run_sweep(
-        master_seed=5,
-        base=ExperimentConfig(protocol=TransportKind.TCP, message_count=20),
-        packet_sizes=(32, 256),
-        receiver_delays=(0.0, 0.05),
-    )
-    full = tmp_path / "full.csv"
-    write_sweep_csv(str(full), sweep)
-    # Drop both packet sizes of one (protocol, topology, delay) group.
-    lines = full.read_text().splitlines(keepends=True)
-    gap = ["udp_uqa", "one_to_one", "0.05"]
-    kept = [line for line in lines if [line.split(",")[i] for i in (0, 1, 3)] != gap]
-    assert len(kept) == len(lines) - 2
-    gapped = tmp_path / "gapped.csv"
-    gapped.write_text("".join(kept))
-    rc = run_cli(["figures", "--from", str(gapped), "--out-dir", str(tmp_path / "figs")])
-    assert_clean_rejection(rc, capsys.readouterr().err, "udp_uqa")
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_commands_parse():
+    commands = [
+        line for line in README.read_text(encoding="utf-8").splitlines()
+        if line.startswith("uqsim ")
+    ]
+    assert commands
+    for line in commands:
+        try:
+            build_parser().parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")

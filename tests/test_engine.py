@@ -40,6 +40,24 @@ def test_schedule_in_past_fails():
         clock.schedule(0.5, lambda t: None)
 
 
+@pytest.mark.parametrize("call", ["schedule", "run"])
+def test_nan_time_is_rejected_and_changes_nothing(call):
+    clock = SimClock()
+    clock.schedule(1.0, lambda t: None)
+    clock.run(0.5)
+    heap = list(clock._heap)
+    with pytest.raises(ValueError, match="nan"):
+        if call == "schedule":
+            clock.schedule(float("nan"), lambda t: None)
+        else:
+            clock.run(float("nan"))
+    assert clock._heap == heap
+    assert clock.now == 0.5
+    # A NaN clock would have let a time in the past through.
+    with pytest.raises(ValueError, match="schedule"):
+        clock.schedule(-5.0, lambda t: None)
+
+
 def test_first_event_fires_first():
     clock = SimClock()
     fired = []

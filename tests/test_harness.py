@@ -5,8 +5,8 @@ import pytest
 from uqsim import harness
 from uqsim.engine import LinkParams, TransportKind
 from uqsim.harness import (
-    AGGREGATE_HEADER,
-    CSV_HEADER,
+    AGGREGATE_COLUMNS,
+    CSV_COLUMNS,
     DEFAULT_PACKET_SIZES,
     DEFAULT_RECEIVER_DELAYS,
     ExperimentConfig,
@@ -17,7 +17,6 @@ from uqsim.harness import (
     figure_table,
     format_number,
     format_value,
-    parse_sweep_csv,
     result_row,
     run_experiment,
     run_sweep,
@@ -261,13 +260,9 @@ def test_csv_round_trip(tmp_path):
     write_sweep_csv(str(path), sweep)
     text = path.read_text()
     lines = text.splitlines()
-    assert lines[0] == CSV_HEADER
+    assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == 1 + 16
     assert text.endswith("\n")
-    parsed = parse_sweep_csv(str(path))
-    assert len(parsed) == 16
-    assert parsed[0]["protocol"] == "tcp"
-    assert parsed[0]["seed"] == sweep.results[0].config.seed
 
 
 def test_destination_csv_row_count(tmp_path):
@@ -335,7 +330,7 @@ def test_aggregate_csv_header(tmp_path):
     path = tmp_path / "agg.csv"
     write_aggregate_csv(str(path), sweep_rows(sweep))
     lines = path.read_text().splitlines()
-    assert lines[0] == AGGREGATE_HEADER
+    assert lines[0] == ",".join(AGGREGATE_COLUMNS)
     assert len(lines) == 1 + 16
 
 
@@ -376,6 +371,18 @@ def test_figure_csv_and_unknown_id(tmp_path):
         figure_table(rows, 99)
 
 
+def test_figure_table_names_a_missing_row():
+    rows = sweep_rows(small_sweep())
+    # Drop the one (udp_uqa, one_to_one, 0.05) row of the 16-cell sweep.
+    gapped = [
+        r for r in rows
+        if (r["protocol"], r["topology"], r["receiver_delay_s"]) != ("udp_uqa", "one_to_one", 0.05)
+    ]
+    assert len(gapped) == len(rows) - 1
+    with pytest.raises(ValueError, match=r"no aggregate row for \(udp_uqa, one_to_one, 0.05\)"):
+        figure_table(gapped, 8)
+
+
 def test_format_number():
     assert format_number(1000.0) == "1000"
     assert format_number(0.03312) == "0.03312"
@@ -392,4 +399,4 @@ def test_format_value_keeps_large_ints_exact():
 def test_result_row_columns_match_header():
     cfg = ExperimentConfig(protocol=TransportKind.UDP, seed=1, message_count=10)
     row = result_row(run_experiment(cfg))
-    assert list(row) == CSV_HEADER.split(",")
+    assert tuple(row) == CSV_COLUMNS

@@ -79,6 +79,9 @@ def test_decreasing_sample_time_rejected():
     c.record_queue_sample(2.0, 1)
     with pytest.raises(ValueError, match="time-ordered"):
         c.record_queue_sample(1.0, 2)
+    # The length integral starts at t = 0, so no first sample may precede it.
+    with pytest.raises(ValueError, match="time-ordered"):
+        MetricsCollector().record_queue_sample(-1.0, 1)
 
 
 def test_time_weighted_matches_arithmetic_on_uniform_grid():
