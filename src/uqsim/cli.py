@@ -258,9 +258,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
                 f"--receiver-delay {args.receiver_delay} is too large for {len(records)} "
                 "messages: the drain horizon times the message count overflows a float"
             )
-        for t_send, msg in records:
-            clock.schedule(t_send, receiver.deliver, msg)
-        clock.run(duration)
+        deliver = receiver.deliver
+        clock.run(duration, [(t_send, deliver, msg) for t_send, msg in records])
     print(f"final_queue_length: {len(queue)}")
     for msg in queue.snapshot():
         print(format_trace_record(msg.t_enqueued or 0.0, msg))

@@ -31,7 +31,9 @@ data at no extra application cost.
 
 Ties at equal simulation times resolve by priority band then insertion
 order; receiver dequeues run in an earlier band than packet arrivals, so a
-dequeue and an arrival at the same instant process the dequeue first.
+dequeue and an arrival at the same instant process the dequeue first. The
+sends of a run arrive as a sorted stream beside the heap, each ordered as if
+scheduled in band 0 before any heap event.
 """
 
 from __future__ import annotations
@@ -43,9 +45,9 @@ import random
 from collections import deque
 from dataclasses import dataclass, fields
 from math import inf
-from typing import Callable, Optional
+from typing import Any, Callable, Iterable, Optional
 
-from .messages import Message
+from .messages import MAX_SIZE_BYTES, Message
 from .metrics import MetricsCollector
 from .queues import EnqueueOutcome, UpdatableQueue
 
@@ -71,7 +73,9 @@ class SimClock:
     """Event loop with deterministic (time, priority, insertion) ordering.
 
     Heap entries are plain ``(time, priority, insertion, fn, args)`` tuples;
-    the insertion counter is unique, so ``fn`` is never compared.
+    the insertion counter is unique, so ``fn`` is never compared. Exogenous
+    arrivals do not enter the heap: ``run`` merges them in from a sorted
+    sequence.
     """
 
     def __init__(self) -> None:
@@ -87,12 +91,34 @@ class SimClock:
             raise ValueError(f"cannot schedule at {at}; clock is at {self.now}")
         heapq.heappush(self._heap, (at, priority, next(self._counter), fn, args))
 
-    def run(self, until: float) -> None:
-        """Fire every event with time <= until, then advance the clock to until."""
+    def run(
+        self, until: float, arrivals: Iterable[tuple[float, Callable[[Any, float], None], Any]] = ()
+    ) -> None:
+        """Fire every event with time <= until, then advance the clock to until.
+
+        ``arrivals`` is a time-sorted sequence of ``(t, fn, arg)``; each calls
+        ``fn(arg, t)`` as if it had been scheduled in band 0 before every heap
+        event. So at equal times a heap event fires first only in a band
+        below 0 (receiver service). An arrival that is NaN, out of order or
+        before ``now`` raises ``ValueError`` before it fires; arrivals after
+        ``until`` do not fire.
+        """
         if not until >= self.now:
             raise ValueError(f"cannot run to {until}; clock is at {self.now}")
         heap = self._heap
         pop = heapq.heappop
+        for ta, afn, arg in arrivals:
+            if not ta >= self.now:
+                raise ValueError(f"cannot fire an arrival at {ta}; clock is at {self.now}")
+            if ta > until:
+                break
+            key = (ta, DEFAULT_PRIORITY)
+            while heap and heap[0] < key:
+                t, _, _, fn, args = pop(heap)
+                self.now = t
+                fn(*args, t)
+            self.now = ta
+            afn(arg, ta)
         while heap and heap[0][0] <= until:
             t, _, _, fn, args = pop(heap)
             self.now = t
@@ -131,8 +157,10 @@ class TcpModel:
     def validate(self) -> None:
         if self.window_size < 1:
             raise ValueError(f"window_size must be >= 1, got {self.window_size}")
-        if self.ack_size_bytes <= 0:
-            raise ValueError(f"ack_size_bytes must be positive, got {self.ack_size_bytes}")
+        if not 0 < self.ack_size_bytes <= MAX_SIZE_BYTES:
+            raise ValueError(
+                f"ack_size_bytes must be in [1, {MAX_SIZE_BYTES}], got {self.ack_size_bytes}"
+            )
         if not 0 < self.rto_s < inf:
             raise ValueError(f"rto_s must be positive and finite, got {self.rto_s}")
 

@@ -8,9 +8,14 @@ the source interleaving destinations round-robin.
 Cell seeds derive from the master seed and the cell's (topology, size,
 delay) coordinates - deliberately not the protocol, so the four protocols in
 a comparison group see identical traffic (common random numbers; paired
-comparisons). Changing one cell's parameters never changes another cell's
-results, and the sweep may run cells in parallel: rows are gathered and
-written in canonical (protocol, topology, size, delay) order regardless.
+comparisons). The sweep therefore draws each group's (t_send, kind) traffic
+once and builds fresh messages from it for each protocol; one pool task is
+one group. Changing one cell's parameters never changes another cell's
+results, and groups may run in parallel: rows are gathered and written in
+canonical (protocol, topology, size, delay) order regardless.
+
+A cell's sends never enter the event heap: ``run_experiment`` hands them to
+``SimClock.run`` as one time-sorted arrival stream.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from math import inf
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .engine import (
@@ -31,7 +37,15 @@ from .engine import (
 )
 from .messages import TraceRecord
 from .metrics import MetricsReport, littles_law_residual, mean_report
-from .traffic import TrafficConfig, derive_seed, generate_schedule
+# generate_schedule stays a harness name: perfbench/run.py wraps it here.
+from .traffic import (  # noqa: F401
+    Draw,
+    TrafficConfig,
+    derive_seed,
+    draw_schedule,
+    generate_schedule,
+    schedule_messages,
+)
 
 PROTOCOL_ORDER = (
     TransportKind.TCP,
@@ -47,7 +61,6 @@ DEFAULT_MESSAGE_COUNT = 1000
 DEFAULT_DURATIONS = {"one_to_one": 180.0, "one_to_many": 720.0}
 DEFAULT_DESTINATIONS = 4
 DEFAULT_MASTER_SEED = 20100
-CELLS_PER_TASK = 4  # pool task size of a parallel sweep
 
 # The settings default_configs sets per cell; the rest come from the base config.
 SWEEP_AXES = ("protocol", "topology", "packet_size_bytes", "receiver_delay_s")
@@ -159,28 +172,44 @@ def cell_seed(master_seed: int, topology: str, packet_size_bytes: int, receiver_
     return derive_seed("cell", master_seed, topology, packet_size_bytes, f"{receiver_delay_s:.6g}")
 
 
-def destination_schedules(config: ExperimentConfig) -> list[list[TraceRecord]]:
-    """Per-destination (t_send, message) schedules.
+def draw_traffic(config: ExperimentConfig) -> list[list[Draw]]:
+    """Per-destination (t_send, kind) draws, shared by a comparison group.
 
     Uniform pacing places all sends on one global grid assigned round-robin
     across destinations. Poisson gives each destination an independent
     exponential stream with the matching per-destination mean rate.
     """
     n_dest = config.destinations
-    return [generate_schedule(config.traffic(dest), dest, n_dest) for dest in range(n_dest)]
+    return [draw_schedule(config.traffic(dest), dest, n_dest) for dest in range(n_dest)]
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Run one cell and return its finalized per-destination and mean reports."""
+def destination_schedules(
+    config: ExperimentConfig, draws: Optional[list[list[Draw]]] = None
+) -> list[list[TraceRecord]]:
+    """Per-destination (t_send, message) schedules of fresh messages.
+
+    ``draws`` defaults to the cell's own ``draw_traffic``; every run needs
+    fresh messages, because the queue and TCP mark them.
+    """
+    if draws is None:
+        draws = draw_traffic(config)
+    return [schedule_messages(config.traffic(dest), d) for dest, d in enumerate(draws)]
+
+
+def run_experiment(
+    config: ExperimentConfig, draws: Optional[list[list[Draw]]] = None
+) -> ExperimentResult:
+    """Run one cell and return its finalized per-destination and mean reports.
+
+    ``draws`` are the cell's traffic if already drawn (see ``draw_traffic``).
+    Sends enter the clock as one arrival stream: the destinations' schedules
+    in destination order, stable-sorted by time.
+    """
     config.validate()
     clock = SimClock()
     duration = config.duration_s
-    senders = []
-    for dest, schedule in enumerate(destination_schedules(config)):
-        loss_rng = random.Random(
-            derive_seed(config.seed, "loss", config.protocol.value, dest)
-        )
-        sender = build_connection(
+    senders = [
+        build_connection(
             clock,
             config.protocol,
             config.link,
@@ -188,13 +217,20 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             config.costs,
             config.receiver_delay_s,
             config.queue_variant,
-            loss_rng,
+            random.Random(derive_seed(config.seed, "loss", config.protocol.value, dest)),
         )
-        submit = sender.submit
-        for t_send, msg in schedule:
-            clock.schedule(t_send, submit, msg)
-        senders.append(sender)
-    clock.run(duration)
+        for dest in range(config.destinations)
+    ]
+    arrivals = [
+        (t_send, submit, msg)
+        for submit, schedule in zip(
+            [sender.submit for sender in senders], destination_schedules(config, draws)
+        )
+        for t_send, msg in schedule
+    ]
+    if len(senders) > 1:
+        arrivals.sort(key=itemgetter(0))
+    clock.run(duration, arrivals)
     reports = [sender.collector.finalize(duration, sender.receiver.queue) for sender in senders]
     return ExperimentResult(config=config, per_destination=reports, report=mean_report(reports))
 
@@ -242,23 +278,36 @@ def run_sweep(
     packet_sizes: Sequence[int] = DEFAULT_PACKET_SIZES,
     receiver_delays: Sequence[float] = DEFAULT_RECEIVER_DELAYS,
 ) -> SweepResult:
-    """Run every cell of the matrix; abort naming the cell on any failure."""
+    """Run every cell of the matrix; abort naming the cell on any failure.
+
+    One task is one comparison group: its traffic is drawn once and run
+    under each protocol in turn.
+    """
     check_jobs(jobs)
     configs = default_configs(master_seed, base, packet_sizes, receiver_delays)
-    results: list[ExperimentResult]
+    # Canonical order is protocol-major, so group g holds every n_groups-th cell.
+    n_groups = len(configs) // len(PROTOCOL_ORDER)
+    groups = [configs[g::n_groups] for g in range(n_groups)]
+    group_results: list[list[ExperimentResult]]
     if jobs > 1:
-        # The pool starts every worker at once; more than one per chunk would idle.
-        chunks = -(-len(configs) // CELLS_PER_TASK)
-        with ProcessPoolExecutor(max_workers=min(jobs, chunks)) as pool:
-            results = list(pool.map(_run_cell, configs, chunksize=CELLS_PER_TASK))
+        # The pool starts every worker at once; more than one per group would idle.
+        with ProcessPoolExecutor(max_workers=min(jobs, n_groups)) as pool:
+            group_results = list(pool.map(_run_group, groups))
     else:
-        results = [_run_cell(config) for config in configs]
-    return SweepResult(results=results)
+        group_results = [_run_group(group) for group in groups]
+    return SweepResult(results=[res for per_protocol in zip(*group_results) for res in per_protocol])
 
 
-def _run_cell(config: ExperimentConfig) -> ExperimentResult:
+def _run_group(group: list[ExperimentConfig]) -> list[ExperimentResult]:
+    """Run a comparison group's cells, in protocol order, on one draw of traffic."""
+    config = group[0]  # the cell an error names, until the loop moves on
     try:
-        return run_experiment(config)
+        config.validate()
+        draws = draw_traffic(config)
+        results = []
+        for config in group:
+            results.append(run_experiment(config, draws))
+        return results
     except Exception as exc:
         raise RuntimeError(
             "sweep cell failed: "

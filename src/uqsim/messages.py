@@ -19,6 +19,10 @@ from typing import Iterable, Iterator, Optional
 
 SenderId = int
 
+# Largest packet or acknowledgement size (1 GiB). Every bit count a run sums,
+# up to MAX_MESSAGE_COUNT such messages, stays an exact float.
+MAX_SIZE_BYTES = 2**30
+
 
 class MessageKind(enum.Enum):
     STATUS = "S"
@@ -46,8 +50,10 @@ class Message:
     tx_seq: int = field(default=0, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.size_bytes <= 0:
-            raise ValueError(f"size_bytes must be positive, got {self.size_bytes}")
+        if not 0 < self.size_bytes <= MAX_SIZE_BYTES:
+            raise ValueError(
+                f"size_bytes must be in [1, {MAX_SIZE_BYTES}], got {self.size_bytes}"
+            )
         if self.sender < 0:
             raise ValueError(f"sender must be non-negative, got {self.sender}")
 

@@ -1,7 +1,7 @@
 """Seeded traffic generation: 70% status, 30% command/event.
 
 Kinds are drawn per message (Bernoulli), splitting the non-status share
-evenly between command and event. ``generate_schedule`` alone sets send
+evenly between command and event. ``draw_schedule`` alone sets send
 times, uniformly paced or Poisson (exponential gaps with the same mean),
 inside ``run_duration_s * send_window_fraction`` so every message is sent
 within the run with headroom for the receiver to drain.
@@ -20,13 +20,19 @@ from dataclasses import dataclass
 from math import inf
 from typing import Literal, get_args
 
-from .messages import Message, MessageKind, SenderId, TraceRecord
+from .messages import MAX_SIZE_BYTES, Message, MessageKind, SenderId, TraceRecord
 
 ScheduleKind = Literal["uniform", "poisson"]
 SCHEDULES: tuple[str, ...] = get_args(ScheduleKind)
 
 # Minimum spacing enforced between send times so event order is total.
 TIME_EPSILON = 1e-9
+# Most messages one stream may hold. A schedule is built in memory before the
+# run starts; at this ceiling a destination takes about 0.3 GB.
+MAX_MESSAGE_COUNT = 1_000_000
+
+# One drawn send: its time and its kind.
+Draw = tuple[float, MessageKind]
 
 
 def derive_seed(*labels: object) -> int:
@@ -48,11 +54,13 @@ class TrafficConfig:
     send_window_fraction: float = 0.9
 
     def validate(self) -> None:
-        if self.message_count < 0:
-            raise ValueError(f"message_count must be >= 0, got {self.message_count}")
-        if self.packet_size_bytes <= 0:
+        if not 0 <= self.message_count <= MAX_MESSAGE_COUNT:
             raise ValueError(
-                f"packet_size_bytes must be positive, got {self.packet_size_bytes}"
+                f"message_count must be in [0, {MAX_MESSAGE_COUNT}], got {self.message_count}"
+            )
+        if not 0 < self.packet_size_bytes <= MAX_SIZE_BYTES:
+            raise ValueError(
+                f"packet_size_bytes must be in [1, {MAX_SIZE_BYTES}], got {self.packet_size_bytes}"
             )
         if not 0.0 <= self.p_status <= 1.0:
             raise ValueError(f"p_status must be in [0, 1], got {self.p_status}")
@@ -79,8 +87,8 @@ def draw_kind(rng: random.Random, p_status: float) -> MessageKind:
     return MessageKind.EVENT
 
 
-def generate_schedule(config: TrafficConfig, slot: int = 0, slots: int = 1) -> list[TraceRecord]:
-    """Build the full (t_send, message) schedule for one stream.
+def draw_schedule(config: TrafficConfig, slot: int = 0, slots: int = 1) -> list[Draw]:
+    """Draw the (t_send, kind) sequence of one stream.
 
     Uniform: slot ``slot`` of ``slots`` streams sharing one round-robin grid,
     t_i = (i * slots + slot) * window / (n * slots). Poisson: exponential gaps
@@ -97,7 +105,7 @@ def generate_schedule(config: TrafficConfig, slot: int = 0, slots: int = 1) -> l
     uniform = config.schedule == "uniform"
     gap = window / (n * slots)
     mean_gap = window / n
-    records: list[TraceRecord] = []
+    draws: list[Draw] = []
     t = 0.0
     prev = -1.0
     for i in range(n):
@@ -109,7 +117,18 @@ def generate_schedule(config: TrafficConfig, slot: int = 0, slots: int = 1) -> l
                 t = window
         if t <= prev:
             t = prev + TIME_EPSILON
-        kind = draw_kind(rng, config.p_status)
-        records.append((t, Message(i + 1, config.sender, kind, config.packet_size_bytes, t)))
+        draws.append((t, draw_kind(rng, config.p_status)))
         prev = t
-    return records
+    return draws
+
+
+def schedule_messages(config: TrafficConfig, draws: list[Draw]) -> list[TraceRecord]:
+    """Fresh (t_send, message) records for drawn traffic, seq numbered from 1."""
+    sender = config.sender
+    size = config.packet_size_bytes
+    return [(t, Message(seq, sender, kind, size, t)) for seq, (t, kind) in enumerate(draws, 1)]
+
+
+def generate_schedule(config: TrafficConfig, slot: int = 0, slots: int = 1) -> list[TraceRecord]:
+    """Build the full (t_send, message) schedule for one stream (see draw_schedule)."""
+    return schedule_messages(config, draw_schedule(config, slot, slots))

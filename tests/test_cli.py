@@ -1,5 +1,8 @@
 import hashlib
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,8 +19,8 @@ from uqsim.harness import (
     sweep_rows,
     write_figure_csv,
 )
-from uqsim.messages import dump_trace, parse_trace_record
-from uqsim.traffic import TrafficConfig, derive_seed, generate_schedule
+from uqsim.messages import MAX_SIZE_BYTES, dump_trace, parse_trace_record
+from uqsim.traffic import MAX_MESSAGE_COUNT, TrafficConfig, derive_seed, generate_schedule
 
 
 def run_cli(args):
@@ -266,6 +269,41 @@ def test_run_rejects_non_finite_setting(tmp_path, capsys, name, value):
     config.write_text(f"{name} = {value}\n")
     rc = run_cli(["run", "--config", str(config)])
     assert_clean_rejection(rc, capsys.readouterr().err, name)
+
+
+@pytest.mark.parametrize("name", ["packet_size_bytes", "ack_size_bytes"])
+def test_run_rejects_size_above_ceiling(tmp_path, capsys, name):
+    # 10**310 bytes used to end in an OverflowError traceback: its bit count
+    # is not a float. The ceiling itself is accepted.
+    config = tmp_path / "run.conf"
+    for size, rc_wanted in ((MAX_SIZE_BYTES, 0), (MAX_SIZE_BYTES + 1, 1), (10**310, 1)):
+        config.write_text(f"{name} = {size}\nprotocol = tcp\n")
+        rc = run_cli(["run", "--print-config", "--config", str(config)])
+        captured = capsys.readouterr()
+        if rc_wanted == 0:
+            assert rc == 0 and f"{name}={size}" in captured.out
+        else:
+            assert_clean_rejection(rc, captured.err, name)
+
+
+def test_run_rejects_message_count_above_ceiling_before_generating():
+    # Unchecked, this count builds a schedule until the process is killed.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    child = subprocess.run(
+        [sys.executable, "-m", "uqsim", "run", "--messages", "100000000000000000000",
+         "--duration", "1"],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert child.stdout == ""
+    assert_clean_rejection(child.returncode, child.stderr, "message_count")
+
+
+def test_message_count_ceiling_is_inclusive(capsys):
+    ceiling = str(MAX_MESSAGE_COUNT)
+    assert run_cli(["run", "--print-config", "--messages", ceiling]) == 0
+    assert f"message_count={ceiling}" in capsys.readouterr().out
+    rc = run_cli(["run", "--print-config", "--messages", str(MAX_MESSAGE_COUNT + 1)])
+    assert_clean_rejection(rc, capsys.readouterr().err, "message_count")
 
 
 def test_replay_rejects_non_finite_send_time(tmp_path, capsys):

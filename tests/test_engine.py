@@ -117,6 +117,92 @@ def test_events_scheduled_during_run_fire():
     assert fired == [1.0]
 
 
+# -- arrival stream -------------------------------------------------------------
+
+
+def test_arrival_ties_fall_between_service_and_runtime_events():
+    clock = SimClock()
+    fired = []
+
+    def arrive(name, t):
+        fired.append(name)
+        if name == "arrival 1":
+            clock.schedule(t, lambda t: fired.append("service 2"), priority=SERVICE_PRIORITY)
+            clock.schedule(t, lambda t: fired.append("runtime 2"), priority=DEFAULT_PRIORITY)
+
+    clock.schedule(1.0, lambda t: fired.append("runtime 1"), priority=DEFAULT_PRIORITY)
+    clock.schedule(1.0, lambda t: fired.append("service 1"), priority=SERVICE_PRIORITY)
+    clock.run(1.0, [(1.0, arrive, "arrival 1"), (1.0, arrive, "arrival 2")])
+    assert fired == [
+        "service 1", "arrival 1", "service 2", "arrival 2", "runtime 1", "runtime 2"
+    ]
+
+
+def test_arrival_stream_fires_as_if_scheduled_first():
+    # The arrivals used to be scheduled, all before the run, in band 0; the
+    # merge must reproduce that order exactly, runtime events included.
+    # Times on a grid of 1/8 s add exactly, so runtime events often tie with
+    # arrivals and with each other.
+    rng = random.Random(5)
+    arrival_times = sorted(rng.randrange(24) / 8 for _ in range(60))
+
+    def trace(merged):
+        clock = SimClock()
+        fired = []
+        draw = random.Random(9)
+
+        def event(name, t):
+            fired.append((name, t))
+            if len(fired) < 400:
+                for _ in range(draw.randrange(3)):
+                    at = t + draw.choice((0.0, 0.0, 0.125, 0.375))
+                    priority = draw.choice((SERVICE_PRIORITY, DEFAULT_PRIORITY, 1))
+                    clock.schedule(at, event, f"{name}>{priority}", priority=priority)
+
+        arrivals = [(t, event, f"a{i}") for i, t in enumerate(arrival_times)]
+        if merged:
+            clock.run(3.0, arrivals)
+        else:
+            for t, fn, arg in arrivals:
+                clock.schedule(t, fn, arg)
+            clock.run(3.0)
+        return fired
+
+    merged = trace(merged=True)
+    assert merged == trace(merged=False)
+    assert len(merged) > 2 * len(arrival_times)
+
+
+@pytest.mark.parametrize(
+    "times, now",
+    [
+        ([0.5, float("nan")], 0.0),  # NaN
+        ([0.5, 0.7, 0.6], 0.0),  # out of order
+        ([0.5], 1.0),  # before the clock
+    ],
+    ids=["nan", "out_of_order", "past"],
+)
+def test_bad_arrival_time_is_rejected(times, now):
+    clock = SimClock()
+    clock.run(now)
+    fired = []
+    with pytest.raises(ValueError, match="arrival"):
+        clock.run(2.0, [(t, lambda arg, t: fired.append(t), None) for t in times])
+    assert len(fired) == len(times) - 1
+
+
+def test_arrivals_after_until_do_not_fire():
+    clock = SimClock()
+    fired = []
+    clock.schedule(1.5, lambda t: fired.append(("heap", t)))
+    arrivals = [(t, lambda arg, t: fired.append((arg, t)), "arrival") for t in (0.5, 1.0, 1.0 + 1e-9)]
+    clock.run(1.0, arrivals)
+    assert fired == [("arrival", 0.5), ("arrival", 1.0)]
+    assert clock.now == 1.0
+    clock.run(2.0)
+    assert fired[-1] == ("heap", 1.5)
+
+
 # -- wire -----------------------------------------------------------------------
 
 

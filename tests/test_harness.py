@@ -14,6 +14,7 @@ from uqsim.harness import (
     cell_seed,
     default_configs,
     destination_schedules,
+    draw_traffic,
     figure_table,
     format_number,
     format_value,
@@ -193,38 +194,60 @@ def test_parallel_sweep_matches_serial():
     assert sweep_rows(serial) == sweep_rows(parallel)
 
 
+class SerialPool:
+    """Stands in for ProcessPoolExecutor: maps serially and starts no process."""
+
+    workers: list[int] = []
+
+    def __init__(self, max_workers):
+        self.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, iterable):
+        return map(fn, iterable)
+
+
 @pytest.mark.parametrize("jobs, workers", [(1000, 4), (3, 3)])
 def test_parallel_sweep_starts_at_most_one_worker_per_task(monkeypatch, jobs, workers):
     # The pool starts every worker at once, so workers beyond the task count
-    # would only idle. The fake pool maps serially and starts no process.
-    pools = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            return False
-
-        def map(self, fn, iterable, chunksize):
-            assert chunksize == harness.CELLS_PER_TASK
-            return map(fn, iterable)
-
+    # would only idle. One task is one comparison group.
+    monkeypatch.setattr(SerialPool, "workers", [])
     monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
-    sweep = small_sweep(jobs=jobs)  # 16 cells: 4 tasks of 4
-    assert pools == [workers]
+    sweep = small_sweep(jobs=jobs)  # 16 cells: 4 groups of 4 protocols
+    assert SerialPool.workers == [workers]
     assert len(sweep.results) == 16
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_each_comparison_group_draws_its_traffic_once(monkeypatch, jobs):
+    drawn = []
+
+    def counting_draw(config):
+        drawn.append((config.topology, config.packet_size_bytes, config.receiver_delay_s))
+        return draw_traffic(config)
+
+    monkeypatch.setattr(SerialPool, "workers", [])
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(harness, "draw_traffic", counting_draw)
+    sweep = small_sweep(jobs=jobs)  # 16 cells, 4 comparison groups
+    assert len(drawn) == len(set(drawn)) == 4
+    assert SerialPool.workers == ([] if jobs == 1 else [2])
+    # Shared draws give each cell exactly the traffic it draws on its own.
+    cells = default_configs(7, packet_sizes=(256,), receiver_delays=(0.0, 0.05))
+    assert sweep_rows(sweep) == [result_row(run_experiment(config)) for config in cells]
 
 
 @pytest.mark.parametrize("jobs", [0, -2])
 def test_run_sweep_rejects_jobs_below_one_before_any_cell(monkeypatch, jobs):
-    def refuse_cell(config):
+    def refuse_group(group):
         raise AssertionError("no cell may run")
 
-    monkeypatch.setattr(harness, "_run_cell", refuse_cell)
+    monkeypatch.setattr(harness, "_run_group", refuse_group)
     with pytest.raises(ValueError, match="jobs must be >= 1"):
         run_sweep(jobs=jobs)
 
