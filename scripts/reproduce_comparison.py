@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Run the full transport comparison and emit every results table.
 
-Writes the 96-cell results CSV, the 32-row aggregate (averaged over packet
-sizes), per-destination rows, and the eight figure CSVs into one output
-directory. Rerunning with the same seed reproduces every file byte for byte.
+Runs ``uqsim sweep`` into one output directory: the 96-cell results CSV
+(``sweep.csv``), the 32-row aggregate averaged over packet sizes
+(``sweep_aggregate.csv``), per-destination rows (``sweep_destinations.csv``)
+and the eight figure tables (``sweep_figure_06.csv`` ... ``sweep_figure_13.csv``).
+Rerunning with the same seed reproduces every file byte for byte.
 """
 
 import argparse
@@ -13,18 +15,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from uqsim.cli import run_guarded  # noqa: E402
-from uqsim.harness import (  # noqa: E402
-    DEFAULT_MASTER_SEED,
-    FIGURE_SPECS,
-    check_jobs,
-    run_sweep,
-    sweep_rows,
-    write_aggregate_csv,
-    write_destination_csv,
-    write_figure_csv,
-    write_sweep_csv,
-)
+from uqsim import cli  # noqa: E402
+from uqsim.harness import DEFAULT_MASTER_SEED, check_jobs  # noqa: E402
 
 
 def main() -> int:
@@ -39,20 +31,12 @@ def main() -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     start = time.perf_counter()
-    sweep = run_sweep(master_seed=args.seed, jobs=args.jobs)
+    out = str(out_dir / "sweep.csv")
+    status = cli.main(["sweep", "--seed", str(args.seed), "--jobs", str(args.jobs), "--out", out])
     elapsed = time.perf_counter() - start
-    print(f"ran {len(sweep.results)} cells in {elapsed:.1f}s (seed {args.seed})")
-
-    rows = sweep_rows(sweep)
-    write_sweep_csv(str(out_dir / "sweep_results.csv"), sweep)
-    write_aggregate_csv(str(out_dir / "sweep_aggregate.csv"), rows)
-    write_destination_csv(str(out_dir / "sweep_destinations.csv"), sweep)
-    for figure in sorted(FIGURE_SPECS):
-        write_figure_csv(str(out_dir / f"figure_{figure:02d}.csv"), rows, figure)
-    for path in sorted(out_dir.iterdir()):
-        print(f"  {path}")
-    return 0
+    print(f"ran the sweep in {elapsed:.1f}s (seed {args.seed})")
+    return status
 
 
 if __name__ == "__main__":
-    sys.exit(run_guarded(main))
+    sys.exit(cli.run_guarded(main))

@@ -20,7 +20,6 @@ import argparse
 import os
 import sys
 from dataclasses import fields
-from math import isfinite
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -56,6 +55,7 @@ from .harness import (
     write_sweep_csv,
 )
 from .messages import format_trace_record, load_trace
+from .metrics import check_horizon
 from .traffic import SCHEDULES
 
 # ExperimentConfig fields whose settings are the fields of a nested group.
@@ -251,13 +251,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
             receiver.deliver(msg, t_send)
     else:
         duration += args.receiver_delay * (len(records) + 1)
-        # The length integral and the summed wait are each at most
-        # messages * horizon; past the largest float they become inf or NaN.
-        if not isfinite(duration * max(len(records), 1)):
-            raise ValueError(
-                f"--receiver-delay {args.receiver_delay} is too large for {len(records)} "
-                "messages: the drain horizon times the message count overflows a float"
-            )
+        check_horizon(duration, len(records), f"--receiver-delay {args.receiver_delay}")
         deliver = receiver.deliver
         clock.run(duration, [(t_send, deliver, msg) for t_send, msg in records])
     print(f"final_queue_length: {len(queue)}")

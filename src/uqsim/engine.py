@@ -280,7 +280,7 @@ class Receiver:
 
     def _service(self, now: float) -> None:
         queue = self.queue
-        msg = queue.dequeue(now)
+        msg = queue.dequeue()
         self.collector.record_queue_sample(now, len(queue))
         self.collector.wait_time_sum_s += now - msg.t_enqueued
         if self.on_consume is not None:
@@ -362,8 +362,7 @@ class TcpConnection:
 
     def submit(self, msg: Message, now: float) -> None:
         self.collector.messages_sent += 1
-        if self.update_cost_s:
-            self.collector.source_busy_s += self.update_cost_s
+        self.collector.source_busy_s += self.update_cost_s
         msg.tx_seq = self.next_seq
         self.next_seq += 1
         self.send_buffer.append(msg)

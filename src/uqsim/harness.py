@@ -36,7 +36,7 @@ from .engine import (
     build_connection,
 )
 from .messages import TraceRecord
-from .metrics import MetricsReport, littles_law_residual, mean_report
+from .metrics import MetricsReport, check_horizon, littles_law_residual, mean_report
 # generate_schedule stays a harness name: perfbench/run.py wraps it here.
 from .traffic import (  # noqa: F401
     Draw,
@@ -60,6 +60,10 @@ DEFAULT_RECEIVER_DELAYS = (0.0, 0.033, 0.05, 0.1)
 DEFAULT_MESSAGE_COUNT = 1000
 DEFAULT_DURATIONS = {"one_to_one": 180.0, "one_to_many": 720.0}
 DEFAULT_DESTINATIONS = 4
+# Most destinations one cell may fan out to. Every connection is built before
+# the run starts; at this ceiling a one-to-many TCP cell with one message per
+# destination takes about 13 s and 0.7 GB.
+MAX_DESTINATIONS = 100_000
 DEFAULT_MASTER_SEED = 20100
 
 # The settings default_configs sets per cell; the rest come from the base config.
@@ -148,13 +152,16 @@ class ExperimentConfig:
             raise ValueError(
                 f"receiver_delay_s must be >= 0 and finite, got {self.receiver_delay_s}"
             )
-        if self.n_destinations < 1:
-            raise ValueError(f"n_destinations must be >= 1, got {self.n_destinations}")
+        if not 1 <= self.n_destinations <= MAX_DESTINATIONS:
+            raise ValueError(
+                f"n_destinations must be in [1, {MAX_DESTINATIONS}], got {self.n_destinations}"
+            )
         if self.queue_variant not in QUEUE_VARIANTS:
             raise ValueError(
                 f"queue_variant must be one of {QUEUE_VARIANTS}, got {self.queue_variant!r}"
             )
         self.traffic().validate()
+        check_horizon(self.duration_s, self.message_count, f"run_duration_s {self.duration_s}")
         self.link.validate()
         self.tcp.validate()
         self.costs.validate()
@@ -228,8 +235,7 @@ def run_experiment(
         )
         for t_send, msg in schedule
     ]
-    if len(senders) > 1:
-        arrivals.sort(key=itemgetter(0))
+    arrivals.sort(key=itemgetter(0))
     clock.run(duration, arrivals)
     reports = [sender.collector.finalize(duration, sender.receiver.queue) for sender in senders]
     return ExperimentResult(config=config, per_destination=reports, report=mean_report(reports))
@@ -393,13 +399,9 @@ def aggregate_rows(rows: Iterable[dict[str, object]]) -> list[dict[str, object]]
     Returns one row per (protocol, topology, receiver delay), canonically
     ordered; 32 rows for the default matrix.
     """
-    groups: dict[tuple[str, str, float], list[dict[str, object]]] = {}
+    groups: dict[tuple, list[dict[str, object]]] = {}
     for row in rows:
-        key = (
-            str(row["protocol"]),
-            str(row["topology"]),
-            float(row["receiver_delay_s"]),  # type: ignore[arg-type]
-        )
+        key = (row["protocol"], row["topology"], row["receiver_delay_s"])
         groups.setdefault(key, []).append(row)
     protocol_rank = {kind.value: i for i, kind in enumerate(PROTOCOL_ORDER)}
     topology_rank = {name: i for i, name in enumerate(TOPOLOGIES)}
@@ -414,7 +416,7 @@ def aggregate_rows(rows: Iterable[dict[str, object]]) -> list[dict[str, object]]
             "receiver_delay_s": key[2],
         }
         for col in METRIC_COLUMNS:
-            agg[col] = sum(float(m[col]) for m in members) / len(members)  # type: ignore[arg-type]
+            agg[col] = sum(m[col] for m in members) / len(members)  # type: ignore[call-overload]
         out.append(agg)
     return out
 

@@ -35,17 +35,15 @@ class Message:
     """One unit of traffic.
 
     seq increases per sender in creation order. size_bytes is the payload
-    size; no payload contents are modeled. Timestamps are simulation seconds;
-    t_enqueued/t_dequeued stay None until the queue sets them.
+    size; no payload contents are modeled. The send time is the ``t_send``
+    of the record that carries it; t_enqueued stays None until a queue sets it.
     """
 
     seq: int
     sender: SenderId
     kind: MessageKind
     size_bytes: int
-    t_created: float = 0.0
     t_enqueued: Optional[float] = field(default=None, compare=False)
-    t_dequeued: Optional[float] = field(default=None, compare=False)
     # Transport sequence number; a reliable sender sets it at submission.
     tx_seq: int = field(default=0, compare=False, repr=False)
 
@@ -83,7 +81,6 @@ def parse_trace_record(line: str) -> TraceRecord:
         sender=int(parts[1]),
         kind=MessageKind(parts[3]),
         size_bytes=int(parts[4]),
-        t_created=t_send,
     )
     return t_send, msg
 

@@ -19,7 +19,7 @@ Definitions, chosen to make the four transports comparable:
 * ``avg_queue_len`` - time-weighted mean of the instantaneous queue length,
   sampled event-driven on every enqueue/dequeue (exact, no grid).
 
-* ``avg_time_in_queue_s`` - mean of (t_dequeued - t_enqueued) over delivered
+* ``avg_time_in_queue_s`` - mean of (dequeue time - t_enqueued) over delivered
   messages only. Replaced (coalesced) messages were never delivered and are
   excluded; they still appear in ``messages_replaced``.
 
@@ -33,10 +33,25 @@ Zero-duration or zero-traffic runs report zeros rather than NaNs.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from math import isfinite
 
 from .queues import UpdatableQueue
 
 LITTLES_EPSILON = 1e-12
+
+
+def check_horizon(horizon_s: float, messages: int, name: str) -> None:
+    """Reject a horizon whose queue statistics could overflow a float.
+
+    The length integral and the summed wait of one queue are each at most
+    messages * horizon; past the largest float they become inf or NaN.
+    ``name`` is the input the error blames.
+    """
+    if not isfinite(horizon_s * max(messages, 1)):
+        raise ValueError(
+            f"{name} is too large for {messages} messages: "
+            "the horizon times the message count overflows a float"
+        )
 
 
 @dataclass(slots=True)

@@ -47,7 +47,7 @@ class UpdatableQueue:
 
     Counters satisfy ``inserted == replaced + len(queue) + dequeued`` after
     every operation. Surviving messages dequeue in arrival order. A replaced
-    message is counted in ``replaced`` and never gets a dequeue timestamp;
+    message is counted in ``replaced`` and is never returned by ``dequeue``;
     it was superseded, not delivered.
 
     A queue is driven by one insertion policy (``enqueue_fifo``,
@@ -149,7 +149,7 @@ class UpdatableQueue:
         self._messages.extend(live)
         self._superseded = 0
 
-    def dequeue(self, now: float = 0.0) -> Optional[Message]:
+    def dequeue(self) -> Optional[Message]:
         """Remove and return the head, or None when empty (not an error)."""
         messages = self._messages
         if not messages:
@@ -165,6 +165,5 @@ class UpdatableQueue:
                     break
                 self._superseded -= 1
                 msg = messages.popleft()
-        msg.t_dequeued = now
         self.dequeued += 1
         return msg

@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from math import inf
+from math import inf, ulp
 from typing import Literal, get_args
 
 from .messages import MAX_SIZE_BYTES, Message, MessageKind, SenderId, TraceRecord
@@ -75,6 +75,16 @@ class TrafficConfig:
             )
         if self.schedule not in SCHEDULES:
             raise ValueError(f"schedule must be one of {SCHEDULES}, got {self.schedule!r}")
+        if self.schedule == "poisson":
+            # Sends drawn past the window end are clamped to it TIME_EPSILON
+            # apart (plus rounding); the last of them must still be in the run.
+            room = self.run_duration_s - self.run_duration_s * self.send_window_fraction
+            tail = (self.message_count - 1) * (TIME_EPSILON + ulp(self.run_duration_s))
+            if room < tail:
+                raise ValueError(
+                    f"send_window_fraction {self.send_window_fraction} leaves {room:.3g} s after "
+                    f"the window; {self.message_count} Poisson sends may need {tail:.3g} s"
+                )
 
 
 def draw_kind(rng: random.Random, p_status: float) -> MessageKind:
@@ -126,7 +136,7 @@ def schedule_messages(config: TrafficConfig, draws: list[Draw]) -> list[TraceRec
     """Fresh (t_send, message) records for drawn traffic, seq numbered from 1."""
     sender = config.sender
     size = config.packet_size_bytes
-    return [(t, Message(seq, sender, kind, size, t)) for seq, (t, kind) in enumerate(draws, 1)]
+    return [(t, Message(seq, sender, kind, size)) for seq, (t, kind) in enumerate(draws, 1)]
 
 
 def generate_schedule(config: TrafficConfig, slot: int = 0, slots: int = 1) -> list[TraceRecord]:

@@ -7,12 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from uqsim import cli
+from uqsim import cli, harness
 from uqsim.cli import SETTINGS, build_experiment_config, build_parser, load_config_file, main
 from uqsim.engine import TransportKind
 from uqsim.harness import (
     CSV_COLUMNS,
     FIGURE_SPECS,
+    MAX_DESTINATIONS,
     SWEEP_AXES,
     ExperimentConfig,
     run_sweep,
@@ -20,7 +21,13 @@ from uqsim.harness import (
     write_figure_csv,
 )
 from uqsim.messages import MAX_SIZE_BYTES, dump_trace, parse_trace_record
-from uqsim.traffic import MAX_MESSAGE_COUNT, TrafficConfig, derive_seed, generate_schedule
+from uqsim.traffic import (
+    MAX_MESSAGE_COUNT,
+    TIME_EPSILON,
+    TrafficConfig,
+    derive_seed,
+    generate_schedule,
+)
 
 
 def run_cli(args):
@@ -304,6 +311,67 @@ def test_message_count_ceiling_is_inclusive(capsys):
     assert f"message_count={ceiling}" in capsys.readouterr().out
     rc = run_cli(["run", "--print-config", "--messages", str(MAX_MESSAGE_COUNT + 1)])
     assert_clean_rejection(rc, capsys.readouterr().err, "message_count")
+
+
+def refuse_to_connect(*args, **kwargs):
+    raise AssertionError("build_connection must not be called")
+
+
+def test_run_rejects_destinations_above_ceiling_before_connecting(tmp_path, capsys, monkeypatch):
+    # Unchecked, this count builds connections until the process is killed.
+    monkeypatch.setattr(harness, "build_connection", refuse_to_connect)
+    config = tmp_path / "run.conf"
+    config.write_text("n_destinations = 100000000000\n")
+    rc = run_cli(["run", "--topology", "one_to_many", "--messages", "1", "--config", str(config)])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_clean_rejection(rc, captured.err, "n_destinations")
+
+
+def test_destination_ceiling_is_inclusive():
+    cfg = ExperimentConfig(protocol=TransportKind.TCP, topology="one_to_many")
+    cfg.n_destinations = MAX_DESTINATIONS
+    cfg.validate()
+    cfg.n_destinations = MAX_DESTINATIONS + 1
+    with pytest.raises(ValueError, match="n_destinations"):
+        cfg.validate()
+
+
+POISSON_TAIL_RUN = [
+    "run", "--protocol", "udp", "--messages", "300", "--duration", "20", "--seed", "3"
+]
+
+
+@pytest.mark.parametrize("fraction", ["1.0", repr(1 - 298 * TIME_EPSILON / 20)])
+def test_run_rejects_window_without_room_for_the_poisson_tail(tmp_path, capsys, fraction):
+    # Sends drawn past the window end are clamped to it TIME_EPSILON apart;
+    # 300 of them need 299 steps. At 1.0, 30 landed after the run ended and
+    # were never sent (messages_sent: 270).
+    config = tmp_path / "run.conf"
+    config.write_text(f"send_window_fraction = {fraction}\n")
+    rc = run_cli([*POISSON_TAIL_RUN, "--config", str(config)])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_clean_rejection(rc, captured.err, "send_window_fraction")
+
+
+def test_window_just_inside_the_poisson_tail_bound_sends_every_message(tmp_path, capsys):
+    config = tmp_path / "run.conf"
+    config.write_text(f"send_window_fraction = {1 - 300 * TIME_EPSILON / 20!r}\n")
+    rc = run_cli([*POISSON_TAIL_RUN, "--config", str(config)])
+    assert rc == 0
+    assert "messages_sent: 300\n" in capsys.readouterr().out
+
+
+def test_run_rejects_duration_whose_queue_statistics_overflow(capsys):
+    # The queue-length integral overflowed to inf, and the summary ended in an
+    # OverflowError traceback from format_number after 12 lines.
+    rc = run_cli(
+        ["run", "--duration", "1.7e308", "--receiver-delay", "1e306", "--messages", "1000"]
+    )
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_clean_rejection(rc, captured.err, "run_duration_s")
 
 
 def test_replay_rejects_non_finite_send_time(tmp_path, capsys):

@@ -25,8 +25,8 @@ ACK_SER = 40 * 8 / 1_000_000  # 0.00032 s
 PROP = 0.010
 
 
-def status(seq, sender=0, size=512, t=0.0):
-    return Message(seq=seq, sender=sender, kind=MessageKind.STATUS, size_bytes=size, t_created=t)
+def status(seq, sender=0, size=512):
+    return Message(seq=seq, sender=sender, kind=MessageKind.STATUS, size_bytes=size)
 
 
 # -- clock ----------------------------------------------------------------------
@@ -276,8 +276,7 @@ def test_udp_certain_loss_delivers_nothing():
 def test_udp_accounting_under_partial_loss():
     clock, sender = build(TransportKind.UDP, link=LinkParams(loss_prob=0.3), seed=5)
     for i in range(2000):
-        msg = status(i + 1, t=i * 0.01)
-        clock.schedule(msg.t_created, lambda t, m=msg: sender.submit(m, t))
+        clock.schedule(i * 0.01, sender.submit, status(i + 1))
     clock.run(60.0)
     c = sender.collector
     assert c.messages_sent == 2000
@@ -311,8 +310,7 @@ def test_tcp_delivers_exactly_once_in_order_under_loss():
     sender.receiver.on_consume = lambda m, t: (consumed.append(m.seq), transport_hook(m, t))
     n = 200
     for i in range(n):
-        msg = status(i + 1, t=i * 2.7)
-        clock.schedule(msg.t_created, lambda t, m=msg: sender.submit(m, t))
+        clock.schedule(i * 2.7, sender.submit, status(i + 1))
     clock.run(n * 2.7 + 60.0)
     assert sender.receiver.queue.inserted == n
     assert consumed == list(range(1, n + 1))
@@ -323,8 +321,7 @@ def test_tcp_delivers_exactly_once_in_order_under_loss():
 def test_tcp_ack_count_equals_consumed_count():
     clock, sender = build(TransportKind.TCP, delay=0.05)
     for i in range(50):
-        msg = status(i + 1, t=i * 0.2)
-        clock.schedule(msg.t_created, lambda t, m=msg: sender.submit(m, t))
+        clock.schedule(i * 0.2, sender.submit, status(i + 1))
     clock.run(60.0)
     assert sender.receiver.queue.dequeued == 50
     assert sender.collector.acks_generated == sender.receiver.queue.dequeued
@@ -337,8 +334,7 @@ def test_rto_timer_for_acked_seq_is_a_no_op():
     clock, sender = build(TransportKind.TCP, delay=0.01)
     n = 50
     for i in range(n):
-        msg = status(i + 1, t=i * 0.2)
-        clock.schedule(msg.t_created, sender.submit, msg)
+        clock.schedule(i * 0.2, sender.submit, status(i + 1))
     end = n * 0.2 + 2 * TcpModel().rto_s
     clock.run(end)
     report = sender.collector.finalize(end, sender.receiver.queue)
@@ -378,13 +374,13 @@ def test_idle_receiver_schedules_at_most_one_service_per_delivery(
 def test_causality_enqueue_after_created_plus_propagation():
     for kind in TransportKind:
         clock, sender = build(kind, delay=0.01)
-        messages = [status(i + 1, t=i * 0.05) for i in range(100)]
-        for msg in messages:
-            clock.schedule(msg.t_created, lambda t, m=msg: sender.submit(m, t))
+        records = [(i * 0.05, status(i + 1)) for i in range(100)]
+        for t_send, msg in records:
+            clock.schedule(t_send, sender.submit, msg)
         clock.run(30.0)
-        for msg in messages:
+        for t_send, msg in records:
             assert msg.t_enqueued is not None
-            assert msg.t_enqueued >= msg.t_created + PROP - 1e-12
+            assert msg.t_enqueued >= t_send + PROP - 1e-12
 
 
 # -- receiver ---------------------------------------------------------------------

@@ -343,7 +343,7 @@ def test_destination_schedules_match_fingerprint(topology, schedule):
     digest = hashlib.sha256()
     for dest, records in enumerate(destination_schedules(cfg)):
         for t, m in records:
-            line = f"{dest},{t!r},{m.seq},{m.kind.value},{m.size_bytes},{m.t_created!r}\n"
+            line = f"{dest},{t!r},{m.seq},{m.kind.value},{m.size_bytes},{t!r}\n"
             digest.update(line.encode())
     assert digest.hexdigest() == SCHEDULE_SHA256[(topology, schedule)]
 

@@ -21,7 +21,7 @@ def test_message_rejects_negative_sender():
 
 
 def test_trace_record_round_trip(make_msg):
-    msg = make_msg(sender=3, kind="C", size=256, t=1.25)
+    msg = make_msg(sender=3, kind="C", size=256)
     line = format_trace_record(1.25, msg)
     assert line == "1.250000000,3,1,C,256"
     t_send, parsed = parse_trace_record(line)

@@ -189,7 +189,7 @@ def test_littles_law_on_deterministic_feed():
         t = i * 0.2
         queue.enqueue_fifo(command(i + 1), t)
         c.record_queue_sample(t, 1)
-        queue.dequeue(t + 0.1)
+        queue.dequeue()
         c.record_queue_sample(t + 0.1, 0)
         c.wait_time_sum_s += 0.1
     duration = n * 0.2

@@ -184,18 +184,17 @@ def test_single_status_round_trip(make_msg):
     q = UpdatableQueue()
     msg = make_msg(kind="S")
     q.enqueue_uqa(msg, now=1.5)
-    assert q.dequeue(now=2.5) is msg
+    assert q.dequeue() is msg
     assert msg.t_enqueued == 1.5
-    assert msg.t_dequeued == 2.5
 
 
-def test_replaced_message_never_gets_dequeue_stamp(make_msg):
+def test_replaced_message_is_never_dequeued(make_msg):
     q = UpdatableQueue()
-    old = make_msg(sender=1, kind="S")
+    old, new = make_msg(sender=1, kind="S"), make_msg(sender=1, kind="S")
     q.enqueue_uqa(old, now=1.0)
-    q.enqueue_uqa(make_msg(sender=1, kind="S"), now=2.0)
-    q.dequeue(now=3.0)
-    assert old.t_dequeued is None
+    q.enqueue_uqa(new, now=2.0)
+    assert q.dequeue() is new
+    assert q.dequeue() is None
 
 
 # -- keyed variant -------------------------------------------------------------
@@ -397,19 +396,15 @@ def test_keyed_at_most_one_status_per_sender(ops):
 def test_keyed_matches_reference_model(ops):
     q = UpdatableQueue()
     reference: list = []
-    created = []
     dequeued = []
     for step, op in enumerate(ops):
-        now = float(step)
         if op[0] == "enq":
             msg = Message(seq=step, sender=op[1], kind=LETTERS[op[2]], size_bytes=8)
-            created.append(msg)
-            assert q.enqueue_keyed(msg, now) is reference_keyed(reference, msg)
+            assert q.enqueue_keyed(msg, float(step)) is reference_keyed(reference, msg)
         else:
-            msg = q.dequeue(now)
+            msg = q.dequeue()
             assert msg is (reference.pop(0) if reference else None)
             if msg is not None:
-                assert msg.t_dequeued == now
                 dequeued.append(msg)
         contents = q.snapshot()
         assert len(contents) == len(reference)
@@ -419,5 +414,5 @@ def test_keyed_matches_reference_model(ops):
         assert (contents[-1] if contents else None) is (reference[-1] if reference else None)
         assert conserved(q)
     assert q.dequeued == len(dequeued)
-    dequeued_ids = {id(m) for m in dequeued}
-    assert all(m.t_dequeued is None for m in created if id(m) not in dequeued_ids)
+    # No message, superseded or not, comes out twice.
+    assert len({id(m) for m in dequeued}) == len(dequeued)

@@ -1,5 +1,6 @@
-"""The scripts and the package exports import uqsim names; removing one must
-fail here. Also how the scripts and ``uqsim`` end: bad input, closed stdout."""
+"""The scripts import uqsim names; removing one must fail here. Also what
+importing the queue library loads, and how the scripts and ``uqsim`` end:
+bad input, closed stdout."""
 
 import importlib.util
 import os
@@ -8,8 +9,6 @@ import sys
 from pathlib import Path
 
 import pytest
-
-import uqsim
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -38,9 +37,17 @@ def test_littles_law_check_runs(monkeypatch, capsys):
     assert [line.split()[0] for line in lines[1:]] == ["0.033", "0.050", "0.100"]
 
 
-def test_every_exported_name_resolves():
-    missing = [name for name in uqsim.__all__ if not hasattr(uqsim, name)]
-    assert missing == []
+def test_queue_library_imports_without_the_simulator():
+    # A fresh interpreter: this one has loaded every module already.
+    code = (
+        "import sys, uqsim.queues\n"
+        "print(sorted(m for m in sys.modules if m.startswith('uqsim')))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    child = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert child.stdout.strip() == "['uqsim', 'uqsim.messages', 'uqsim.queues']", child.stderr
 
 
 def run_child(argv, unbuffered, stdout=subprocess.PIPE):

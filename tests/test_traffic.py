@@ -123,13 +123,14 @@ def test_schedule_exports_to_trace_format(tmp_path):
         assert (m_out.sender, m_out.seq, m_out.kind) == (m_in.sender, m_in.seq, m_in.kind)
 
 
-def test_schedule_seq_increments_and_t_created_is_send_time():
+def test_schedule_numbers_fresh_messages_from_one():
     for kind in ("uniform", "poisson"):
         schedule = generate_schedule(cfg(message_count=10, schedule=kind))
         (t0, first), (t1, second) = schedule[:2]
         assert (first.seq, second.seq) == (1, 2)
         assert 0.0 <= t0 < t1
-        assert all(m.t_created == t for t, m in schedule)
+        assert [m.seq for _, m in schedule] == list(range(1, 11))
+        assert all(m.t_enqueued is None for _, m in schedule)
 
 
 def test_derive_seed_is_stable_and_distinct():
