@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -213,7 +213,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     check_jobs(args.jobs)
     settings = effective_settings(args, fixed=SWEEP_AXES)
     base = build_experiment_config(settings, derived_seed=0)
-    base.validate()
+    for topology in TOPOLOGIES:  # the cell budget and duration depend on it
+        replace(base, topology=topology).validate()
     if args.print_config:
         shown = {k: v for k, v in settings.items() if k not in SWEEP_AXES}
         print_settings({**shown, "jobs": args.jobs, "out": args.out})

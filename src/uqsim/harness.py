@@ -39,6 +39,7 @@ from .messages import TraceRecord
 from .metrics import MetricsReport, check_horizon, littles_law_residual, mean_report
 # generate_schedule stays a harness name: perfbench/run.py wraps it here.
 from .traffic import (  # noqa: F401
+    MAX_MESSAGE_COUNT,
     Draw,
     TrafficConfig,
     derive_seed,
@@ -156,6 +157,11 @@ class ExperimentConfig:
             raise ValueError(
                 f"n_destinations must be in [1, {MAX_DESTINATIONS}], got {self.n_destinations}"
             )
+        if self.message_count * self.destinations > MAX_MESSAGE_COUNT:
+            raise ValueError(
+                f"message_count * n_destinations must be at most {MAX_MESSAGE_COUNT} per cell, "
+                f"got {self.message_count} * {self.destinations}"
+            )
         if self.queue_variant not in QUEUE_VARIANTS:
             raise ValueError(
                 f"queue_variant must be one of {QUEUE_VARIANTS}, got {self.queue_variant!r}"
@@ -184,7 +190,7 @@ def draw_traffic(config: ExperimentConfig) -> list[list[Draw]]:
 
     Uniform pacing places all sends on one global grid assigned round-robin
     across destinations. Poisson gives each destination an independent
-    exponential stream with the matching per-destination mean rate.
+    stream with the matching per-destination mean rate.
     """
     n_dest = config.destinations
     return [draw_schedule(config.traffic(dest), dest, n_dest) for dest in range(n_dest)]

@@ -2,9 +2,9 @@
 
 Kinds are drawn per message (Bernoulli), splitting the non-status share
 evenly between command and event. ``draw_schedule`` alone sets send
-times, uniformly paced or Poisson (exponential gaps with the same mean),
-inside ``run_duration_s * send_window_fraction`` so every message is sent
-within the run with headroom for the receiver to drain.
+times, uniformly paced or Poisson with the same mean rate, inside the window
+``run_duration_s * send_window_fraction`` so every message is sent within
+the run with headroom for the receiver to drain.
 
 Randomness is the stdlib Mersenne Twister (``random.Random``), which is
 bit-stable across platforms. Stream seeds are derived from a label via
@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from math import inf, ulp
+from math import inf
 from typing import Literal, get_args
 
 from .messages import MAX_SIZE_BYTES, Message, MessageKind, SenderId, TraceRecord
@@ -25,10 +25,9 @@ from .messages import MAX_SIZE_BYTES, Message, MessageKind, SenderId, TraceRecor
 ScheduleKind = Literal["uniform", "poisson"]
 SCHEDULES: tuple[str, ...] = get_args(ScheduleKind)
 
-# Minimum spacing enforced between send times so event order is total.
-TIME_EPSILON = 1e-9
-# Most messages one stream may hold. A schedule is built in memory before the
-# run starts; at this ceiling a destination takes about 0.3 GB.
+# Most messages one stream, and one cell over all its destinations, may hold.
+# A schedule is built in memory before the run starts; at this ceiling a
+# destination takes about 0.3 GB.
 MAX_MESSAGE_COUNT = 1_000_000
 
 # One drawn send: its time and its kind.
@@ -75,16 +74,6 @@ class TrafficConfig:
             )
         if self.schedule not in SCHEDULES:
             raise ValueError(f"schedule must be one of {SCHEDULES}, got {self.schedule!r}")
-        if self.schedule == "poisson":
-            # Sends drawn past the window end are clamped to it TIME_EPSILON
-            # apart (plus rounding); the last of them must still be in the run.
-            room = self.run_duration_s - self.run_duration_s * self.send_window_fraction
-            tail = (self.message_count - 1) * (TIME_EPSILON + ulp(self.run_duration_s))
-            if room < tail:
-                raise ValueError(
-                    f"send_window_fraction {self.send_window_fraction} leaves {room:.3g} s after "
-                    f"the window; {self.message_count} Poisson sends may need {tail:.3g} s"
-                )
 
 
 def draw_kind(rng: random.Random, p_status: float) -> MessageKind:
@@ -101,10 +90,11 @@ def draw_schedule(config: TrafficConfig, slot: int = 0, slots: int = 1) -> list[
     """Draw the (t_send, kind) sequence of one stream.
 
     Uniform: slot ``slot`` of ``slots`` streams sharing one round-robin grid,
-    t_i = (i * slots + slot) * window / (n * slots). Poisson: exponential gaps
-    with mean window / n, truncated at the window end; any tail messages are
-    placed back-to-back (epsilon-separated) at the truncation point so the
-    count is exact. Times are strictly increasing either way.
+    t_i = (i * slots + slot) * window / (n * slots). Poisson: n sorted iid
+    uniforms on the window; given n arrivals in a window, these are exactly
+    the arrival times of a Poisson process (Ross, Introduction to Probability
+    Models, ch. 5). Either way times are non-decreasing and lie in
+    [0, window]. Kinds are then drawn in time order.
     """
     config.validate()
     n = config.message_count
@@ -112,24 +102,12 @@ def draw_schedule(config: TrafficConfig, slot: int = 0, slots: int = 1) -> list[
         return []
     rng = random.Random(config.seed)
     window = config.run_duration_s * config.send_window_fraction
-    uniform = config.schedule == "uniform"
-    gap = window / (n * slots)
-    mean_gap = window / n
-    draws: list[Draw] = []
-    t = 0.0
-    prev = -1.0
-    for i in range(n):
-        if uniform:
-            t = (i * slots + slot) * gap
-        else:
-            t += rng.expovariate(1.0 / mean_gap)
-            if t > window:
-                t = window
-        if t <= prev:
-            t = prev + TIME_EPSILON
-        draws.append((t, draw_kind(rng, config.p_status)))
-        prev = t
-    return draws
+    if config.schedule == "uniform":
+        gap = window / (n * slots)
+        times = [(i * slots + slot) * gap for i in range(n)]
+    else:
+        times = sorted([rng.random() * window for _ in range(n)])
+    return [(t, draw_kind(rng, config.p_status)) for t in times]
 
 
 def schedule_messages(config: TrafficConfig, draws: list[Draw]) -> list[TraceRecord]:

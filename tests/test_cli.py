@@ -23,7 +23,6 @@ from uqsim.harness import (
 from uqsim.messages import MAX_SIZE_BYTES, dump_trace, parse_trace_record
 from uqsim.traffic import (
     MAX_MESSAGE_COUNT,
-    TIME_EPSILON,
     TrafficConfig,
     derive_seed,
     generate_schedule,
@@ -223,8 +222,8 @@ def test_replay_missing_trace(tmp_path, capsys):
 # SHA-256 of `uqsim replay --queue-variant keyed` stdout on the trace that
 # multi_sender_trace writes. Any change to keyed coalescing moves them.
 KEYED_REPLAY_SHA256 = {
-    "drained": "c607eb3d68a9c3f2cfe16545d09f09901e3a79aa57815044b623919fa5de8d51",
-    "queued": "e974e72566105de358c62770e2ab602749a7c7c3c9d2fe19148e4e84a40b0dfc",
+    "drained": "67d00b9c27c3a34c018bb28caef884d38cd39841833a7cf5adf19651a0c81c12",
+    "queued": "bef010fe44ffd411cef71c6957e466f9fbf40360697d362b94e2cda207e0ed8a",
 }
 
 
@@ -328,8 +327,51 @@ def test_run_rejects_destinations_above_ceiling_before_connecting(tmp_path, caps
     assert_clean_rejection(rc, captured.err, "n_destinations")
 
 
+def refuse_to_draw(*args, **kwargs):
+    raise AssertionError("draw_schedule must not be called")
+
+
+def test_run_rejects_cell_above_message_budget_before_drawing(tmp_path, capsys, monkeypatch):
+    # Each destination was within its own ceiling, so this cell drew 10^9
+    # messages until it ran out of memory.
+    monkeypatch.setattr(harness, "draw_schedule", refuse_to_draw)
+    config = tmp_path / "run.conf"
+    config.write_text("n_destinations = 1000\n")
+    rc = run_cli([
+        "run", "--protocol", "udp", "--topology", "one_to_many", "--messages", "1000000",
+        "--config", str(config),
+    ])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_clean_rejection(rc, captured.err, "message_count * n_destinations")
+
+
+def test_message_budget_is_per_cell_and_inclusive():
+    cfg = ExperimentConfig(protocol=TransportKind.UDP, topology="one_to_many")
+    cfg.n_destinations = 1000
+    cfg.message_count = MAX_MESSAGE_COUNT // 1000
+    cfg.validate()
+    cfg.message_count += 1
+    with pytest.raises(ValueError, match="n_destinations"):
+        cfg.validate()
+
+
+def test_sweep_rejects_one_to_many_cells_above_message_budget(tmp_path, capsys, monkeypatch):
+    # The one-to-one cells of this config are valid; its 4-destination cells
+    # are not, and used to fail only once every one-to-one group had run.
+    monkeypatch.setattr(cli, "run_sweep", refuse_to_sweep)
+    monkeypatch.setattr(harness, "draw_schedule", refuse_to_draw)
+    config = tmp_path / "sweep.conf"
+    config.write_text("message_count = 300000\n")
+    rc = run_cli(["sweep", "--config", str(config), "--out", str(tmp_path / "res.csv")])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_clean_rejection(rc, captured.err, "message_count * n_destinations")
+
+
 def test_destination_ceiling_is_inclusive():
-    cfg = ExperimentConfig(protocol=TransportKind.TCP, topology="one_to_many")
+    # An empty cell: the per-cell message budget does not bind, the ceiling does.
+    cfg = ExperimentConfig(protocol=TransportKind.TCP, topology="one_to_many", message_count=0)
     cfg.n_destinations = MAX_DESTINATIONS
     cfg.validate()
     cfg.n_destinations = MAX_DESTINATIONS + 1
@@ -337,28 +379,16 @@ def test_destination_ceiling_is_inclusive():
         cfg.validate()
 
 
-POISSON_TAIL_RUN = [
-    "run", "--protocol", "udp", "--messages", "300", "--duration", "20", "--seed", "3"
-]
-
-
-@pytest.mark.parametrize("fraction", ["1.0", repr(1 - 298 * TIME_EPSILON / 20)])
-def test_run_rejects_window_without_room_for_the_poisson_tail(tmp_path, capsys, fraction):
-    # Sends drawn past the window end are clamped to it TIME_EPSILON apart;
-    # 300 of them need 299 steps. At 1.0, 30 landed after the run ended and
-    # were never sent (messages_sent: 270).
+@pytest.mark.parametrize("fraction", ["1.0", repr(1 - 298e-9 / 20), repr(1 - 300e-9 / 20)])
+def test_poisson_window_up_to_the_run_end_sends_every_message(tmp_path, capsys, fraction):
+    # Sends drawn past the window end used to be clamped to it 1 ns apart; at
+    # 1.0, 30 of them landed after the run ended and were never sent.
     config = tmp_path / "run.conf"
     config.write_text(f"send_window_fraction = {fraction}\n")
-    rc = run_cli([*POISSON_TAIL_RUN, "--config", str(config)])
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert_clean_rejection(rc, captured.err, "send_window_fraction")
-
-
-def test_window_just_inside_the_poisson_tail_bound_sends_every_message(tmp_path, capsys):
-    config = tmp_path / "run.conf"
-    config.write_text(f"send_window_fraction = {1 - 300 * TIME_EPSILON / 20!r}\n")
-    rc = run_cli([*POISSON_TAIL_RUN, "--config", str(config)])
+    rc = run_cli([
+        "run", "--protocol", "udp", "--messages", "300", "--duration", "20", "--seed", "3",
+        "--config", str(config),
+    ])
     assert rc == 0
     assert "messages_sent: 300\n" in capsys.readouterr().out
 

@@ -302,9 +302,9 @@ def test_destination_csv_row_count(tmp_path):
 # SHA-256 of the default sweep's three CSVs at seed 20100. Any change to
 # simulated behaviour moves them; a pure speed change must not.
 DEFAULT_SWEEP_SHA256 = {
-    "sweep_results": "3bafeea28619237c73162cbe9bc46a2c942a93299d8e009339cc94780f0e7df7",
-    "aggregate": "46bfe9770f011371454c7601a1a1a862d80108eb327c8342628a387cc23261d1",
-    "destinations": "a1bbc12a0596215492702ac9b2aa02cffed4b5211abca3036340d22e7e7e778c",
+    "sweep_results": "6b14faa6a7b01769fa162574231829d4a8f129ed6255e24334f3076a819c8c7c",
+    "aggregate": "934c6a3319ad38b901d43da666f637efc32c56668afb8b891431cd274fb41a08",
+    "destinations": "3809cd071355edc65501b6356886f5b92ff874b17850c77882d739c1bdc5fef5",
 }
 
 
@@ -325,9 +325,9 @@ def test_default_sweep_csvs_match_fingerprint(tmp_path):
 # only Poisson; these also pin the uniform grid, one-to-one and round-robin.
 SCHEDULE_SHA256 = {
     ("one_to_one", "uniform"): "0a53c63448c0acabef80af2047bde6b25fad51d00ab130e8b517696d77314b4c",
-    ("one_to_one", "poisson"): "3eec43215636eba5717271968d17f9579087585c724e0724f482985762a38e9f",
+    ("one_to_one", "poisson"): "ce7ebb33441dbe30afb92b9e4f2da549e3acd492bf4ae092c8740a6a3bde7b90",
     ("one_to_many", "uniform"): "d2b27f3c54cab9db345f6e278e9d6937fd144ef90680034d80b0c487af207d49",
-    ("one_to_many", "poisson"): "34132c5b02aeb7ea9018a3737849e4325ab8eccedc05b70e7ae94388c7934abc",
+    ("one_to_many", "poisson"): "e55ae158094f2e61ea64875a3229ae9bd6d44ced3cd9a805cc17e5d091647db4",
 }
 
 

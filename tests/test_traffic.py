@@ -3,11 +3,14 @@ import random
 
 import pytest
 
+from uqsim.engine import TransportKind
+from uqsim.harness import ExperimentConfig, cell_seed
 from uqsim.messages import MessageKind, dump_trace, load_trace
 from uqsim.traffic import (
     TrafficConfig,
     derive_seed,
     draw_kind,
+    draw_schedule,
     generate_schedule,
 )
 
@@ -91,8 +94,7 @@ def test_exact_count_and_window(schedule_kind, seed):
     schedule = generate_schedule(config)
     assert len(schedule) == 800
     window = config.run_duration_s * config.send_window_fraction
-    slack = 800 * 1e-9  # epsilon separation at the truncation point
-    assert all(0.0 <= t <= window + slack for t, _ in schedule)
+    assert all(0.0 <= t <= window for t, _ in schedule)
 
 
 def test_times_strictly_increasing():
@@ -100,6 +102,22 @@ def test_times_strictly_increasing():
         schedule = generate_schedule(cfg(schedule="poisson", seed=seed))
         times = [t for t, _ in schedule]
         assert all(b > a for a, b in zip(times, times[1:]))
+
+
+def test_poisson_sends_do_not_pile_up_at_the_window_end():
+    # Over 200 seeds of the default one-to-one cell, no seed may put more of
+    # its 1000 sends in the window's last 1% than binomial(1000, 0.01) allows
+    # at a 1e-6 tail: P(X > 29) = 2.1e-7. Clamping overflow to the window end
+    # once put 117 there.
+    most = 0
+    for seed in range(200):
+        cell = ExperimentConfig(
+            protocol=TransportKind.UDP, seed=cell_seed(seed, "one_to_one", 512, 0.0)
+        )
+        config = cell.traffic()
+        window = config.run_duration_s * config.send_window_fraction
+        most = max(most, sum(t > 0.99 * window for t, _ in draw_schedule(config)))
+    assert most <= 29
 
 
 def test_seq_density():
