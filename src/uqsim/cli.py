@@ -23,15 +23,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 from typing import Callable, Optional
 
-from .engine import (
-    LinkParams,
-    ProcessingCosts,
-    QueueMode,
-    Receiver,
-    SimClock,
-    TcpModel,
-    TransportKind,
-)
+from .engine import QueueMode, Receiver, SimClock, TransportKind
 from .harness import (
     CSV_COLUMNS,
     DEFAULT_MASTER_SEED,
@@ -58,32 +50,17 @@ from .messages import format_trace_record, load_trace
 from .metrics import check_horizon
 from .traffic import SCHEDULES
 
-# ExperimentConfig fields whose settings are the fields of a nested group.
-GROUPS = {"link": LinkParams, "tcp": TcpModel, "costs": ProcessingCosts}
 # Settings the CLI defines itself: a protocol name, and the master seed that
 # cell seeds derive from.
 CLI_SETTINGS = {"protocol": (str, "udp"), "seed": (int, DEFAULT_MASTER_SEED)}
-
-
-def _derive_settings() -> dict[str, tuple[type, object]]:
-    """One setting per ExperimentConfig field, the groups flattened.
-
-    Each setting casts as the type of its field's default (float where the
-    default is None), except the two CLI_SETTINGS.
-    """
-    table: dict[str, tuple[type, object]] = {}
-    for f in fields(ExperimentConfig):
-        for m in fields(GROUPS[f.name]) if f.name in GROUPS else (f,):
-            default = m.default
-            table[m.name] = CLI_SETTINGS.get(
-                m.name, (float if default is None else type(default), default)
-            )
-    return table
-
-
-# Flat setting name -> (type, default). The single source of truth for the
-# config file, the flags, and --print-config.
-SETTINGS = _derive_settings()
+# Setting name -> (type, default), one per ExperimentConfig field: the single
+# source of truth for the config file, the flags, and --print-config. Each
+# casts as the type of its field's default (float where the default is None),
+# except the CLI_SETTINGS.
+SETTINGS: dict[str, tuple[type, object]] = {
+    f.name: CLI_SETTINGS.get(f.name, (float if f.default is None else type(f.default), f.default))
+    for f in fields(ExperimentConfig)
+}
 
 
 def load_config_file(path: str) -> dict[str, object]:
@@ -135,13 +112,7 @@ def build_experiment_config(settings: dict[str, object], derived_seed: int) -> E
     except ValueError:
         choices = ", ".join(kind.value for kind in TransportKind)
         raise ValueError(f"protocol must be one of: {choices}") from None
-    values: dict[str, object] = {
-        f.name: settings[f.name]
-        for f in fields(ExperimentConfig)
-        if f.name not in GROUPS and f.name not in CLI_SETTINGS
-    }
-    for name, group in GROUPS.items():
-        values[name] = group(**{f.name: settings[f.name] for f in fields(group)})
+    values = {name: settings[name] for name in SETTINGS if name not in CLI_SETTINGS}
     return ExperimentConfig(protocol=protocol, seed=derived_seed, **values)  # type: ignore[arg-type]
 
 

@@ -29,6 +29,9 @@ consumer itself validates and orders raw datagrams, so its queue service
 rate is slightly lower. Stream transports deliver kernel-processed in-order
 data at no extra application cost.
 
+Link, window, timeout and cost settings are fields of one
+``harness.ExperimentConfig``; each wire and sender keeps the ones it reads.
+
 Ties at equal simulation times resolve by priority band then insertion
 order; receiver dequeues run in an earlier band than packet arrivals, so a
 dequeue and an arrival at the same instant process the dequeue first. The
@@ -43,13 +46,15 @@ import heapq
 import itertools
 import random
 from collections import deque
-from dataclasses import dataclass, fields
 from math import inf
-from typing import Any, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 
-from .messages import MAX_SIZE_BYTES, Message
+from .messages import Message
 from .metrics import MetricsCollector
 from .queues import EnqueueOutcome, UpdatableQueue
+
+if TYPE_CHECKING:  # the harness imports the engine, never the other way round
+    from .harness import ExperimentConfig
 
 # Priority band for receiver service events: at equal times, dequeue first.
 SERVICE_PRIORITY = -1
@@ -126,67 +131,6 @@ class SimClock:
         self.now = until
 
 
-@dataclass(slots=True)
-class LinkParams:
-    propagation_delay_s: float = 0.010
-    bandwidth_bps: float = 1_000_000.0
-    loss_prob: float = 0.0
-
-    def validate(self) -> None:
-        if not 0 <= self.propagation_delay_s < inf:
-            raise ValueError(
-                f"propagation_delay_s must be >= 0 and finite, got {self.propagation_delay_s}"
-            )
-        if not 0 < self.bandwidth_bps < inf:
-            raise ValueError(
-                f"bandwidth_bps must be positive and finite, got {self.bandwidth_bps}"
-            )
-        if not 0.0 <= self.loss_prob <= 1.0:
-            raise ValueError(f"loss_prob must be in [0, 1], got {self.loss_prob}")
-
-    def serialization_s(self, size_bytes: float) -> float:
-        return size_bytes * 8.0 / self.bandwidth_bps
-
-
-@dataclass(slots=True)
-class TcpModel:
-    window_size: int = 4
-    ack_size_bytes: int = 40
-    rto_s: float = 1.0
-
-    def validate(self) -> None:
-        if self.window_size < 1:
-            raise ValueError(f"window_size must be >= 1, got {self.window_size}")
-        if not 0 < self.ack_size_bytes <= MAX_SIZE_BYTES:
-            raise ValueError(
-                f"ack_size_bytes must be in [1, {MAX_SIZE_BYTES}], got {self.ack_size_bytes}"
-            )
-        if not 0 < self.rto_s < inf:
-            raise ValueError(f"rto_s must be positive and finite, got {self.rto_s}")
-
-
-@dataclass(slots=True)
-class ProcessingCosts:
-    """Per-message processing costs outside raw link time.
-
-    udp_app_per_msg_s: application-level datagram handling at the consumer
-    (datagram transports only), added to its hold after every dequeue.
-    uqa_update_cost_s: keyed-data bookkeeping a sender pays per message when
-    its transport send queue is updatable (tcp_uqa only; a datagram sender
-    keeps no send queue), counted as source busy time.
-    """
-
-    udp_app_per_msg_s: float = 0.002
-    uqa_update_cost_s: float = 0.001
-
-    def validate(self) -> None:
-        for f in fields(self):
-            if not 0 <= getattr(self, f.name) < inf:
-                raise ValueError(
-                    f"{f.name} must be >= 0 and finite, got {getattr(self, f.name)}"
-                )
-
-
 class TransportKind(enum.Enum):
     TCP = "tcp"
     UDP = "udp"
@@ -219,17 +163,21 @@ def queue_mode_for(kind: TransportKind, variant: str = "tail") -> QueueMode:
 class Wire:
     """One direction of a link; serializes back-to-back transmissions."""
 
-    __slots__ = ("link", "free_at")
+    __slots__ = ("bandwidth_bps", "propagation_delay_s", "free_at")
 
-    def __init__(self, link: LinkParams):
-        self.link = link
+    def __init__(self, config: ExperimentConfig):
+        self.bandwidth_bps = config.bandwidth_bps
+        self.propagation_delay_s = config.propagation_delay_s
         self.free_at = 0.0
+
+    def serialization_s(self, size_bytes: float) -> float:
+        return size_bytes * 8.0 / self.bandwidth_bps
 
     def transmit(self, now: float, size_bytes: float) -> float:
         """Occupy the wire and return the arrival time at the far end."""
         start = now if now > self.free_at else self.free_at
-        self.free_at = start + self.link.serialization_s(size_bytes)
-        return self.free_at + self.link.propagation_delay_s
+        self.free_at = start + self.serialization_s(size_bytes)
+        return self.free_at + self.propagation_delay_s
 
 
 class Receiver:
@@ -295,15 +243,10 @@ class Receiver:
 class UdpSender:
     """Unacknowledged datagram path: per-packet loss, no retransmission."""
 
-    def __init__(
-        self,
-        link: LinkParams,
-        receiver: Receiver,
-        rng: random.Random,
-    ):
+    def __init__(self, config: ExperimentConfig, receiver: Receiver, rng: random.Random):
         self.clock = receiver.clock
-        self.link = link
-        self.wire = Wire(link)
+        self.loss_prob = config.loss_prob
+        self.wire = Wire(config)
         self.receiver = receiver
         self.collector = receiver.collector
         self.rng = rng
@@ -312,8 +255,8 @@ class UdpSender:
         collector = self.collector
         collector.messages_sent += 1
         collector.data_bits_sent += msg.size_bytes * 8.0
-        collector.source_busy_s += self.link.serialization_s(msg.size_bytes)
-        if self.link.loss_prob > 0.0 and self.rng.random() < self.link.loss_prob:
+        collector.source_busy_s += self.wire.serialization_s(msg.size_bytes)
+        if self.loss_prob > 0.0 and self.rng.random() < self.loss_prob:
             collector.messages_lost += 1
             return
         arrival = self.wire.transmit(now, msg.size_bytes)
@@ -335,21 +278,22 @@ class TcpConnection:
 
     def __init__(
         self,
-        link: LinkParams,
-        tcp: TcpModel,
+        config: ExperimentConfig,
         update_cost_s: float,
         receiver: Receiver,
         rng: random.Random,
     ):
         self.clock = receiver.clock
-        self.link = link
-        self.tcp = tcp
+        self.loss_prob = config.loss_prob
+        self.window_size = config.window_size
+        self.ack_size_bytes = config.ack_size_bytes
+        self.rto_s = config.rto_s
         self.update_cost_s = update_cost_s
         self.receiver = receiver
         self.collector = receiver.collector
         self.rng = rng
-        self.data_wire = Wire(link)
-        self.ack_wire = Wire(link)
+        self.data_wire = Wire(config)
+        self.ack_wire = Wire(config)
         self.send_buffer: deque[Message] = deque()
         self.next_seq = 1  # next transport seq to assign at submission
         self.highest_acked = 0
@@ -369,7 +313,7 @@ class TcpConnection:
         self._pump(now)
 
     def _pump(self, now: float) -> None:
-        while self.send_buffer and len(self.pending) < self.tcp.window_size:
+        while self.send_buffer and len(self.pending) < self.window_size:
             self._transmit(self.send_buffer.popleft(), now, first=True)
 
     def _transmit(self, msg: Message, now: float, first: bool) -> None:
@@ -378,11 +322,11 @@ class TcpConnection:
             collector.data_bits_sent += msg.size_bytes * 8.0
         else:
             collector.retransmissions += 1
-        collector.source_busy_s += self.link.serialization_s(msg.size_bytes)
-        if not (self.link.loss_prob > 0.0 and self.rng.random() < self.link.loss_prob):
+        collector.source_busy_s += self.data_wire.serialization_s(msg.size_bytes)
+        if not (self.loss_prob > 0.0 and self.rng.random() < self.loss_prob):
             arrival = self.data_wire.transmit(now, msg.size_bytes)
             self.clock.schedule(arrival, self._data_arrive, msg)
-        self.clock.schedule(now + self.tcp.rto_s, self._rto_fire, msg.tx_seq)
+        self.clock.schedule(now + self.rto_s, self._rto_fire, msg.tx_seq)
         self.pending[msg.tx_seq] = msg
 
     def _rto_fire(self, seq: int, now: float) -> None:
@@ -408,14 +352,14 @@ class TcpConnection:
 
     def _on_consume(self, msg: Message, now: float) -> None:
         self.collector.acks_generated += 1
-        self.collector.ack_bits_generated += self.tcp.ack_size_bytes * 8.0
-        arrival = self.ack_wire.transmit(now, self.tcp.ack_size_bytes)
+        self.collector.ack_bits_generated += self.ack_size_bytes * 8.0
+        arrival = self.ack_wire.transmit(now, self.ack_size_bytes)
         self.clock.schedule(arrival, self._ack_arrive, msg.tx_seq)
 
     # -- back at the source --------------------------------------------------
 
     def _ack_arrive(self, cum: int, now: float) -> None:
-        self.collector.source_busy_s += self.link.serialization_s(self.tcp.ack_size_bytes)
+        self.collector.source_busy_s += self.ack_wire.serialization_s(self.ack_size_bytes)
         if cum > self.highest_acked:
             for seq in range(self.highest_acked + 1, cum + 1):
                 del self.pending[seq]
@@ -424,23 +368,21 @@ class TcpConnection:
 
 
 def build_connection(
-    clock: SimClock,
-    kind: TransportKind,
-    link: LinkParams,
-    tcp: TcpModel,
-    costs: ProcessingCosts,
-    receiver_delay_s: float,
-    queue_variant: str,
-    rng: random.Random,
+    clock: SimClock, config: ExperimentConfig, rng: random.Random
 ) -> UdpSender | TcpConnection:
-    """Assemble one destination's sender; the one place costs resolve."""
+    """Assemble the sender of one destination of ``config``'s cell.
+
+    The one place costs resolve: the consumer pays ``udp_app_per_msg_s`` on
+    datagram transports only, the sender ``uqa_update_cost_s`` on tcp_uqa only.
+    """
+    kind = config.protocol
     receiver = Receiver(
         clock,
-        receiver_delay_s,
-        queue_mode_for(kind, queue_variant),
-        app_cost_s=0.0 if kind.reliable else costs.udp_app_per_msg_s,
+        config.receiver_delay_s,
+        queue_mode_for(kind, config.queue_variant),
+        app_cost_s=0.0 if kind.reliable else config.udp_app_per_msg_s,
     )
     if kind.reliable:
-        update_cost = costs.uqa_update_cost_s if kind is TransportKind.TCP_UQA else 0.0
-        return TcpConnection(link, tcp, update_cost, receiver, rng)
-    return UdpSender(link, receiver, rng)
+        update_cost = config.uqa_update_cost_s if kind is TransportKind.TCP_UQA else 0.0
+        return TcpConnection(config, update_cost, receiver, rng)
+    return UdpSender(config, receiver, rng)

@@ -22,20 +22,13 @@ from __future__ import annotations
 
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from math import inf
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .engine import (
-    LinkParams,
-    ProcessingCosts,
-    SimClock,
-    TcpModel,
-    TransportKind,
-    build_connection,
-)
-from .messages import TraceRecord
+from .engine import SimClock, TransportKind, build_connection
+from .messages import MAX_SIZE_BYTES, TraceRecord
 from .metrics import MetricsReport, check_horizon, littles_law_residual, mean_report
 # generate_schedule stays a harness name: perfbench/run.py wraps it here.
 from .traffic import (  # noqa: F401
@@ -118,9 +111,18 @@ class ExperimentConfig:
     schedule: str = "poisson"
     send_window_fraction: float = 0.9
     queue_variant: str = "tail"  # tail | keyed, applies to *_uqa protocols
-    link: LinkParams = field(default_factory=LinkParams)
-    tcp: TcpModel = field(default_factory=TcpModel)
-    costs: ProcessingCosts = field(default_factory=ProcessingCosts)
+    propagation_delay_s: float = 0.010
+    bandwidth_bps: float = 1_000_000.0
+    loss_prob: float = 0.0  # per data packet; acknowledgements are never lost
+    window_size: int = 4  # tcp: unacknowledged packets in flight
+    ack_size_bytes: int = 40
+    rto_s: float = 1.0  # tcp retransmission timeout
+    # Per-message costs outside link time. A datagram transport's consumer
+    # handles datagrams at application level: udp_app_per_msg_s joins its hold
+    # after every dequeue. A tcp_uqa sender keeps keyed-data bookkeeping for its
+    # updatable send queue: uqa_update_cost_s per message of source busy time.
+    udp_app_per_msg_s: float = 0.002
+    uqa_update_cost_s: float = 0.001
 
     @property
     def duration_s(self) -> float:
@@ -149,10 +151,12 @@ class ExperimentConfig:
             raise ValueError(f"protocol must be a TransportKind, got {self.protocol!r}")
         if self.topology not in TOPOLOGIES:
             raise ValueError(f"topology must be one of {TOPOLOGIES}, got {self.topology!r}")
-        if not 0 <= self.receiver_delay_s < inf:
-            raise ValueError(
-                f"receiver_delay_s must be >= 0 and finite, got {self.receiver_delay_s}"
-            )
+        for name in (
+            "receiver_delay_s", "propagation_delay_s", "udp_app_per_msg_s", "uqa_update_cost_s"
+        ):
+            value = getattr(self, name)
+            if not 0 <= value < inf:
+                raise ValueError(f"{name} must be >= 0 and finite, got {value}")
         if not 1 <= self.n_destinations <= MAX_DESTINATIONS:
             raise ValueError(
                 f"n_destinations must be in [1, {MAX_DESTINATIONS}], got {self.n_destinations}"
@@ -168,9 +172,20 @@ class ExperimentConfig:
             )
         self.traffic().validate()
         check_horizon(self.duration_s, self.message_count, f"run_duration_s {self.duration_s}")
-        self.link.validate()
-        self.tcp.validate()
-        self.costs.validate()
+        if not 0 < self.bandwidth_bps < inf:
+            raise ValueError(
+                f"bandwidth_bps must be positive and finite, got {self.bandwidth_bps}"
+            )
+        if not 0.0 <= self.loss_prob <= 1.0:
+            raise ValueError(f"loss_prob must be in [0, 1], got {self.loss_prob}")
+        if self.window_size < 1:
+            raise ValueError(f"window_size must be >= 1, got {self.window_size}")
+        if not 0 < self.ack_size_bytes <= MAX_SIZE_BYTES:
+            raise ValueError(
+                f"ack_size_bytes must be in [1, {MAX_SIZE_BYTES}], got {self.ack_size_bytes}"
+            )
+        if not 0 < self.rto_s < inf:
+            raise ValueError(f"rto_s must be positive and finite, got {self.rto_s}")
 
 
 @dataclass(slots=True)
@@ -223,14 +238,7 @@ def run_experiment(
     duration = config.duration_s
     senders = [
         build_connection(
-            clock,
-            config.protocol,
-            config.link,
-            config.tcp,
-            config.costs,
-            config.receiver_delay_s,
-            config.queue_variant,
-            random.Random(derive_seed(config.seed, "loss", config.protocol.value, dest)),
+            clock, config, random.Random(derive_seed(config.seed, "loss", config.protocol.value, dest))
         )
         for dest in range(config.destinations)
     ]
@@ -292,11 +300,17 @@ def run_sweep(
 ) -> SweepResult:
     """Run every cell of the matrix; abort naming the cell on any failure.
 
-    One task is one comparison group: its traffic is drawn once and run
-    under each protocol in turn.
+    Every cell is validated before any traffic is drawn. One task is one
+    comparison group: its traffic is drawn once and run under each protocol
+    in turn.
     """
     check_jobs(jobs)
     configs = default_configs(master_seed, base, packet_sizes, receiver_delays)
+    for config in configs:
+        try:
+            config.validate()
+        except ValueError as exc:
+            raise _cell_failure(config, exc) from exc
     # Canonical order is protocol-major, so group g holds every n_groups-th cell.
     n_groups = len(configs) // len(PROTOCOL_ORDER)
     groups = [configs[g::n_groups] for g in range(n_groups)]
@@ -314,18 +328,21 @@ def _run_group(group: list[ExperimentConfig]) -> list[ExperimentResult]:
     """Run a comparison group's cells, in protocol order, on one draw of traffic."""
     config = group[0]  # the cell an error names, until the loop moves on
     try:
-        config.validate()
         draws = draw_traffic(config)
         results = []
         for config in group:
             results.append(run_experiment(config, draws))
         return results
     except Exception as exc:
-        raise RuntimeError(
-            "sweep cell failed: "
-            f"protocol={config.protocol.value} topology={config.topology} "
-            f"packet_size={config.packet_size_bytes} delay={config.receiver_delay_s}: {exc}"
-        ) from exc
+        raise _cell_failure(config, exc) from exc
+
+
+def _cell_failure(config: ExperimentConfig, exc: Exception) -> RuntimeError:
+    return RuntimeError(
+        "sweep cell failed: "
+        f"protocol={config.protocol.value} topology={config.topology} "
+        f"packet_size={config.packet_size_bytes} delay={config.receiver_delay_s}: {exc}"
+    )
 
 
 # -- CSV emission ------------------------------------------------------------

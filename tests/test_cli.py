@@ -3,6 +3,7 @@ import os
 import shlex
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -511,6 +512,7 @@ def test_setting_defaults_are_the_dataclass_defaults():
     defaults = {name: default for name, (_, default) in SETTINGS.items()}
     config = build_experiment_config(defaults, derived)
     assert config == ExperimentConfig(protocol=TransportKind.UDP, seed=derived)
+    assert set(SETTINGS) == {f.name for f in fields(ExperimentConfig)}
 
 
 @pytest.mark.parametrize(

@@ -6,12 +6,9 @@ from uqsim import harness
 from uqsim.engine import (
     DEFAULT_PRIORITY,
     SERVICE_PRIORITY,
-    LinkParams,
-    ProcessingCosts,
     QueueMode,
     Receiver,
     SimClock,
-    TcpModel,
     TransportKind,
     Wire,
     build_connection,
@@ -207,7 +204,7 @@ def test_arrivals_after_until_do_not_fire():
 
 
 def test_wire_serializes_back_to_back():
-    wire = Wire(LinkParams())
+    wire = Wire(ExperimentConfig(protocol=TransportKind.UDP))
     first = wire.transmit(0.0, 512)
     second = wire.transmit(0.0, 512)
     assert first == pytest.approx(SER_512 + PROP)
@@ -215,7 +212,7 @@ def test_wire_serializes_back_to_back():
 
 
 def test_wire_idle_restart():
-    wire = Wire(LinkParams())
+    wire = Wire(ExperimentConfig(protocol=TransportKind.UDP))
     wire.transmit(0.0, 512)
     later = wire.transmit(1.0, 512)
     assert later == pytest.approx(1.0 + SER_512 + PROP)
@@ -224,19 +221,10 @@ def test_wire_idle_restart():
 # -- transports -------------------------------------------------------------------
 
 
-def build(kind, *, delay=0.0, link=None, tcp=None, costs=None, variant="tail", seed=1):
+def build(kind, *, seed=1, **settings):
     clock = SimClock()
-    sender = build_connection(
-        clock,
-        kind,
-        link or LinkParams(),
-        tcp or TcpModel(),
-        costs or ProcessingCosts(),
-        delay,
-        variant,
-        random.Random(seed),
-    )
-    return clock, sender
+    config = ExperimentConfig(protocol=kind, **settings)
+    return clock, build_connection(clock, config, random.Random(seed))
 
 
 def test_udp_arrival_time_is_serialization_plus_propagation():
@@ -254,16 +242,14 @@ def test_fan_out_has_one_uplink_per_destination(kind):
     clock = SimClock()
     messages = [status(1, sender=0), status(1, sender=1)]
     for msg in messages:
-        sender = build_connection(
-            clock, kind, LinkParams(), TcpModel(), ProcessingCosts(), 0.0, "tail", random.Random(1)
-        )
+        sender = build_connection(clock, ExperimentConfig(protocol=kind), random.Random(1))
         sender.submit(msg, 0.0)
     clock.run(1.0)
     assert [m.t_enqueued for m in messages] == pytest.approx([SER_512 + PROP] * 2)
 
 
 def test_udp_certain_loss_delivers_nothing():
-    clock, sender = build(TransportKind.UDP, link=LinkParams(loss_prob=1.0))
+    clock, sender = build(TransportKind.UDP, loss_prob=1.0)
     for i in range(1000):
         sender.submit(status(i + 1), 0.0)
     clock.run(5.0)
@@ -274,7 +260,7 @@ def test_udp_certain_loss_delivers_nothing():
 
 
 def test_udp_accounting_under_partial_loss():
-    clock, sender = build(TransportKind.UDP, link=LinkParams(loss_prob=0.3), seed=5)
+    clock, sender = build(TransportKind.UDP, loss_prob=0.3, seed=5)
     for i in range(2000):
         clock.schedule(i * 0.01, sender.submit, status(i + 1))
     clock.run(60.0)
@@ -289,7 +275,7 @@ def test_tcp_window_one_staggers_arrivals_by_round_trip():
     #   data arrives at ser+prop; consumed immediately (no delay); the ack
     #   returns after ack_ser+prop; only then may the next packet leave.
     # Arrival spacing is therefore exactly ser + ack_ser + 2*prop.
-    clock, sender = build(TransportKind.TCP, tcp=TcpModel(window_size=1))
+    clock, sender = build(TransportKind.TCP, window_size=1)
     messages = [status(1), status(2, sender=1), status(3, sender=2)]
     for msg in messages:
         sender.submit(msg, 0.0)
@@ -303,7 +289,7 @@ def test_tcp_window_one_staggers_arrivals_by_round_trip():
 
 def test_tcp_delivers_exactly_once_in_order_under_loss():
     clock, sender = build(
-        TransportKind.TCP, link=LinkParams(loss_prob=0.2), seed=11
+        TransportKind.TCP, loss_prob=0.2, seed=11
     )
     consumed = []
     transport_hook = sender.receiver.on_consume
@@ -319,7 +305,7 @@ def test_tcp_delivers_exactly_once_in_order_under_loss():
 
 
 def test_tcp_ack_count_equals_consumed_count():
-    clock, sender = build(TransportKind.TCP, delay=0.05)
+    clock, sender = build(TransportKind.TCP, receiver_delay_s=0.05)
     for i in range(50):
         clock.schedule(i * 0.2, sender.submit, status(i + 1))
     clock.run(60.0)
@@ -331,11 +317,11 @@ def test_rto_timer_for_acked_seq_is_a_no_op():
     # Loss-free, and every ack returns within one round trip (~0.03 s), far
     # inside the 1 s timeout: each timer fires after its seq was acked and
     # must return without retransmitting.
-    clock, sender = build(TransportKind.TCP, delay=0.01)
+    clock, sender = build(TransportKind.TCP, receiver_delay_s=0.01)
     n = 50
     for i in range(n):
         clock.schedule(i * 0.2, sender.submit, status(i + 1))
-    end = n * 0.2 + 2 * TcpModel().rto_s
+    end = n * 0.2 + 2 * sender.rto_s
     clock.run(end)
     report = sender.collector.finalize(end, sender.receiver.queue)
     assert report.retransmissions == 0
@@ -373,7 +359,7 @@ def test_idle_receiver_schedules_at_most_one_service_per_delivery(
 
 def test_causality_enqueue_after_created_plus_propagation():
     for kind in TransportKind:
-        clock, sender = build(kind, delay=0.01)
+        clock, sender = build(kind, receiver_delay_s=0.01)
         records = [(i * 0.05, status(i + 1)) for i in range(100)]
         for t_send, msg in records:
             clock.schedule(t_send, sender.submit, msg)
@@ -460,7 +446,7 @@ def test_udp_receiver_carries_app_cost_tcp_does_not():
     # Zero receiver delay, so each hold is the application cost alone.
     _, udp = build(TransportKind.UDP)
     _, tcp = build(TransportKind.TCP)
-    assert udp.receiver.hold_s == ProcessingCosts().udp_app_per_msg_s
+    assert udp.receiver.hold_s == ExperimentConfig(protocol=TransportKind.UDP).udp_app_per_msg_s
     assert tcp.receiver.hold_s == 0.0
 
 
@@ -486,7 +472,7 @@ def test_residual_is_tcp_messages_in_transport(monkeypatch):
     # and not yet handed to the receiver.
     cfg = ExperimentConfig(
         protocol=TransportKind.TCP, receiver_delay_s=0.1, message_count=300,
-        run_duration_s=20.0, link=LinkParams(loss_prob=0.1), seed=3,
+        run_duration_s=20.0, loss_prob=0.1, seed=3,
     )
     result, (sender,) = run_cell_keeping_senders(monkeypatch, cfg)
     residual = result.report.conservation_residual()
@@ -500,7 +486,7 @@ def test_residual_is_udp_datagrams_in_flight(monkeypatch):
     cfg = ExperimentConfig(
         protocol=TransportKind.UDP, topology="one_to_many", message_count=300,
         run_duration_s=20.0, send_window_fraction=0.95, seed=3,
-        link=LinkParams(propagation_delay_s=2.0, loss_prob=0.1),
+        propagation_delay_s=2.0, loss_prob=0.1,
     )
     result, senders = run_cell_keeping_senders(monkeypatch, cfg)
     in_flight = [
@@ -529,7 +515,7 @@ def test_delivered_to_queue_counts_receiver_deliver_calls(monkeypatch, protocol,
     monkeypatch.setattr(Receiver, "deliver", counting)
     cfg = ExperimentConfig(
         protocol=protocol, topology="one_to_many", queue_variant=variant,
-        receiver_delay_s=0.05, message_count=200, link=LinkParams(loss_prob=0.1), seed=9,
+        receiver_delay_s=0.05, message_count=200, loss_prob=0.1, seed=9,
     )
     result = run_experiment(cfg)
     assert len(calls) > 0

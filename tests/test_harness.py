@@ -3,7 +3,7 @@ import hashlib
 import pytest
 
 from uqsim import harness
-from uqsim.engine import LinkParams, TransportKind
+from uqsim.engine import TransportKind
 from uqsim.harness import (
     AGGREGATE_COLUMNS,
     CSV_COLUMNS,
@@ -143,6 +143,14 @@ def test_one_to_many_uniform_round_robin_interleave():
         ("queue_variant", "heap", "queue_variant"),
         ("schedule", "burst", "schedule"),
         ("p_status", -0.2, "p_status"),
+        ("propagation_delay_s", float("nan"), "propagation_delay_s"),
+        ("bandwidth_bps", 0.0, "bandwidth_bps"),
+        ("loss_prob", 2.0, "loss_prob"),
+        ("window_size", 0, "window_size"),
+        ("ack_size_bytes", 0, "ack_size_bytes"),
+        ("rto_s", 0.0, "rto_s"),
+        ("udp_app_per_msg_s", -1.0, "udp_app_per_msg_s"),
+        ("uqa_update_cost_s", float("inf"), "uqa_update_cost_s"),
     ],
 )
 def test_invalid_config_names_offending_field(field, value, match):
@@ -169,6 +177,12 @@ def test_default_matrix_shape_and_order():
     assert [c.receiver_delay_s for c in configs[:4]] == list(DEFAULT_RECEIVER_DELAYS)
     assert configs[0].packet_size_bytes == 32
     assert configs[4].packet_size_bytes == 256
+
+
+def test_cells_share_no_setting_objects():
+    configs = default_configs(master_seed=7)
+    configs[0].loss_prob = 0.5
+    assert [c.loss_prob for c in configs[1:]] == [0.0] * 95
 
 
 def test_cell_seeds_shared_across_protocols():
@@ -253,9 +267,20 @@ def test_run_sweep_rejects_jobs_below_one_before_any_cell(monkeypatch, jobs):
 
 
 def test_sweep_failure_names_cell():
-    bad = ExperimentConfig(protocol=TransportKind.UDP, link=LinkParams(loss_prob=2.0))
+    bad = ExperimentConfig(protocol=TransportKind.UDP, loss_prob=2.0)
     with pytest.raises(RuntimeError, match="protocol=tcp topology=one_to_one packet_size=256"):
         run_sweep(master_seed=1, base=bad, packet_sizes=(256,), receiver_delays=(0.0,))
+
+
+def test_sweep_validates_every_cell_before_drawing_traffic(monkeypatch):
+    # 300,000 messages fit one destination but not the default 4: only the
+    # one-to-many cells are invalid, and they come after every one-to-one group.
+    drawn = []
+    monkeypatch.setattr(harness, "draw_traffic", lambda config: drawn.append(config) or [])
+    base = ExperimentConfig(protocol=TransportKind.TCP, message_count=300_000)
+    with pytest.raises(RuntimeError, match="protocol=tcp topology=one_to_many packet_size=32 "):
+        run_sweep(master_seed=1, base=base)
+    assert drawn == []
 
 
 def test_aggregate_rows_average_packet_sizes():
@@ -318,6 +343,29 @@ def test_default_sweep_csvs_match_fingerprint(tmp_path):
         for name in DEFAULT_SWEEP_SHA256
     }
     assert digests == DEFAULT_SWEEP_SHA256
+
+
+# SHA-256 of a lossy sweep's results and destinations CSVs at seed 20100:
+# 8 TCP-based and UDP-based cells with 15% loss, a window of 3 and a 0.3 s
+# timeout, so retransmission and loss reach the output. The default sweep
+# has no loss and cannot pin them.
+LOSSY_SWEEP_SHA256 = {
+    "sweep_results": "b0886309429bc0bd4b45b13727816d059881b7a7be5d9ed9005b3be95f49c9f0",
+    "destinations": "93a8b1692dd798e6a399f84b5a37afaafd9cf2b6664a27ac64f0bb08e3fa74cd",
+}
+
+
+def test_lossy_sweep_csvs_match_fingerprint(tmp_path):
+    base = ExperimentConfig(protocol=TransportKind.TCP, loss_prob=0.15, window_size=3, rto_s=0.3)
+    sweep = run_sweep(master_seed=20100, base=base, packet_sizes=(256,), receiver_delays=(0.05,))
+    assert sum(r.report.messages_lost for r in sweep.results) > 0
+    write_sweep_csv(str(tmp_path / "sweep_results"), sweep)
+    write_destination_csv(str(tmp_path / "destinations"), sweep)
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in LOSSY_SWEEP_SHA256
+    }
+    assert digests == LOSSY_SWEEP_SHA256
 
 
 # SHA-256 over every record of destination_schedules for a UDP, 256-byte

@@ -3,15 +3,13 @@ import random
 import pytest
 
 from uqsim.engine import (
-    LinkParams,
-    ProcessingCosts,
     QueueMode,
     Receiver,
     SimClock,
-    TcpModel,
     TransportKind,
     build_connection,
 )
+from uqsim.harness import ExperimentConfig
 from uqsim.messages import Message, MessageKind
 from uqsim.metrics import (
     MetricsCollector,
@@ -109,10 +107,8 @@ def test_server_throughput_definitional_arithmetic():
 def send_one(kind, run_to, loss_prob=0.0):
     """Submit one 512-byte (4096-bit) message at t=0 on a 1 Mbit/s link."""
     clock = SimClock()
-    sender = build_connection(
-        clock, kind, LinkParams(loss_prob=loss_prob), TcpModel(), ProcessingCosts(),
-        0.0, "tail", random.Random(1),
-    )
+    config = ExperimentConfig(protocol=kind, loss_prob=loss_prob)
+    sender = build_connection(clock, config, random.Random(1))
     sender.submit(command(1, size=512), 0.0)
     clock.run(run_to)
     return sender.collector.finalize(run_to, sender.receiver.queue)

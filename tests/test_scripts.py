@@ -1,6 +1,6 @@
 """The scripts import uqsim names; removing one must fail here. Also what
-importing the queue library loads, and how the scripts and ``uqsim`` end:
-bad input, closed stdout."""
+importing the queue library or the engine loads, and how the scripts and
+``uqsim`` end: bad input, closed stdout."""
 
 import importlib.util
 import os
@@ -37,17 +37,26 @@ def test_littles_law_check_runs(monkeypatch, capsys):
     assert [line.split()[0] for line in lines[1:]] == ["0.033", "0.050", "0.100"]
 
 
-def test_queue_library_imports_without_the_simulator():
+@pytest.mark.parametrize(
+    "module, loaded",
+    [
+        ("uqsim.queues", ["uqsim", "uqsim.messages", "uqsim.queues"]),
+        # The engine reads ExperimentConfig but must not import the harness.
+        ("uqsim.engine", ["uqsim", "uqsim.engine", "uqsim.messages", "uqsim.metrics", "uqsim.queues"]),
+    ],
+    ids=["uqsim.queues", "uqsim.engine"],
+)
+def test_queue_library_imports_without_the_simulator(module, loaded):
     # A fresh interpreter: this one has loaded every module already.
     code = (
-        "import sys, uqsim.queues\n"
+        f"import sys, {module}\n"
         "print(sorted(m for m in sys.modules if m.startswith('uqsim')))"
     )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     child = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
-    assert child.stdout.strip() == "['uqsim', 'uqsim.messages', 'uqsim.queues']", child.stderr
+    assert child.stdout.strip() == str(loaded), child.stderr
 
 
 def run_child(argv, unbuffered, stdout=subprocess.PIPE):
