@@ -224,8 +224,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
     else:
         duration += args.receiver_delay * (len(records) + 1)
         check_horizon(duration, len(records), f"--receiver-delay {args.receiver_delay}")
-        deliver = receiver.deliver
-        clock.run(duration, [(t_send, deliver, msg) for t_send, msg in records])
+        arrive = receiver.arrive
+        clock.run(duration, [(t_send, arrive, msg) for t_send, msg in records])
     print(f"final_queue_length: {len(queue)}")
     for msg in queue.snapshot():
         print(format_trace_record(msg.t_enqueued or 0.0, msg))

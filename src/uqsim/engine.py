@@ -6,9 +6,9 @@ destinations over point-to-point links. Four transport variants exist:
 * udp      - fire and forget; packets may be lost, never retransmitted;
              the receive queue is plain FIFO.
 * tcp      - fixed-size window of unacknowledged packets, one cumulative
-             acknowledgement per consumed message, retransmission on a fixed
-             timeout; delivers every message exactly once, in order; FIFO
-             receive queue.
+             acknowledgement per consumed message, one retransmission timer
+             per connection with exponential backoff; delivers every message
+             exactly once, in order; FIFO receive queue.
 * udp_uqa  - udp delivery into an updatable (status-coalescing) queue.
 * tcp_uqa  - tcp delivery into an updatable queue; the sender additionally
              pays a per-message bookkeeping cost for keeping its transport
@@ -36,7 +36,8 @@ Ties at equal simulation times resolve by priority band then insertion
 order; receiver dequeues run in an earlier band than packet arrivals, so a
 dequeue and an arrival at the same instant process the dequeue first. The
 sends of a run arrive as a sorted stream beside the heap, each ordered as if
-scheduled in band 0 before any heap event.
+scheduled in band 0 before any heap event. A delivery that finds its
+consumer idle and free serves it in the same event (see ``Receiver``).
 """
 
 from __future__ import annotations
@@ -64,8 +65,8 @@ DEFAULT_PRIORITY = 0
 class EventHandle:
     """Kept only as an importable name: events are never cancelled.
 
-    A stale TCP retransmission timer fires and returns on its own guard, so
-    ``SimClock.schedule`` returns nothing to cancel.
+    A superseded TCP retransmission timer event fires and returns on its own
+    guard, so ``SimClock.schedule`` returns nothing to cancel.
     """
 
     __slots__ = ()
@@ -173,10 +174,10 @@ class Wire:
     def serialization_s(self, size_bytes: float) -> float:
         return size_bytes * 8.0 / self.bandwidth_bps
 
-    def transmit(self, now: float, size_bytes: float) -> float:
-        """Occupy the wire and return the arrival time at the far end."""
+    def transmit(self, now: float, ser: float) -> float:
+        """Occupy the wire for ``ser`` seconds; return the arrival at the far end."""
         start = now if now > self.free_at else self.free_at
-        self.free_at = start + self.serialization_s(size_bytes)
+        self.free_at = start + ser
         return self.free_at + self.propagation_delay_s
 
 
@@ -188,10 +189,13 @@ class Receiver:
     drains immediately upon arrival. ``on_consume`` fires on every dequeue
     (the reliable transports hook it to generate acknowledgements).
 
-    A dequeue that empties the queue schedules nothing: it records when the
-    consumer is next free (``ready_at``), and the next delivery schedules
-    service at that time or at its own arrival, whichever is later. So every
-    service event dequeues a message, and at most one is pending.
+    ``deliver`` enqueues; ``wake``, once the transport's hand-over is in,
+    lets an idle consumer act: at once if it is free (``ready_at <= now``),
+    else by a service event at ``ready_at``. ``arrive`` is both. A dequeue
+    that empties the queue schedules nothing and records ``ready_at``. So
+    every service event dequeues a message, and at most one is pending.
+    Serving in the delivering event is exact: destinations share no state,
+    and a service pushed at ``now`` in the earlier band would fire next.
     """
 
     def __init__(
@@ -218,13 +222,23 @@ class Receiver:
         self.on_consume: Optional[Callable[[Message, float], None]] = None
 
     def deliver(self, msg: Message, now: float) -> None:
+        """Enqueue ``msg``; the consumer does not act until ``wake``."""
         self.enqueue(msg, now)
         self.collector.data_bits_enqueued += msg.size_bytes * 8.0
         self.collector.record_queue_sample(now, len(self.queue))
+
+    def wake(self, now: float) -> None:
         if not self.busy:
             self.busy = True
-            start = now if now > self.ready_at else self.ready_at
-            self.clock.schedule(start, self._service, priority=SERVICE_PRIORITY)
+            if self.ready_at <= now:
+                self._service(now)
+            else:
+                self.clock.schedule(self.ready_at, self._service, priority=SERVICE_PRIORITY)
+
+    def arrive(self, msg: Message, now: float) -> None:
+        self.deliver(msg, now)
+        if not self.busy:  # skips the call while a saturated consumer is busy
+            self.wake(now)
 
     def _service(self, now: float) -> None:
         queue = self.queue
@@ -255,25 +269,32 @@ class UdpSender:
         collector = self.collector
         collector.messages_sent += 1
         collector.data_bits_sent += msg.size_bytes * 8.0
-        collector.source_busy_s += self.wire.serialization_s(msg.size_bytes)
+        ser = self.wire.serialization_s(msg.size_bytes)
+        collector.source_busy_s += ser
         if self.loss_prob > 0.0 and self.rng.random() < self.loss_prob:
             collector.messages_lost += 1
             return
-        arrival = self.wire.transmit(now, msg.size_bytes)
-        self.clock.schedule(arrival, self.receiver.deliver, msg)
+        self.clock.schedule(self.wire.transmit(now, ser), self.receiver.arrive, msg)
 
 
 class TcpConnection:
     """Fixed-window reliable stream between the source and one destination.
 
     Transport sequence numbers are assigned at submission in FIFO order.
-    Data packets are subject to link loss and retransmitted on a fixed
-    timeout until covered; acknowledgements are not lost. The receiver-side
+    Data packets are subject to link loss; acknowledgements are not lost.
+    The connection keeps one retransmission timer, managed as RFC 6298 §5
+    does: a send starts it when it is off, an ack of new data restarts it and
+    resets the timeout to ``rto_s``, and it stops when nothing is
+    outstanding. On expiry the earliest unacked packet is retransmitted and
+    the timeout doubles, capped at ``max(60 s, rto_s)``. The receiver-side
     transport delivers to the application queue exactly once, in order,
     buffering anything that arrives ahead of a gap. One cumulative
     acknowledgement is generated per consumed message; a coalesced-away
     status is covered by the next consumption's cumulative value, so its
-    window slot is recovered without a dedicated ack packet.
+    window slot is recovered without a dedicated ack packet. The timer keeps
+    one authoritative heap event, at ``rto_event_at``: firing before the
+    deadline, it pushes itself again; a deadline moved before it (an ack after
+    a backoff) pushes a new event, and the superseded one returns on a guard.
     """
 
     def __init__(
@@ -288,12 +309,17 @@ class TcpConnection:
         self.window_size = config.window_size
         self.ack_size_bytes = config.ack_size_bytes
         self.rto_s = config.rto_s
+        self.max_rto_s = max(60.0, config.rto_s)  # backoff ceiling, RFC 6298 §5.5
+        self.rto = config.rto_s  # current timeout, doubled on each expiry
+        self.rto_deadline = inf  # inf: timer off
+        self.rto_event_at = inf  # time of the authoritative heap event
         self.update_cost_s = update_cost_s
         self.receiver = receiver
         self.collector = receiver.collector
         self.rng = rng
         self.data_wire = Wire(config)
         self.ack_wire = Wire(config)
+        self.ack_ser_s = self.ack_wire.serialization_s(config.ack_size_bytes)
         self.send_buffer: deque[Message] = deque()
         self.next_seq = 1  # next transport seq to assign at submission
         self.highest_acked = 0
@@ -322,18 +348,33 @@ class TcpConnection:
             collector.data_bits_sent += msg.size_bytes * 8.0
         else:
             collector.retransmissions += 1
-        collector.source_busy_s += self.data_wire.serialization_s(msg.size_bytes)
+        ser = self.data_wire.serialization_s(msg.size_bytes)
+        collector.source_busy_s += ser
         if not (self.loss_prob > 0.0 and self.rng.random() < self.loss_prob):
-            arrival = self.data_wire.transmit(now, msg.size_bytes)
-            self.clock.schedule(arrival, self._data_arrive, msg)
-        self.clock.schedule(now + self.rto_s, self._rto_fire, msg.tx_seq)
+            self.clock.schedule(self.data_wire.transmit(now, ser), self._data_arrive, msg)
         self.pending[msg.tx_seq] = msg
+        if self.rto_deadline == inf:
+            self._arm(now + self.rto)
 
-    def _rto_fire(self, seq: int, now: float) -> None:
-        # Timers are never cancelled: one whose seq was acked meanwhile is a no-op.
-        msg = self.pending.get(seq)
-        if msg is not None:
-            self._transmit(msg, now, first=False)
+    def _arm(self, deadline: float) -> None:
+        """Set the timer's deadline; push an event only if it falls earlier."""
+        self.rto_deadline = deadline
+        if deadline < self.rto_event_at:
+            self.rto_event_at = deadline
+            self.clock.schedule(deadline, self._rto_fire)
+
+    def _rto_fire(self, now: float) -> None:
+        if now != self.rto_event_at:
+            return  # superseded by an earlier event
+        self.rto_event_at = inf
+        deadline = self.rto_deadline
+        if deadline > now:  # restarted meanwhile, or off
+            if deadline < inf:
+                self._arm(deadline)
+            return
+        self._transmit(self.pending[self.highest_acked + 1], now, first=False)
+        self.rto = min(2.0 * self.rto, self.max_rto_s)
+        self._arm(now + self.rto)
 
     # -- receiver-side transport --------------------------------------------
 
@@ -349,21 +390,26 @@ class TcpConnection:
         while self.expected in self.ooo:
             self.receiver.deliver(self.ooo.pop(self.expected), now)
             self.expected += 1
+        self.receiver.wake(now)
 
     def _on_consume(self, msg: Message, now: float) -> None:
         self.collector.acks_generated += 1
         self.collector.ack_bits_generated += self.ack_size_bytes * 8.0
-        arrival = self.ack_wire.transmit(now, self.ack_size_bytes)
-        self.clock.schedule(arrival, self._ack_arrive, msg.tx_seq)
+        self.clock.schedule(self.ack_wire.transmit(now, self.ack_ser_s), self._ack_arrive, msg.tx_seq)
 
     # -- back at the source --------------------------------------------------
 
     def _ack_arrive(self, cum: int, now: float) -> None:
-        self.collector.source_busy_s += self.ack_wire.serialization_s(self.ack_size_bytes)
+        self.collector.source_busy_s += self.ack_ser_s
         if cum > self.highest_acked:
             for seq in range(self.highest_acked + 1, cum + 1):
                 del self.pending[seq]
             self.highest_acked = cum
+            self.rto = self.rto_s
+            if self.pending:
+                self._arm(now + self.rto_s)
+            else:
+                self.rto_deadline = inf
             self._pump(now)
 
 

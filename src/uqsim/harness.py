@@ -147,6 +147,13 @@ class ExperimentConfig:
         )
 
     def validate(self) -> None:
+        """Raise ValueError naming the first setting outside its bounds.
+
+        The per-cell message budget bounds the work of a valid cell: the
+        timer backs off, so between two acks of new data a TCP connection
+        retransmits about ``log2(60 s / rto_s) + 1`` times, then once per
+        ``max(60 s, rto_s)``.
+        """
         if not isinstance(self.protocol, TransportKind):
             raise ValueError(f"protocol must be a TransportKind, got {self.protocol!r}")
         if self.topology not in TOPOLOGIES:

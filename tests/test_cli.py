@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import shlex
 import subprocess
@@ -392,6 +393,28 @@ def test_poisson_window_up_to_the_run_end_sends_every_message(tmp_path, capsys, 
     ])
     assert rc == 0
     assert "messages_sent: 300\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("rto", ["1e-06", "1e-05"])
+def test_timeout_below_the_round_trip_backs_off_and_delivers(tmp_path, capsys, rto):
+    # A fixed timeout below the round trip retransmitted every packet on every
+    # expiry: at 1e-6 the run did not finish in 60 s, at 1e-5 it delivered 1
+    # of 20. With backoff each message is retransmitted at most about
+    # log2(duration / rto_s) + 1 times.
+    config = tmp_path / "run.conf"
+    config.write_text(f"rto_s = {rto}\n")
+    rc = run_cli([
+        "run", "--protocol", "tcp", "--messages", "20", "--duration", "5", "--config", str(config),
+    ])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "messages_sent: 20\n" in out
+    assert "messages_delivered: 20\n" in out
+    cfg = ExperimentConfig(
+        protocol=TransportKind.TCP, message_count=20, run_duration_s=5.0, rto_s=float(rto)
+    )
+    report = harness.run_experiment(cfg).report
+    assert 0 < report.retransmissions <= 20 * (math.log2(5.0 / float(rto)) + 1)
 
 
 def test_run_rejects_duration_whose_queue_statistics_overflow(capsys):

@@ -205,16 +205,16 @@ def test_arrivals_after_until_do_not_fire():
 
 def test_wire_serializes_back_to_back():
     wire = Wire(ExperimentConfig(protocol=TransportKind.UDP))
-    first = wire.transmit(0.0, 512)
-    second = wire.transmit(0.0, 512)
+    first = wire.transmit(0.0, SER_512)
+    second = wire.transmit(0.0, SER_512)
     assert first == pytest.approx(SER_512 + PROP)
     assert second == pytest.approx(2 * SER_512 + PROP)
 
 
 def test_wire_idle_restart():
     wire = Wire(ExperimentConfig(protocol=TransportKind.UDP))
-    wire.transmit(0.0, 512)
-    later = wire.transmit(1.0, 512)
+    wire.transmit(0.0, SER_512)
+    later = wire.transmit(1.0, SER_512)
     assert later == pytest.approx(1.0 + SER_512 + PROP)
 
 
@@ -315,8 +315,8 @@ def test_tcp_ack_count_equals_consumed_count():
 
 def test_rto_timer_for_acked_seq_is_a_no_op():
     # Loss-free, and every ack returns within one round trip (~0.03 s), far
-    # inside the 1 s timeout: each timer fires after its seq was acked and
-    # must return without retransmitting.
+    # inside the 1 s timeout: each ack restarts the connection's timer or
+    # stops it, so no timer event ever retransmits.
     clock, sender = build(TransportKind.TCP, receiver_delay_s=0.01)
     n = 50
     for i in range(n):
@@ -330,15 +330,97 @@ def test_rto_timer_for_acked_seq_is_a_no_op():
     assert sender.pending == {}
 
 
+class RecordingRandom(random.Random):
+    """Loss draws from a script; records the clock time of every draw.
+
+    Each data transmission draws once when ``loss_prob`` > 0, so ``times``
+    lists the transmissions and each scripted 0.0 loses one.
+    """
+
+    def __init__(self, clock, script=()):
+        super().__init__(0)
+        self.clock = clock
+        self.script = list(script)
+        self.times = []
+
+    def random(self):
+        self.times.append(self.clock.now)
+        return self.script.pop(0) if self.script else 0.0
+
+
+def test_rto_backs_off_exponentially_up_to_the_cap():
+    # Every transmission is lost. The timeout doubles after each expiry:
+    # retransmissions at rto_s * (2^k - 1), until the 60 s cap spaces them.
+    clock = SimClock()
+    rng = RecordingRandom(clock)
+    config = ExperimentConfig(protocol=TransportKind.TCP, loss_prob=1.0, rto_s=1.0)
+    sender = build_connection(clock, config, rng)
+    sender.submit(status(1), 0.0)
+    clock.run(200.0)
+    assert rng.times == [0.0, 1.0, 3.0, 7.0, 15.0, 31.0, 63.0, 123.0, 183.0]
+    assert sender.collector.retransmissions == 8
+
+
+def test_ack_of_new_data_after_backoff_pulls_the_expiry_in():
+    # Seq 1 is lost at 0 and 1; its retransmission at 3 gets through and the
+    # timer, backed off to 4 s, is due at 7. Seq 2 leaves at 3.001 and is
+    # lost. The ack of seq 1 resets the timeout: seq 2 is retransmitted
+    # rto_s after that ack, not at 7.
+    clock = SimClock()
+    rng = RecordingRandom(clock, script=[0.0, 0.0, 1.0, 0.0, 1.0])
+    config = ExperimentConfig(protocol=TransportKind.TCP, loss_prob=0.5, rto_s=1.0)
+    sender = build_connection(clock, config, rng)
+    acks = []
+    arrive = sender._ack_arrive
+    sender._ack_arrive = lambda cum, t: (acks.append(t), arrive(cum, t))
+    clock.schedule(0.0, sender.submit, status(1))
+    clock.schedule(3.001, sender.submit, status(2))
+    clock.run(10.0)
+    assert rng.times[:4] == [0.0, 1.0, 3.0, 3.001]
+    assert acks[0] == pytest.approx(3.0 + SER_512 + ACK_SER + 2 * PROP)
+    assert rng.times[4] == acks[0] + 1.0
+    assert sender.receiver.queue.dequeued == 2
+    assert sender.pending == {}
+
+
+def test_lossless_connection_keeps_at_most_one_timer_event(monkeypatch):
+    # The timer is restarted on every ack but moves only later, so no event
+    # is superseded: each connection has at most one _rto_fire pending.
+    class CheckingClock(SimClock):
+        def schedule(self, at, fn, *args, priority=DEFAULT_PRIORITY):
+            super().schedule(at, fn, *args, priority=priority)
+            if getattr(fn, "__name__", None) == "_rto_fire":
+                owner = fn.__self__
+                assert sum(entry[3] == owner._rto_fire for entry in self._heap) <= 1
+                timers.append(at)
+
+    timers = []
+    monkeypatch.setattr(harness, "SimClock", CheckingClock)
+    cfg = ExperimentConfig(
+        protocol=TransportKind.TCP, topology="one_to_many", receiver_delay_s=0.05, seed=20100
+    )
+    result = run_experiment(cfg)
+    assert result.report.retransmissions == 0
+    assert result.report.messages_delivered == cfg.message_count
+    assert 0 < len(timers) < cfg.message_count * cfg.destinations
+
+
 @pytest.mark.parametrize(
-    "protocol, topology",
-    [(TransportKind.TCP, "one_to_one"), (TransportKind.UDP, "one_to_many")],
+    "protocol, topology, delay",
+    [
+        (TransportKind.TCP, "one_to_one", 0.05),
+        (TransportKind.UDP, "one_to_many", 0.05),
+        (TransportKind.TCP, "one_to_one", 0.0),
+        (TransportKind.UDP, "one_to_one", 0.0),
+    ],
 )
 def test_idle_receiver_schedules_at_most_one_service_per_delivery(
-    monkeypatch, protocol, topology
+    monkeypatch, protocol, topology, delay
 ):
     # Every service event dequeues a message, and at most one per
-    # destination is still pending when the run ends.
+    # destination is still pending when the run ends. A delivery that finds
+    # the consumer idle and free serves it in the same event, so the
+    # loss-free delay-0 cells, whose consumer keeps up, push none.
     service_calls = []
 
     class CountingClock(SimClock):
@@ -349,12 +431,14 @@ def test_idle_receiver_schedules_at_most_one_service_per_delivery(
 
     monkeypatch.setattr(harness, "SimClock", CountingClock)
     cfg = ExperimentConfig(
-        protocol=protocol, topology=topology, receiver_delay_s=0.05, seed=20100
+        protocol=protocol, topology=topology, receiver_delay_s=delay, seed=20100
     )
     result = run_experiment(cfg)
     delivered = sum(rep.messages_delivered for rep in result.per_destination)
     assert delivered > 0
     assert len(service_calls) <= delivered + cfg.destinations
+    if delay == 0.0:
+        assert service_calls == []
 
 
 def test_causality_enqueue_after_created_plus_propagation():
@@ -381,7 +465,7 @@ def make_receiver(mode=QueueMode.FIFO, delay=0.0, app_cost=0.0):
 def test_zero_delay_drains_immediately():
     clock, receiver = make_receiver(delay=0.0)
     for i in range(10):
-        clock.schedule(i * 0.1, lambda t, m=status(i + 1): receiver.deliver(m, t))
+        clock.schedule(i * 0.1, lambda t, m=status(i + 1): receiver.arrive(m, t))
     clock.run(2.0)
     report = receiver.collector.finalize(2.0, receiver.queue)
     assert report.messages_delivered == 10
@@ -396,7 +480,7 @@ def test_overloaded_fifo_grows_one_per_service_interval():
     # (t = 0, 0.1, ..., 1.9) leave exactly twenty waiting.
     clock, receiver = make_receiver(delay=0.1)
     for i in range(40):
-        clock.schedule(i * 0.05, lambda t, m=status(i + 1): receiver.deliver(m, t))
+        clock.schedule(i * 0.05, lambda t, m=status(i + 1): receiver.arrive(m, t))
     clock.run(1.96)
     assert len(receiver.queue) == 20
     assert receiver.queue.dequeued == 20
@@ -408,7 +492,7 @@ def test_overloaded_uqa_single_sender_stays_bounded():
     # tail, so the backlog never exceeds one message.
     clock, receiver = make_receiver(mode=QueueMode.UQA_TAIL, delay=0.1)
     for i in range(40):
-        clock.schedule(i * 0.05, lambda t, m=status(i + 1): receiver.deliver(m, t))
+        clock.schedule(i * 0.05, lambda t, m=status(i + 1): receiver.arrive(m, t))
     clock.run(2.0)
     report = receiver.collector.finalize(2.0, receiver.queue)
     assert report.peak_queue_len == 1
@@ -421,9 +505,9 @@ def test_dequeue_processed_before_simultaneous_arrival():
     # A service tick and an arrival at the same instant: the stored message
     # leaves first, so the newcomer cannot coalesce with it.
     clock, receiver = make_receiver(mode=QueueMode.UQA_TAIL, delay=1.0)
-    clock.schedule(0.0, lambda t: receiver.deliver(status(1), t))  # consumed at t=0
-    clock.schedule(0.5, lambda t: receiver.deliver(status(2), t))  # waits until t=1
-    clock.schedule(1.0, lambda t: receiver.deliver(status(3), t))  # arrives at tick
+    clock.schedule(0.0, lambda t: receiver.arrive(status(1), t))  # consumed at t=0
+    clock.schedule(0.5, lambda t: receiver.arrive(status(2), t))  # waits until t=1
+    clock.schedule(1.0, lambda t: receiver.arrive(status(3), t))  # arrives at tick
     clock.run(3.0)
     assert receiver.queue.replaced == 0
     assert receiver.queue.dequeued == 3
@@ -490,7 +574,7 @@ def test_residual_is_udp_datagrams_in_flight(monkeypatch):
     )
     result, senders = run_cell_keeping_senders(monkeypatch, cfg)
     in_flight = [
-        sum(entry[3] == sender.receiver.deliver for entry in sender.clock._heap)
+        sum(entry[3] == sender.receiver.arrive for entry in sender.clock._heap)
         for sender in senders
     ]
     assert len(in_flight) == cfg.destinations

@@ -350,8 +350,8 @@ def test_default_sweep_csvs_match_fingerprint(tmp_path):
 # timeout, so retransmission and loss reach the output. The default sweep
 # has no loss and cannot pin them.
 LOSSY_SWEEP_SHA256 = {
-    "sweep_results": "b0886309429bc0bd4b45b13727816d059881b7a7be5d9ed9005b3be95f49c9f0",
-    "destinations": "93a8b1692dd798e6a399f84b5a37afaafd9cf2b6664a27ac64f0bb08e3fa74cd",
+    "sweep_results": "b6c381d277e06c98101c04443443e456bc6bc80dc70f6e75730b717f9dfe2674",
+    "destinations": "45be72537e467f849354234894fb04656602f279bc0638e7edf641b05e604ba8",
 }
 
 

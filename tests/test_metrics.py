@@ -150,7 +150,7 @@ def test_wait_time_averages_delivered_only():
     clock = SimClock()
     receiver = Receiver(clock, 2.0, QueueMode.UQA_TAIL)
     for t, msg in ((0.0, command(1)), (0.5, status(1)), (1.0, status(2)), (2.0, command(2))):
-        clock.schedule(t, receiver.deliver, msg)
+        clock.schedule(t, receiver.arrive, msg)
     clock.run(5.0)
     report = receiver.collector.finalize(5.0, receiver.queue)
     assert report.messages_replaced == 1
