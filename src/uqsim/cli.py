@@ -217,15 +217,13 @@ def cmd_replay(args: argparse.Namespace) -> int:
     receiver = Receiver(clock, args.receiver_delay or 0.0, QueueMode(args.queue_variant))
     queue = receiver.queue
     duration = records[-1][0] if records else 0.0
-    if args.receiver_delay is None:
-        # The clock never runs, so nothing is dequeued: the queue only fills.
-        for t_send, msg in records:
-            receiver.deliver(msg, t_send)
-    else:
+    # Without a delay the consumer is never woken: the queue only fills.
+    fire = receiver.deliver
+    if args.receiver_delay is not None:
         duration += args.receiver_delay * (len(records) + 1)
         check_horizon(duration, len(records), f"--receiver-delay {args.receiver_delay}")
-        arrive = receiver.arrive
-        clock.run(duration, [(t_send, arrive, msg) for t_send, msg in records])
+        fire = receiver.arrive
+    clock.run(duration, records, fire)
     print(f"final_queue_length: {len(queue)}")
     for msg in queue.snapshot():
         print(format_trace_record(msg.t_enqueued or 0.0, msg))

@@ -34,9 +34,9 @@ Link, window, timeout and cost settings are fields of one
 
 Ties at equal simulation times resolve by priority band then insertion
 order; receiver dequeues run in an earlier band than packet arrivals, so a
-dequeue and an arrival at the same instant process the dequeue first. The
-sends of a run arrive as a sorted stream beside the heap, each ordered as if
-scheduled in band 0 before any heap event. A delivery that finds its
+dequeue and an arrival at the same instant process the dequeue first. A
+destination's sends arrive as a sorted stream beside the heap, each ordered
+as if scheduled in band 0 before any heap event. A delivery that finds its
 consumer idle and free serves it in the same event (see ``Receiver``).
 """
 
@@ -81,7 +81,7 @@ class SimClock:
     Heap entries are plain ``(time, priority, insertion, fn, args)`` tuples;
     the insertion counter is unique, so ``fn`` is never compared. Exogenous
     arrivals do not enter the heap: ``run`` merges them in from a sorted
-    sequence.
+    sequence of ``(t, arg)`` records, such as a schedule or a trace.
     """
 
     def __init__(self) -> None:
@@ -98,13 +98,16 @@ class SimClock:
         heapq.heappush(self._heap, (at, priority, next(self._counter), fn, args))
 
     def run(
-        self, until: float, arrivals: Iterable[tuple[float, Callable[[Any, float], None], Any]] = ()
+        self,
+        until: float,
+        arrivals: Iterable[tuple[float, Any]] = (),
+        fire: Optional[Callable[[Any, float], None]] = None,
     ) -> None:
         """Fire every event with time <= until, then advance the clock to until.
 
-        ``arrivals`` is a time-sorted sequence of ``(t, fn, arg)``; each calls
-        ``fn(arg, t)`` as if it had been scheduled in band 0 before every heap
-        event. So at equal times a heap event fires first only in a band
+        ``arrivals`` is a time-sorted sequence of ``(t, arg)``; each calls
+        ``fire(arg, t)`` as if it had been scheduled in band 0 before every
+        heap event. So at equal times a heap event fires first only in a band
         below 0 (receiver service). An arrival that is NaN, out of order or
         before ``now`` raises ``ValueError`` before it fires; arrivals after
         ``until`` do not fire.
@@ -113,7 +116,7 @@ class SimClock:
             raise ValueError(f"cannot run to {until}; clock is at {self.now}")
         heap = self._heap
         pop = heapq.heappop
-        for ta, afn, arg in arrivals:
+        for ta, arg in arrivals:
             if not ta >= self.now:
                 raise ValueError(f"cannot fire an arrival at {ta}; clock is at {self.now}")
             if ta > until:
@@ -124,7 +127,7 @@ class SimClock:
                 self.now = t
                 fn(*args, t)
             self.now = ta
-            afn(arg, ta)
+            fire(arg, ta)  # type: ignore[misc]
         while heap and heap[0][0] <= until:
             t, _, _, fn, args = pop(heap)
             self.now = t
@@ -194,8 +197,9 @@ class Receiver:
     else by a service event at ``ready_at``. ``arrive`` is both. A dequeue
     that empties the queue schedules nothing and records ``ready_at``. So
     every service event dequeues a message, and at most one is pending.
-    Serving in the delivering event is exact: destinations share no state,
-    and a service pushed at ``now`` in the earlier band would fire next.
+    Serving in the delivering event is exact: each destination runs on a
+    clock of its own, and a service pushed at ``now`` in the earlier band
+    would fire next.
     """
 
     def __init__(

@@ -14,17 +14,17 @@ one group. Changing one cell's parameters never changes another cell's
 results, and groups may run in parallel: rows are gathered and written in
 canonical (protocol, topology, size, delay) order regardless.
 
-A cell's sends never enter the event heap: ``run_experiment`` hands them to
-``SimClock.run`` as one time-sorted arrival stream.
+Destinations share no state, so ``run_experiment`` runs each on its own
+``SimClock``, one after another; a destination's sends never enter the event
+heap: its time-sorted schedule is the clock's arrival stream.
 """
 
 from __future__ import annotations
 
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from math import inf
-from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .engine import SimClock, TransportKind, build_connection
@@ -54,27 +54,18 @@ DEFAULT_RECEIVER_DELAYS = (0.0, 0.033, 0.05, 0.1)
 DEFAULT_MESSAGE_COUNT = 1000
 DEFAULT_DURATIONS = {"one_to_one": 180.0, "one_to_many": 720.0}
 DEFAULT_DESTINATIONS = 4
-# Most destinations one cell may fan out to. Every connection is built before
-# the run starts; at this ceiling a one-to-many TCP cell with one message per
-# destination takes about 13 s and 0.7 GB.
+# Most destinations one cell may fan out to. Connections are built and run one
+# at a time; at this ceiling a one-to-many TCP cell with one message per
+# destination takes about 8 s and 107 MB (2 vCPU, Python 3.11).
 MAX_DESTINATIONS = 100_000
 DEFAULT_MASTER_SEED = 20100
 
 # The settings default_configs sets per cell; the rest come from the base config.
 SWEEP_AXES = ("protocol", "topology", "packet_size_bytes", "receiver_delay_s")
 
-METRIC_COLUMNS = (
-    "messages_sent",
-    "messages_delivered",
-    "messages_replaced",
-    "messages_lost",
-    "acks_generated",
-    "avg_client_throughput_bps",
-    "avg_server_throughput_bps",
-    "avg_queue_len",
-    "peak_queue_len",
-    "avg_time_in_queue_s",
-)
+# The CSV metric columns: the MetricsReport fields before run_duration_s.
+_REPORT_FIELDS = tuple(f.name for f in fields(MetricsReport))
+METRIC_COLUMNS = _REPORT_FIELDS[: _REPORT_FIELDS.index("run_duration_s")]
 CSV_COLUMNS = (
     ("protocol", "topology", "packet_size_bytes", "receiver_delay_s", "seed")
     + METRIC_COLUMNS
@@ -152,7 +143,10 @@ class ExperimentConfig:
         The per-cell message budget bounds the work of a valid cell: the
         timer backs off, so between two acks of new data a TCP connection
         retransmits about ``log2(60 s / rto_s) + 1`` times, then once per
-        ``max(60 s, rto_s)``.
+        ``max(60 s, rto_s)``. That last term grows with the run, so a lossy
+        reliable cell's ``destinations * duration_s / max(60 s, rto_s)`` is
+        held to the same budget. Lossless cells are exempt: each consumption
+        acks, so a lossless connection never sits at the backoff cap.
         """
         if not isinstance(self.protocol, TransportKind):
             raise ValueError(f"protocol must be a TransportKind, got {self.protocol!r}")
@@ -193,6 +187,13 @@ class ExperimentConfig:
             )
         if not 0 < self.rto_s < inf:
             raise ValueError(f"rto_s must be positive and finite, got {self.rto_s}")
+        expiries = self.destinations * self.duration_s / max(60.0, self.rto_s)
+        if self.protocol.reliable and self.loss_prob > 0 and expiries > MAX_MESSAGE_COUNT:
+            raise ValueError(
+                f"run_duration_s {self.duration_s} is too long for a lossy {self.protocol.value} "
+                f"cell: {self.destinations} destinations * run_duration_s / max(60 s, rto_s) "
+                f"must be at most {MAX_MESSAGE_COUNT} timer expiries"
+            )
 
 
 @dataclass(slots=True)
@@ -237,28 +238,19 @@ def run_experiment(
     """Run one cell and return its finalized per-destination and mean reports.
 
     ``draws`` are the cell's traffic if already drawn (see ``draw_traffic``).
-    Sends enter the clock as one arrival stream: the destinations' schedules
-    in destination order, stable-sorted by time.
+    Destinations share no state, so each runs on a clock of its own, in
+    destination order: its connection is built, its sorted schedule is the
+    clock's arrival stream, and its report is finalized before the next.
     """
     config.validate()
-    clock = SimClock()
     duration = config.duration_s
-    senders = [
-        build_connection(
-            clock, config, random.Random(derive_seed(config.seed, "loss", config.protocol.value, dest))
-        )
-        for dest in range(config.destinations)
-    ]
-    arrivals = [
-        (t_send, submit, msg)
-        for submit, schedule in zip(
-            [sender.submit for sender in senders], destination_schedules(config, draws)
-        )
-        for t_send, msg in schedule
-    ]
-    arrivals.sort(key=itemgetter(0))
-    clock.run(duration, arrivals)
-    reports = [sender.collector.finalize(duration, sender.receiver.queue) for sender in senders]
+    reports = []
+    for dest, schedule in enumerate(destination_schedules(config, draws)):
+        clock = SimClock()
+        rng = random.Random(derive_seed(config.seed, "loss", config.protocol.value, dest))
+        sender = build_connection(clock, config, rng)
+        clock.run(duration, schedule, sender.submit)
+        reports.append(sender.collector.finalize(duration, sender.receiver.queue))
     return ExperimentResult(config=config, per_destination=reports, report=mean_report(reports))
 
 

@@ -56,16 +56,18 @@ def check_horizon(horizon_s: float, messages: int, name: str) -> None:
 
 @dataclass(slots=True)
 class MetricsReport:
-    avg_client_throughput_bps: float
-    avg_server_throughput_bps: float
-    avg_queue_len: float
-    peak_queue_len: float
-    avg_time_in_queue_s: float
+    # The results CSV's metric columns, in column order: every field before
+    # run_duration_s (see harness.METRIC_COLUMNS).
     messages_sent: float
     messages_delivered: float
     messages_replaced: float
     messages_lost: float
     acks_generated: float
+    avg_client_throughput_bps: float
+    avg_server_throughput_bps: float
+    avg_queue_len: float
+    peak_queue_len: float
+    avg_time_in_queue_s: float
     run_duration_s: float
     # Secondary counters, not part of the results CSV.
     delivered_to_queue: float = 0.0

@@ -4,7 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -426,6 +426,39 @@ def test_run_rejects_duration_whose_queue_statistics_overflow(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert_clean_rejection(rc, captured.err, "run_duration_s")
+
+
+def test_lossy_tcp_duration_is_bounded_by_timer_expiries(tmp_path, capsys, monkeypatch):
+    # After the backoff cap a connection whose data is all lost fires one
+    # expiry per 60 s to the end of the run: 145,034 retransmissions at 1e7 s,
+    # so 1e10 s ran for minutes.
+    config = tmp_path / "run.conf"
+    config.write_text("loss_prob = 1.0\n")
+    argv = ["run", "--protocol", "tcp", "--messages", "1", "--config", str(config)]
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "draw_schedule", refuse_to_draw)
+        rc = run_cli(argv + ["--duration", "1e8"])
+        captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_clean_rejection(rc, captured.err, "run_duration_s")
+    assert run_cli(argv + ["--duration", "1e7"]) == 0
+    assert "messages_delivered: 0\n" in capsys.readouterr().out
+
+
+def test_timer_expiry_budget_is_inclusive_and_spares_lossless_and_datagram_cells():
+    cfg = ExperimentConfig(
+        protocol=TransportKind.TCP_UQA, topology="one_to_many", message_count=1, loss_prob=0.5
+    )
+    cfg.run_duration_s = MAX_MESSAGE_COUNT * 60.0 / cfg.destinations
+    cfg.validate()
+    cfg.rto_s = 120.0  # the backoff cap is max(60 s, rto_s)
+    cfg.run_duration_s *= 2
+    cfg.validate()
+    cfg.run_duration_s *= 1.5
+    with pytest.raises(ValueError, match="run_duration_s"):
+        cfg.validate()
+    replace(cfg, loss_prob=0.0).validate()
+    replace(cfg, protocol=TransportKind.UDP_UQA).validate()
 
 
 def test_replay_rejects_non_finite_send_time(tmp_path, capsys):

@@ -129,7 +129,7 @@ def test_arrival_ties_fall_between_service_and_runtime_events():
 
     clock.schedule(1.0, lambda t: fired.append("runtime 1"), priority=DEFAULT_PRIORITY)
     clock.schedule(1.0, lambda t: fired.append("service 1"), priority=SERVICE_PRIORITY)
-    clock.run(1.0, [(1.0, arrive, "arrival 1"), (1.0, arrive, "arrival 2")])
+    clock.run(1.0, [(1.0, "arrival 1"), (1.0, "arrival 2")], arrive)
     assert fired == [
         "service 1", "arrival 1", "service 2", "arrival 2", "runtime 1", "runtime 2"
     ]
@@ -156,12 +156,12 @@ def test_arrival_stream_fires_as_if_scheduled_first():
                     priority = draw.choice((SERVICE_PRIORITY, DEFAULT_PRIORITY, 1))
                     clock.schedule(at, event, f"{name}>{priority}", priority=priority)
 
-        arrivals = [(t, event, f"a{i}") for i, t in enumerate(arrival_times)]
+        arrivals = [(t, f"a{i}") for i, t in enumerate(arrival_times)]
         if merged:
-            clock.run(3.0, arrivals)
+            clock.run(3.0, arrivals, event)
         else:
-            for t, fn, arg in arrivals:
-                clock.schedule(t, fn, arg)
+            for t, arg in arrivals:
+                clock.schedule(t, event, arg)
             clock.run(3.0)
         return fired
 
@@ -184,7 +184,7 @@ def test_bad_arrival_time_is_rejected(times, now):
     clock.run(now)
     fired = []
     with pytest.raises(ValueError, match="arrival"):
-        clock.run(2.0, [(t, lambda arg, t: fired.append(t), None) for t in times])
+        clock.run(2.0, [(t, None) for t in times], lambda arg, t: fired.append(t))
     assert len(fired) == len(times) - 1
 
 
@@ -192,8 +192,8 @@ def test_arrivals_after_until_do_not_fire():
     clock = SimClock()
     fired = []
     clock.schedule(1.5, lambda t: fired.append(("heap", t)))
-    arrivals = [(t, lambda arg, t: fired.append((arg, t)), "arrival") for t in (0.5, 1.0, 1.0 + 1e-9)]
-    clock.run(1.0, arrivals)
+    arrivals = [(t, "arrival") for t in (0.5, 1.0, 1.0 + 1e-9)]
+    clock.run(1.0, arrivals, lambda arg, t: fired.append((arg, t)))
     assert fired == [("arrival", 0.5), ("arrival", 1.0)]
     assert clock.now == 1.0
     clock.run(2.0)

@@ -1,7 +1,9 @@
 """The scripts import uqsim names; removing one must fail here. Also what
-importing the queue library or the engine loads, and how the scripts and
-``uqsim`` end: bad input, closed stdout."""
+importing the queue library or the engine loads, how the scripts and
+``uqsim`` end: bad input, closed stdout, and that the package imports
+nothing it does not use."""
 
+import ast
 import importlib.util
 import os
 import subprocess
@@ -98,3 +100,63 @@ def test_closed_stdout_ends_quietly(argv, unbuffered):
     err = child.stderr.read()
     assert child.wait(timeout=60) == 0
     assert err == b""
+
+
+def referenced_names(tree):
+    """Every bare name a module reads, string annotations included."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        # A function's return, an argument's or an annotated assignment's.
+        annotation = getattr(node, "returns", None) or getattr(node, "annotation", None)
+        if annotation is not None:
+            for part in ast.walk(annotation):
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    try:
+                        names |= referenced_names(ast.parse(part.value, mode="eval"))
+                    except SyntaxError:  # a Literal value, not a forward reference
+                        pass
+    return names
+
+
+def unused_imports(source):
+    """(line, name) of each import never referenced in ``source``."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    used = referenced_names(tree)
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            marked = {lines[node.lineno - 1], lines[alias.lineno - 1]}
+            if any("# noqa: F401" in line for line in marked):
+                continue
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in used:
+                unused.append((alias.lineno, name))
+    return unused
+
+
+def test_unused_imports_are_found():
+    source = (
+        "from __future__ import annotations\n"
+        "import heapq, os.path\n"
+        "from operator import itemgetter\n"
+        "from typing import Optional\n"
+        "from .traffic import (  # noqa: F401\n"
+        "    generate_schedule,\n"
+        ")\n"
+        "def f(x: 'Optional[int]') -> None:\n"
+        "    return os.path.join(x)\n"
+    )
+    assert unused_imports(source) == [(2, "heapq"), (3, "itemgetter")]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "uqsim").glob("*.py")), ids=lambda p: p.name)
+def test_package_has_no_unused_imports(path):
+    # No linter is a test dependency, so this is the one lint that runs.
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
