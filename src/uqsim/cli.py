@@ -23,12 +23,11 @@ from dataclasses import fields, replace
 from pathlib import Path
 from typing import Callable, Optional
 
-from .engine import QueueMode, Receiver, SimClock, TransportKind
+from .engine import QUEUE_VARIANTS, Receiver, SimClock, TransportKind
 from .harness import (
     CSV_COLUMNS,
     DEFAULT_MASTER_SEED,
     FIGURE_SPECS,
-    QUEUE_VARIANTS,
     SWEEP_AXES,
     TOPOLOGIES,
     ExperimentConfig,
@@ -48,7 +47,7 @@ from .harness import (
 )
 from .messages import format_trace_record, load_trace
 from .metrics import check_horizon
-from .traffic import SCHEDULES
+from .traffic import FINITE, SCHEDULES, check_range
 
 # Settings the CLI defines itself: a protocol name, and the master seed that
 # cell seeds derive from.
@@ -213,15 +212,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_replay(args: argparse.Namespace) -> int:
     records = sorted(load_trace(args.trace), key=lambda rec: rec[0])
+    delay = args.receiver_delay
     clock = SimClock()
-    receiver = Receiver(clock, args.receiver_delay or 0.0, QueueMode(args.queue_variant))
+    receiver = Receiver(clock, delay or 0.0, args.queue_variant)
     queue = receiver.queue
     duration = records[-1][0] if records else 0.0
     # Without a delay the consumer is never woken: the queue only fills.
     fire = receiver.deliver
-    if args.receiver_delay is not None:
-        duration += args.receiver_delay * (len(records) + 1)
-        check_horizon(duration, len(records), f"--receiver-delay {args.receiver_delay}")
+    if delay is not None:
+        check_range("receiver_delay_s", delay, 0.0, FINITE, ">= 0 and finite")
+        duration += delay * (len(records) + 1)
+        check_horizon(duration, len(records), f"--receiver-delay {delay}")
         fire = receiver.arrive
     clock.run(duration, records, fire)
     print(f"final_queue_length: {len(queue)}")
@@ -258,7 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_replay = sub.add_parser("replay", help="replay a trace file through a queue variant")
     p_replay.add_argument("--trace", required=True)
     p_replay.add_argument(
-        "--queue-variant", choices=[mode.value for mode in QueueMode], default="uqa"
+        "--queue-variant", choices=("fifo", *QUEUE_VARIANTS.values()), default="uqa",
+        help="queue policy",
     )
     p_replay.add_argument(
         "--receiver-delay",

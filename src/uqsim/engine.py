@@ -150,18 +150,9 @@ class TransportKind(enum.Enum):
         return self in (TransportKind.TCP_UQA, TransportKind.UDP_UQA)
 
 
-class QueueMode(enum.Enum):
-    FIFO = "fifo"
-    UQA_TAIL = "uqa"
-    UQA_KEYED = "keyed"
-
-
-def queue_mode_for(kind: TransportKind, variant: str = "tail") -> QueueMode:
-    if not kind.uses_uqa:
-        return QueueMode.FIFO
-    if variant == "keyed":
-        return QueueMode.UQA_KEYED
-    return QueueMode.UQA_TAIL
+# A *_uqa queue's replacement scope (``queue_variant``) -> its queue policy,
+# the suffix of an ``UpdatableQueue.enqueue_*`` method; udp and tcp use "fifo".
+QUEUE_VARIANTS = {"tail": "uqa", "keyed": "keyed"}
 
 
 class Wire:
@@ -192,6 +183,10 @@ class Receiver:
     drains immediately upon arrival. ``on_consume`` fires on every dequeue
     (the reliable transports hook it to generate acknowledgements).
 
+    ``policy`` names the queue's ``UpdatableQueue.enqueue_*`` method by its
+    suffix: ``fifo``, ``uqa`` or ``keyed``. Callers validate the delay first
+    (``ExperimentConfig.validate``, ``uqsim replay``).
+
     ``deliver`` enqueues; ``wake``, once the transport's hand-over is in,
     lets an idle consumer act: at once if it is free (``ready_at <= now``),
     else by a service event at ``ready_at``. ``arrive`` is both. A dequeue
@@ -206,20 +201,15 @@ class Receiver:
         self,
         clock: SimClock,
         receiver_delay_s: float,
-        mode: QueueMode,
+        policy: str,
         app_cost_s: float = 0.0,
     ):
-        if not 0 <= receiver_delay_s < inf:
-            raise ValueError(
-                f"receiver_delay_s must be >= 0 and finite, got {receiver_delay_s}"
-            )
         self.clock = clock
         self.collector = MetricsCollector()
         self.hold_s = receiver_delay_s + app_cost_s  # busy time after each dequeue
         self.queue = UpdatableQueue()
-        # The one QueueMode -> insertion dispatch; mode values name the methods.
         self.enqueue: Callable[[Message, float], EnqueueOutcome] = getattr(
-            self.queue, f"enqueue_{mode.value}"
+            self.queue, f"enqueue_{policy}"
         )
         self.busy = False
         self.ready_at = 0.0
@@ -429,7 +419,7 @@ def build_connection(
     receiver = Receiver(
         clock,
         config.receiver_delay_s,
-        queue_mode_for(kind, config.queue_variant),
+        QUEUE_VARIANTS[config.queue_variant] if kind.uses_uqa else "fifo",
         app_cost_s=0.0 if kind.reliable else config.udp_app_per_msg_s,
     )
     if kind.reliable:

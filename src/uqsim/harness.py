@@ -27,14 +27,17 @@ from dataclasses import dataclass, fields, replace
 from math import inf
 from typing import Iterable, Optional, Sequence
 
-from .engine import SimClock, TransportKind, build_connection
+from .engine import QUEUE_VARIANTS, SimClock, TransportKind, build_connection
 from .messages import MAX_SIZE_BYTES, TraceRecord
 from .metrics import MetricsReport, check_horizon, littles_law_residual, mean_report
 # generate_schedule stays a harness name: perfbench/run.py wraps it here.
 from .traffic import (  # noqa: F401
+    FINITE,
     MAX_MESSAGE_COUNT,
+    POSITIVE,
     Draw,
     TrafficConfig,
+    check_range,
     derive_seed,
     draw_schedule,
     generate_schedule,
@@ -48,7 +51,6 @@ PROTOCOL_ORDER = (
     TransportKind.UDP_UQA,
 )
 TOPOLOGIES = ("one_to_one", "one_to_many")
-QUEUE_VARIANTS = ("tail", "keyed")  # replacement scope of the *_uqa queues
 DEFAULT_PACKET_SIZES = (32, 256, 512)
 DEFAULT_RECEIVER_DELAYS = (0.0, 0.033, 0.05, 0.1)
 DEFAULT_MESSAGE_COUNT = 1000
@@ -155,13 +157,9 @@ class ExperimentConfig:
         for name in (
             "receiver_delay_s", "propagation_delay_s", "udp_app_per_msg_s", "uqa_update_cost_s"
         ):
-            value = getattr(self, name)
-            if not 0 <= value < inf:
-                raise ValueError(f"{name} must be >= 0 and finite, got {value}")
-        if not 1 <= self.n_destinations <= MAX_DESTINATIONS:
-            raise ValueError(
-                f"n_destinations must be in [1, {MAX_DESTINATIONS}], got {self.n_destinations}"
-            )
+            check_range(name, getattr(self, name), 0.0, FINITE, ">= 0 and finite")
+        check_range("n_destinations", self.n_destinations, 1, MAX_DESTINATIONS,
+                    f"in [1, {MAX_DESTINATIONS}]")
         if self.message_count * self.destinations > MAX_MESSAGE_COUNT:
             raise ValueError(
                 f"message_count * n_destinations must be at most {MAX_MESSAGE_COUNT} per cell, "
@@ -169,24 +167,16 @@ class ExperimentConfig:
             )
         if self.queue_variant not in QUEUE_VARIANTS:
             raise ValueError(
-                f"queue_variant must be one of {QUEUE_VARIANTS}, got {self.queue_variant!r}"
+                f"queue_variant must be one of {tuple(QUEUE_VARIANTS)}, got {self.queue_variant!r}"
             )
         self.traffic().validate()
         check_horizon(self.duration_s, self.message_count, f"run_duration_s {self.duration_s}")
-        if not 0 < self.bandwidth_bps < inf:
-            raise ValueError(
-                f"bandwidth_bps must be positive and finite, got {self.bandwidth_bps}"
-            )
-        if not 0.0 <= self.loss_prob <= 1.0:
-            raise ValueError(f"loss_prob must be in [0, 1], got {self.loss_prob}")
-        if self.window_size < 1:
-            raise ValueError(f"window_size must be >= 1, got {self.window_size}")
-        if not 0 < self.ack_size_bytes <= MAX_SIZE_BYTES:
-            raise ValueError(
-                f"ack_size_bytes must be in [1, {MAX_SIZE_BYTES}], got {self.ack_size_bytes}"
-            )
-        if not 0 < self.rto_s < inf:
-            raise ValueError(f"rto_s must be positive and finite, got {self.rto_s}")
+        check_range("bandwidth_bps", self.bandwidth_bps, POSITIVE, FINITE, "positive and finite")
+        check_range("loss_prob", self.loss_prob, 0.0, 1.0, "in [0, 1]")
+        check_range("window_size", self.window_size, 1, inf, ">= 1")
+        check_range("ack_size_bytes", self.ack_size_bytes, 1, MAX_SIZE_BYTES,
+                    f"in [1, {MAX_SIZE_BYTES}]")
+        check_range("rto_s", self.rto_s, POSITIVE, FINITE, "positive and finite")
         expiries = self.destinations * self.duration_s / max(60.0, self.rto_s)
         if self.protocol.reliable and self.loss_prob > 0 and expiries > MAX_MESSAGE_COUNT:
             raise ValueError(
@@ -229,7 +219,8 @@ def destination_schedules(
     """
     if draws is None:
         draws = draw_traffic(config)
-    return [schedule_messages(config.traffic(dest), d) for dest, d in enumerate(draws)]
+    traffic = config.traffic()  # its sender and packet size are every destination's
+    return [schedule_messages(traffic, d) for d in draws]
 
 
 def run_experiment(
@@ -286,8 +277,7 @@ class SweepResult:
 
 
 def check_jobs(jobs: int) -> None:
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    check_range("jobs", jobs, 1, inf, ">= 1")
 
 
 def run_sweep(

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import hashlib
 import random
+import sys
 from dataclasses import dataclass
-from math import inf
+from math import ulp
 from typing import Literal, get_args
 
 from .messages import MAX_SIZE_BYTES, Message, MessageKind, SenderId, TraceRecord
@@ -32,6 +33,16 @@ MAX_MESSAGE_COUNT = 1_000_000
 
 # One drawn send: its time and its kind.
 Draw = tuple[float, MessageKind]
+
+# Closed ends for "positive" and "finite" float settings.
+POSITIVE = ulp(0.0)
+FINITE = sys.float_info.max
+
+
+def check_range(name: str, value: float, low: float, high: float, rule: str) -> None:
+    """The one single-setting bound: ``low <= value <= high``; NaN breaks every rule."""
+    if not low <= value <= high:
+        raise ValueError(f"{name} must be {rule}, got {value}")
 
 
 def derive_seed(*labels: object) -> int:
@@ -53,25 +64,15 @@ class TrafficConfig:
     send_window_fraction: float = 0.9
 
     def validate(self) -> None:
-        if not 0 <= self.message_count <= MAX_MESSAGE_COUNT:
-            raise ValueError(
-                f"message_count must be in [0, {MAX_MESSAGE_COUNT}], got {self.message_count}"
-            )
-        if not 0 < self.packet_size_bytes <= MAX_SIZE_BYTES:
-            raise ValueError(
-                f"packet_size_bytes must be in [1, {MAX_SIZE_BYTES}], got {self.packet_size_bytes}"
-            )
-        if not 0.0 <= self.p_status <= 1.0:
-            raise ValueError(f"p_status must be in [0, 1], got {self.p_status}")
-        if not 0 < self.run_duration_s < inf:
-            raise ValueError(
-                f"run_duration_s must be positive and finite, got {self.run_duration_s}"
-            )
-        if not 0.0 < self.send_window_fraction <= 1.0:
-            raise ValueError(
-                "send_window_fraction must be in (0, 1], got "
-                f"{self.send_window_fraction}"
-            )
+        check_range("message_count", self.message_count, 0, MAX_MESSAGE_COUNT,
+                    f"in [0, {MAX_MESSAGE_COUNT}]")
+        check_range("packet_size_bytes", self.packet_size_bytes, 1, MAX_SIZE_BYTES,
+                    f"in [1, {MAX_SIZE_BYTES}]")
+        check_range("p_status", self.p_status, 0.0, 1.0, "in [0, 1]")
+        check_range("run_duration_s", self.run_duration_s, POSITIVE, FINITE,
+                    "positive and finite")
+        check_range("send_window_fraction", self.send_window_fraction, POSITIVE, 1.0,
+                    "in (0, 1]")
         if self.schedule not in SCHEDULES:
             raise ValueError(f"schedule must be one of {SCHEDULES}, got {self.schedule!r}")
 

@@ -477,6 +477,18 @@ def test_replay_rejects_non_finite_receiver_delay(tmp_path, capsys, make_msg):
     assert_clean_rejection(rc, capsys.readouterr().err, "receiver_delay_s")
 
 
+@pytest.mark.parametrize("delay", ["-0.1", "-inf"])
+def test_replay_rejects_negative_receiver_delay(tmp_path, capsys, make_msg, delay):
+    # Receiver no longer validates its delay; replay is the one caller whose
+    # delay ExperimentConfig.validate never sees.
+    trace = tmp_path / "trace.csv"
+    dump_trace(str(trace), [(0.1 * i, make_msg(sender=1, kind="S")) for i in range(3)])
+    rc = run_cli(["replay", "--trace", str(trace), f"--receiver-delay={delay}"])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_clean_rejection(rc, captured.err, "receiver_delay_s")
+
+
 @pytest.mark.parametrize("delay", ["1e308", "8e306"])
 def test_replay_rejects_receiver_delay_whose_drain_overflows(tmp_path, capsys, make_msg, delay):
     # 1e308 makes the drain horizon inf; 8e306 keeps it finite, but the

@@ -6,13 +6,11 @@ from uqsim import harness
 from uqsim.engine import (
     DEFAULT_PRIORITY,
     SERVICE_PRIORITY,
-    QueueMode,
     Receiver,
     SimClock,
     TransportKind,
     Wire,
     build_connection,
-    queue_mode_for,
 )
 from uqsim.harness import ExperimentConfig, run_experiment
 from uqsim.messages import Message, MessageKind
@@ -456,9 +454,9 @@ def test_causality_enqueue_after_created_plus_propagation():
 # -- receiver ---------------------------------------------------------------------
 
 
-def make_receiver(mode=QueueMode.FIFO, delay=0.0, app_cost=0.0):
+def make_receiver(policy="fifo", delay=0.0, app_cost=0.0):
     clock = SimClock()
-    receiver = Receiver(clock, delay, mode, app_cost_s=app_cost)
+    receiver = Receiver(clock, delay, policy, app_cost_s=app_cost)
     return clock, receiver
 
 
@@ -490,7 +488,7 @@ def test_overloaded_uqa_single_sender_stays_bounded():
     # Same overload, all statuses from one sender, coalescing insertion:
     # every arrival either lands in an empty queue or replaces the stored
     # tail, so the backlog never exceeds one message.
-    clock, receiver = make_receiver(mode=QueueMode.UQA_TAIL, delay=0.1)
+    clock, receiver = make_receiver(policy="uqa", delay=0.1)
     for i in range(40):
         clock.schedule(i * 0.05, lambda t, m=status(i + 1): receiver.arrive(m, t))
     clock.run(2.0)
@@ -504,7 +502,7 @@ def test_overloaded_uqa_single_sender_stays_bounded():
 def test_dequeue_processed_before_simultaneous_arrival():
     # A service tick and an arrival at the same instant: the stored message
     # leaves first, so the newcomer cannot coalesce with it.
-    clock, receiver = make_receiver(mode=QueueMode.UQA_TAIL, delay=1.0)
+    clock, receiver = make_receiver(policy="uqa", delay=1.0)
     clock.schedule(0.0, lambda t: receiver.arrive(status(1), t))  # consumed at t=0
     clock.schedule(0.5, lambda t: receiver.arrive(status(2), t))  # waits until t=1
     clock.schedule(1.0, lambda t: receiver.arrive(status(3), t))  # arrives at tick
@@ -513,17 +511,24 @@ def test_dequeue_processed_before_simultaneous_arrival():
     assert receiver.queue.dequeued == 3
 
 
-def test_receiver_rejects_negative_delay():
-    clock = SimClock()
-    with pytest.raises(ValueError, match="receiver_delay_s"):
-        Receiver(clock, -0.1, QueueMode.FIFO)
+# (protocol, queue_variant) -> the receive queue's insertion method.
+ENQUEUE_METHODS = {
+    ("tcp", "tail"): "enqueue_fifo",
+    ("tcp", "keyed"): "enqueue_fifo",
+    ("udp", "tail"): "enqueue_fifo",
+    ("udp", "keyed"): "enqueue_fifo",
+    ("tcp_uqa", "tail"): "enqueue_uqa",
+    ("tcp_uqa", "keyed"): "enqueue_keyed",
+    ("udp_uqa", "tail"): "enqueue_uqa",
+    ("udp_uqa", "keyed"): "enqueue_keyed",
+}
 
 
-def test_queue_mode_selection():
-    assert queue_mode_for(TransportKind.TCP) is QueueMode.FIFO
-    assert queue_mode_for(TransportKind.UDP) is QueueMode.FIFO
-    assert queue_mode_for(TransportKind.TCP_UQA) is QueueMode.UQA_TAIL
-    assert queue_mode_for(TransportKind.UDP_UQA, "keyed") is QueueMode.UQA_KEYED
+@pytest.mark.parametrize("protocol, variant", list(ENQUEUE_METHODS))
+def test_queue_policy_selection(protocol, variant):
+    config = ExperimentConfig(protocol=TransportKind(protocol), queue_variant=variant)
+    sender = build_connection(SimClock(), config, random.Random(1))
+    assert sender.receiver.enqueue.__name__ == ENQUEUE_METHODS[protocol, variant]
 
 
 def test_udp_receiver_carries_app_cost_tcp_does_not():

@@ -147,7 +147,10 @@ def test_one_to_many_uniform_round_robin_interleave():
         ("bandwidth_bps", 0.0, "bandwidth_bps"),
         ("loss_prob", 2.0, "loss_prob"),
         ("window_size", 0, "window_size"),
+        ("window_size", float("nan"), "window_size"),
+        ("packet_size_bytes", 0.5, "packet_size_bytes"),
         ("ack_size_bytes", 0, "ack_size_bytes"),
+        ("ack_size_bytes", 0.5, "ack_size_bytes"),
         ("rto_s", 0.0, "rto_s"),
         ("udp_app_per_msg_s", -1.0, "udp_app_per_msg_s"),
         ("uqa_update_cost_s", float("inf"), "uqa_update_cost_s"),

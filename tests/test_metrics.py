@@ -3,7 +3,6 @@ import random
 import pytest
 
 from uqsim.engine import (
-    QueueMode,
     Receiver,
     SimClock,
     TransportKind,
@@ -96,7 +95,7 @@ def test_time_weighted_matches_arithmetic_on_uniform_grid():
 def test_server_throughput_definitional_arithmetic():
     # Ten 512-byte messages enqueued over ten seconds, no acks. The clock
     # never runs, so the receiver only enqueues.
-    receiver = Receiver(SimClock(), 0.0, QueueMode.FIFO)
+    receiver = Receiver(SimClock(), 0.0, "fifo")
     for i in range(10):
         receiver.deliver(command(i + 1, size=512), float(i))
     report = receiver.collector.finalize(10.0, receiver.queue)
@@ -148,7 +147,7 @@ def test_wait_time_averages_delivered_only():
     #   t=4    the command is consumed (wait 2)
     # The replaced status carries no wait time: (0 + 1 + 2) / 3.
     clock = SimClock()
-    receiver = Receiver(clock, 2.0, QueueMode.UQA_TAIL)
+    receiver = Receiver(clock, 2.0, "uqa")
     for t, msg in ((0.0, command(1)), (0.5, status(1)), (1.0, status(2)), (2.0, command(2))):
         clock.schedule(t, receiver.arrive, msg)
     clock.run(5.0)

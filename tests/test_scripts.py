@@ -1,7 +1,7 @@
 """The scripts import uqsim names; removing one must fail here. Also what
 importing the queue library or the engine loads, how the scripts and
 ``uqsim`` end: bad input, closed stdout, and that the package imports
-nothing it does not use."""
+nothing it does not use and defines no public name only tests use."""
 
 import ast
 import importlib.util
@@ -160,3 +160,54 @@ def test_unused_imports_are_found():
 def test_package_has_no_unused_imports(path):
     # No linter is a test dependency, so this is the one lint that runs.
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def public_names(tree):
+    """The public names a module defines at top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in getattr(node, "targets", None) or [node.target]:
+                names |= {n.id for n in ast.walk(target) if isinstance(n, ast.Name)}
+    return {name for name in names if not name.startswith("_")}
+
+
+def uses(tree):
+    """Every name a module reads: loaded names, attributes, imported names and
+    string constants (perfbench wraps functions by their name)."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def test_public_names_are_used_outside_tests():
+    # A public name only tests reach is an API kept alive for its own tests.
+    package = sorted((ROOT / "src" / "uqsim").glob("*.py"))
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"))
+        for path in [*package, *SCRIPTS.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    }
+    used = set().union(*map(uses, trees.values()))
+    unused = [
+        f"{path.stem}.{name}"
+        for path in package
+        for name in sorted(public_names(trees[path]))
+        if name not in used
+    ]
+    assert unused == []
+
+
+def test_public_names_counts_a_name_only_tests_use():
+    tree = ast.parse("A = 1\nB: int = 2\ndef f():\n    return A\nclass _Hidden:\n    pass\n")
+    assert public_names(tree) == {"A", "B", "f"}
+    assert public_names(tree) - uses(tree) == {"B", "f"}
