@@ -35,9 +35,11 @@ Link, window, timeout and cost settings are fields of one
 Ties at equal simulation times resolve by priority band then insertion
 order; receiver dequeues run in an earlier band than packet arrivals, so a
 dequeue and an arrival at the same instant process the dequeue first. A
-destination's sends arrive as a sorted stream beside the heap, each ordered
-as if scheduled in band 0 before any heap event. A delivery that finds its
-consumer idle and free serves it in the same event (see ``Receiver``).
+sender's ``run`` feeds the clock a sorted stream beside the heap, each record
+ordered as if scheduled in band 0 before any heap event: a TCP connection's
+sends, or a datagram sender's arrivals at the receiver (a FIFO wire keeps
+them sorted). A delivery that finds its consumer idle and free serves it in
+the same event (see ``Receiver``).
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ class SimClock:
     Heap entries are plain ``(time, priority, insertion, fn, args)`` tuples;
     the insertion counter is unique, so ``fn`` is never compared. Exogenous
     arrivals do not enter the heap: ``run`` merges them in from a sorted
-    sequence of ``(t, arg)`` records, such as a schedule or a trace.
+    sequence of ``(t, arg)`` records: sends, datagram arrivals or a trace.
     """
 
     def __init__(self) -> None:
@@ -187,14 +189,14 @@ class Receiver:
     suffix: ``fifo``, ``uqa`` or ``keyed``. Callers validate the delay first
     (``ExperimentConfig.validate``, ``uqsim replay``).
 
-    ``deliver`` enqueues; ``wake``, once the transport's hand-over is in,
-    lets an idle consumer act: at once if it is free (``ready_at <= now``),
-    else by a service event at ``ready_at``. ``arrive`` is both. A dequeue
-    that empties the queue schedules nothing and records ``ready_at``. So
-    every service event dequeues a message, and at most one is pending.
-    Serving in the delivering event is exact: each destination runs on a
-    clock of its own, and a service pushed at ``now`` in the earlier band
-    would fire next.
+    ``deliver`` enqueues and samples. ``arrive`` delivers, then lets an idle
+    consumer act: at once if it is free (``ready_at <= now``), else by a
+    service event at ``ready_at``; a transport handing over several messages
+    at once delivers all but the last. A dequeue that empties the queue
+    schedules nothing and records ``ready_at``. So every service event
+    dequeues a message, and at most one is pending. Serving in the
+    delivering event is exact: each destination runs on a clock of its own,
+    and a service pushed at ``now`` in the earlier band would fire next.
     """
 
     def __init__(
@@ -216,12 +218,14 @@ class Receiver:
         self.on_consume: Optional[Callable[[Message, float], None]] = None
 
     def deliver(self, msg: Message, now: float) -> None:
-        """Enqueue ``msg``; the consumer does not act until ``wake``."""
+        """Enqueue ``msg``; the consumer does not act until ``arrive``."""
         self.enqueue(msg, now)
-        self.collector.data_bits_enqueued += msg.size_bytes * 8.0
-        self.collector.record_queue_sample(now, len(self.queue))
+        collector = self.collector
+        collector.data_bits_enqueued += msg.size_bytes * 8.0
+        collector.record_queue_sample(now, self.queue.length)
 
-    def wake(self, now: float) -> None:
+    def arrive(self, msg: Message, now: float) -> None:
+        self.deliver(msg, now)
         if not self.busy:
             self.busy = True
             if self.ready_at <= now:
@@ -229,19 +233,15 @@ class Receiver:
             else:
                 self.clock.schedule(self.ready_at, self._service, priority=SERVICE_PRIORITY)
 
-    def arrive(self, msg: Message, now: float) -> None:
-        self.deliver(msg, now)
-        if not self.busy:  # skips the call while a saturated consumer is busy
-            self.wake(now)
-
     def _service(self, now: float) -> None:
         queue = self.queue
+        collector = self.collector
         msg = queue.dequeue()
-        self.collector.record_queue_sample(now, len(queue))
-        self.collector.wait_time_sum_s += now - msg.t_enqueued
+        collector.record_queue_sample(now, queue.length)
+        collector.wait_time_sum_s += now - msg.t_enqueued
         if self.on_consume is not None:
             self.on_consume(msg, now)
-        if queue:
+        if queue.length:
             self.clock.schedule(now + self.hold_s, self._service, priority=SERVICE_PRIORITY)
         else:
             self.ready_at = now + self.hold_s
@@ -249,7 +249,11 @@ class Receiver:
 
 
 class UdpSender:
-    """Unacknowledged datagram path: per-packet loss, no retransmission."""
+    """Unacknowledged datagram path: per-packet loss, no retransmission.
+
+    ``run`` maps the schedule lazily through ``submit`` into the receiver's
+    ``(arrival, msg)`` stream; no datagram enters the heap or a list.
+    """
 
     def __init__(self, config: ExperimentConfig, receiver: Receiver, rng: random.Random):
         self.clock = receiver.clock
@@ -258,8 +262,19 @@ class UdpSender:
         self.receiver = receiver
         self.collector = receiver.collector
         self.rng = rng
+        self.sent_at = 0.0  # last send time: the clock never sees send times
 
-    def submit(self, msg: Message, now: float) -> None:
+    def run(self, until: float, schedule: Iterable[tuple[float, Message]]) -> None:
+        submit = self.submit
+        stream = ((at, msg) for t, msg in schedule if (at := submit(msg, t)) is not None)
+        self.clock.run(until, stream, self.receiver.arrive)
+        deque(stream, maxlen=0)  # the sends whose datagrams arrive after until
+
+    def submit(self, msg: Message, now: float) -> Optional[float]:
+        """Send ``msg`` at ``now``; its arrival time, or None if it is lost."""
+        if not now >= self.sent_at:  # NaN, before 0 or out of order
+            raise ValueError(f"cannot send at {now}; the last send was at {self.sent_at}")
+        self.sent_at = now
         collector = self.collector
         collector.messages_sent += 1
         collector.data_bits_sent += msg.size_bytes * 8.0
@@ -267,8 +282,8 @@ class UdpSender:
         collector.source_busy_s += ser
         if self.loss_prob > 0.0 and self.rng.random() < self.loss_prob:
             collector.messages_lost += 1
-            return
-        self.clock.schedule(self.wire.transmit(now, ser), self.receiver.arrive, msg)
+            return None
+        return self.wire.transmit(now, ser)
 
 
 class TcpConnection:
@@ -324,17 +339,19 @@ class TcpConnection:
 
     # -- source side -------------------------------------------------------
 
+    def run(self, until: float, schedule: Iterable[tuple[float, Message]]) -> None:
+        self.clock.run(until, schedule, self.submit)
+
     def submit(self, msg: Message, now: float) -> None:
         self.collector.messages_sent += 1
         self.collector.source_busy_s += self.update_cost_s
         msg.tx_seq = self.next_seq
         self.next_seq += 1
-        self.send_buffer.append(msg)
-        self._pump(now)
-
-    def _pump(self, now: float) -> None:
-        while self.send_buffer and len(self.pending) < self.window_size:
-            self._transmit(self.send_buffer.popleft(), now, first=True)
+        # A non-empty send buffer means a full window.
+        if not self.send_buffer and len(self.pending) < self.window_size:
+            self._transmit(msg, now, first=True)
+        else:
+            self.send_buffer.append(msg)
 
     def _transmit(self, msg: Message, now: float, first: bool) -> None:
         collector = self.collector
@@ -379,12 +396,12 @@ class TcpConnection:
         if seq > self.expected:
             self.ooo[seq] = msg
             return
-        self.receiver.deliver(msg, now)
-        self.expected += 1
+        self.expected += 1  # deliver the in-order run; its last message arrives
         while self.expected in self.ooo:
-            self.receiver.deliver(self.ooo.pop(self.expected), now)
+            self.receiver.deliver(msg, now)
+            msg = self.ooo.pop(self.expected)
             self.expected += 1
-        self.receiver.wake(now)
+        self.receiver.arrive(msg, now)
 
     def _on_consume(self, msg: Message, now: float) -> None:
         self.collector.acks_generated += 1
@@ -404,7 +421,9 @@ class TcpConnection:
                 self._arm(now + self.rto_s)
             else:
                 self.rto_deadline = inf
-            self._pump(now)
+            send_buffer = self.send_buffer
+            while send_buffer and len(self.pending) < self.window_size:
+                self._transmit(send_buffer.popleft(), now, first=True)
 
 
 def build_connection(

@@ -16,7 +16,7 @@ canonical (protocol, topology, size, delay) order regardless.
 
 Destinations share no state, so ``run_experiment`` runs each on its own
 ``SimClock``, one after another; a destination's sends never enter the event
-heap: its time-sorted schedule is the clock's arrival stream.
+heap: its sender's ``run`` feeds them to the clock as its arrival stream.
 """
 
 from __future__ import annotations
@@ -148,7 +148,9 @@ class ExperimentConfig:
         ``max(60 s, rto_s)``. That last term grows with the run, so a lossy
         reliable cell's ``destinations * duration_s / max(60 s, rto_s)`` is
         held to the same budget. Lossless cells are exempt: each consumption
-        acks, so a lossless connection never sits at the backoff cap.
+        acks, so a lossless connection never sits at the backoff cap. The
+        backoff bounds anything only while ``now + rto_s > now``, so ``rto_s``
+        must resolve at the horizon; then it resolves at every earlier ``now``.
         """
         if not isinstance(self.protocol, TransportKind):
             raise ValueError(f"protocol must be a TransportKind, got {self.protocol!r}")
@@ -177,6 +179,9 @@ class ExperimentConfig:
         check_range("ack_size_bytes", self.ack_size_bytes, 1, MAX_SIZE_BYTES,
                     f"in [1, {MAX_SIZE_BYTES}]")
         check_range("rto_s", self.rto_s, POSITIVE, FINITE, "positive and finite")
+        if self.duration_s + self.rto_s == self.duration_s:
+            raise ValueError(f"rto_s must be above the clock's resolution at "
+                             f"run_duration_s {self.duration_s}, got {self.rto_s}")
         expiries = self.destinations * self.duration_s / max(60.0, self.rto_s)
         if self.protocol.reliable and self.loss_prob > 0 and expiries > MAX_MESSAGE_COUNT:
             raise ValueError(
@@ -230,8 +235,8 @@ def run_experiment(
 
     ``draws`` are the cell's traffic if already drawn (see ``draw_traffic``).
     Destinations share no state, so each runs on a clock of its own, in
-    destination order: its connection is built, its sorted schedule is the
-    clock's arrival stream, and its report is finalized before the next.
+    destination order: its connection is built, its sender runs its sorted
+    schedule, and its report is finalized before the next.
     """
     config.validate()
     duration = config.duration_s
@@ -240,7 +245,7 @@ def run_experiment(
         clock = SimClock()
         rng = random.Random(derive_seed(config.seed, "loss", config.protocol.value, dest))
         sender = build_connection(clock, config, rng)
-        clock.run(duration, schedule, sender.submit)
+        sender.run(duration, schedule)
         reports.append(sender.collector.finalize(duration, sender.receiver.queue))
     return ExperimentResult(config=config, per_destination=reports, report=mean_report(reports))
 

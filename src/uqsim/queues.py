@@ -20,9 +20,9 @@ place, so it never holds more than twice the live length reached at the
 last keyed insertion.
 
 Cost per operation: ``enqueue_fifo``, ``enqueue_uqa``, ``dequeue`` and
-``len`` are O(1); ``enqueue_keyed`` is O(1) amortized
-(compaction is linear but pays for the superseded entries that triggered
-it); ``snapshot`` is linear.
+``len`` (the live ``length`` every policy keeps) are O(1); ``enqueue_keyed`` is
+O(1) amortized (compaction is linear but pays for the superseded entries that
+triggered it); ``snapshot`` is linear.
 
 The structure is single-writer and unbounded; peak sizes are something the
 experiments measure, not something the queue enforces.
@@ -53,34 +53,30 @@ class UpdatableQueue:
     A queue is driven by one insertion policy (``enqueue_fifo``,
     ``enqueue_uqa`` or ``enqueue_keyed``) for its whole life, as ``Receiver``
     binds it. Under the fifo and uqa policies ``_messages`` holds exactly the
-    live messages and the keyed index stays empty.
+    live messages and the keyed index stays empty. ``length`` is the live
+    length: one more per ``INSERTED`` outcome, one less per dequeue.
     """
 
-    __slots__ = ("_messages", "_status_of", "_superseded", "inserted", "replaced", "dequeued")
+    __slots__ = ("_messages", "_status_of", "length", "inserted", "replaced", "dequeued")
 
     def __init__(self) -> None:
         self._messages: deque[Message] = deque()
         # Keyed policy only: each sender's one live stored status.
         self._status_of: dict[SenderId, Message] = {}
-        # Keyed policy only: superseded statuses still in _messages.
-        self._superseded = 0
+        self.length = 0
         self.inserted = 0
         self.replaced = 0
         self.dequeued = 0
 
     def __len__(self) -> int:
-        return len(self._messages) - self._superseded
-
-    def __bool__(self) -> bool:
-        # The tail is always live, so a non-empty deque is a non-empty queue.
-        return bool(self._messages)
+        return self.length
 
     def _is_live(self, msg: Message) -> bool:
         return msg.kind is not MessageKind.STATUS or self._status_of[msg.sender] is msg
 
     def snapshot(self) -> tuple[Message, ...]:
         """Current contents, head first. For inspection and oracles."""
-        if not self._superseded:
+        if self.length == len(self._messages):
             return tuple(self._messages)
         return tuple(filter(self._is_live, self._messages))
 
@@ -104,6 +100,7 @@ class UpdatableQueue:
                 self.replaced += 1
                 return EnqueueOutcome.REPLACED_TAIL
         messages.append(msg)
+        self.length += 1
         return EnqueueOutcome.INSERTED
 
     def enqueue_fifo(self, msg: Message, now: float = 0.0) -> EnqueueOutcome:
@@ -112,6 +109,7 @@ class UpdatableQueue:
             raise ValueError("message was already enqueued once")
         msg.t_enqueued = now
         self.inserted += 1
+        self.length += 1
         self._messages.append(msg)
         return EnqueueOutcome.INSERTED
 
@@ -136,10 +134,10 @@ class UpdatableQueue:
             status_of[msg.sender] = msg
             if replacing:
                 self.replaced += 1
-                self._superseded += 1
-                if 2 * self._superseded > len(messages):
+                if 2 * self.length < len(messages):
                     self._compact()
                 return EnqueueOutcome.REPLACED_TAIL
+        self.length += 1
         return EnqueueOutcome.INSERTED
 
     def _compact(self) -> None:
@@ -147,7 +145,6 @@ class UpdatableQueue:
         live = list(filter(self._is_live, self._messages))
         self._messages.clear()
         self._messages.extend(live)
-        self._superseded = 0
 
     def dequeue(self) -> Optional[Message]:
         """Remove and return the head, or None when empty (not an error)."""
@@ -163,7 +160,7 @@ class UpdatableQueue:
                 if status_of[msg.sender] is msg:
                     del status_of[msg.sender]
                     break
-                self._superseded -= 1
                 msg = messages.popleft()
+        self.length -= 1
         self.dequeued += 1
         return msg

@@ -417,6 +417,38 @@ def test_timeout_below_the_round_trip_backs_off_and_delivers(tmp_path, capsys, r
     assert 0 < report.retransmissions <= 20 * (math.log2(5.0 / float(rto)) + 1)
 
 
+@pytest.mark.parametrize("rto", ["1e-300", "5e-324"])
+def test_run_rejects_timeout_below_the_clock_resolution(tmp_path, capsys, rto):
+    # Where now + rto_s == now, every doubled timeout fired at the same
+    # instant: at these values a 6-message run retransmitted about 6,000
+    # times and delivered 5 of 6.
+    config = tmp_path / "run.conf"
+    config.write_text(f"rto_s = {rto}\n")
+    rc = run_cli([
+        "run", "--protocol", "tcp", "--messages", "6", "--duration", "20", "--config", str(config),
+    ])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_clean_rejection(rc, captured.err, "rto_s")
+
+
+def test_timeout_of_one_ulp_at_the_horizon_is_accepted_and_delivers(tmp_path, capsys):
+    rto = math.ulp(20.0)
+    config = tmp_path / "run.conf"
+    config.write_text(f"rto_s = {rto!r}\n")
+    rc = run_cli([
+        "run", "--protocol", "tcp", "--messages", "6", "--duration", "20", "--config", str(config),
+    ])
+    assert rc == 0
+    assert "messages_delivered: 6\n" in capsys.readouterr().out
+    cfg = ExperimentConfig(
+        protocol=TransportKind.TCP, message_count=6, run_duration_s=20.0, rto_s=rto
+    )
+    report = harness.run_experiment(cfg).report
+    assert report.messages_delivered == 6
+    assert 0 < report.retransmissions <= 6 * (math.log2(20.0 / rto) + 1)
+
+
 def test_run_rejects_duration_whose_queue_statistics_overflow(capsys):
     # The queue-length integral overflowed to inf, and the summary ended in an
     # OverflowError traceback from format_number after 12 lines.

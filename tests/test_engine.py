@@ -9,6 +9,7 @@ from uqsim.engine import (
     Receiver,
     SimClock,
     TransportKind,
+    UdpSender,
     Wire,
     build_connection,
 )
@@ -226,10 +227,9 @@ def build(kind, *, seed=1, **settings):
 
 
 def test_udp_arrival_time_is_serialization_plus_propagation():
-    clock, sender = build(TransportKind.UDP)
+    _, sender = build(TransportKind.UDP)
     msg = status(1)
-    sender.submit(msg, 0.0)
-    clock.run(1.0)
+    sender.run(1.0, [(0.0, msg)])
     assert msg.t_enqueued == pytest.approx(SER_512 + PROP)
 
 
@@ -237,13 +237,23 @@ def test_udp_arrival_time_is_serialization_plus_propagation():
 def test_fan_out_has_one_uplink_per_destination(kind):
     # Each destination's sender owns its source Wire, so two messages sent
     # to two destinations at t=0 serialize in parallel, not back to back.
-    clock = SimClock()
     messages = [status(1, sender=0), status(1, sender=1)]
     for msg in messages:
-        sender = build_connection(clock, ExperimentConfig(protocol=kind), random.Random(1))
-        sender.submit(msg, 0.0)
-    clock.run(1.0)
+        sender = build_connection(SimClock(), ExperimentConfig(protocol=kind), random.Random(1))
+        sender.run(1.0, [(0.0, msg)])
     assert [m.t_enqueued for m in messages] == pytest.approx([SER_512 + PROP] * 2)
+
+
+@pytest.mark.parametrize(
+    "times", [[float("nan")], [-1.0], [0.5, 0.2], [0.5, float("nan")]]
+)
+def test_udp_send_times_nan_negative_or_out_of_order_are_rejected(times):
+    # Datagram sends reach the clock only as their arrivals, which a FIFO
+    # wire keeps sorted, so the sender checks the send times itself.
+    _, sender = build(TransportKind.UDP)
+    with pytest.raises(ValueError, match="cannot send at"):
+        sender.run(5.0, [(t, status(i + 1)) for i, t in enumerate(times)])
+    assert sender.collector.messages_sent == len(times) - 1
 
 
 def test_udp_certain_loss_delivers_nothing():
@@ -258,10 +268,8 @@ def test_udp_certain_loss_delivers_nothing():
 
 
 def test_udp_accounting_under_partial_loss():
-    clock, sender = build(TransportKind.UDP, loss_prob=0.3, seed=5)
-    for i in range(2000):
-        clock.schedule(i * 0.01, sender.submit, status(i + 1))
-    clock.run(60.0)
+    _, sender = build(TransportKind.UDP, loss_prob=0.3, seed=5)
+    sender.run(60.0, [(i * 0.01, status(i + 1)) for i in range(2000)])
     c = sender.collector
     assert c.messages_sent == 2000
     assert c.messages_sent == sender.receiver.queue.inserted + c.messages_lost
@@ -441,11 +449,9 @@ def test_idle_receiver_schedules_at_most_one_service_per_delivery(
 
 def test_causality_enqueue_after_created_plus_propagation():
     for kind in TransportKind:
-        clock, sender = build(kind, receiver_delay_s=0.01)
+        _, sender = build(kind, receiver_delay_s=0.01)
         records = [(i * 0.05, status(i + 1)) for i in range(100)]
-        for t_send, msg in records:
-            clock.schedule(t_send, sender.submit, msg)
-        clock.run(30.0)
+        sender.run(30.0, records)
         for t_send, msg in records:
             assert msg.t_enqueued is not None
             assert msg.t_enqueued >= t_send + PROP - 1e-12
@@ -571,17 +577,24 @@ def test_residual_is_tcp_messages_in_transport(monkeypatch):
 
 def test_residual_is_udp_datagrams_in_flight(monkeypatch):
     # A 2 s propagation delay and sends until 1 s before the run end: the
-    # last datagrams are still on the wire, as pending deliver events.
+    # last datagrams are still on the wire, arriving after the run end.
     cfg = ExperimentConfig(
         protocol=TransportKind.UDP, topology="one_to_many", message_count=300,
         run_duration_s=20.0, send_window_fraction=0.95, seed=3,
         propagation_delay_s=2.0, loss_prob=0.1,
     )
+    arrivals = {}  # sender -> arrival time of each datagram not lost
+    submit = UdpSender.submit
+
+    def recording(self, msg, now):
+        at = submit(self, msg, now)
+        if at is not None:
+            arrivals.setdefault(self, []).append(at)
+        return at
+
+    monkeypatch.setattr(UdpSender, "submit", recording)
     result, senders = run_cell_keeping_senders(monkeypatch, cfg)
-    in_flight = [
-        sum(entry[3] == sender.receiver.arrive for entry in sender.clock._heap)
-        for sender in senders
-    ]
+    in_flight = [sum(at > cfg.duration_s for at in arrivals[sender]) for sender in senders]
     assert len(in_flight) == cfg.destinations
     assert sum(in_flight) > 0
     assert [rep.conservation_residual() for rep in result.per_destination] == in_flight

@@ -3,7 +3,7 @@ import hashlib
 import pytest
 
 from uqsim import harness
-from uqsim.engine import TransportKind
+from uqsim.engine import SimClock, TransportKind
 from uqsim.harness import (
     AGGREGATE_COLUMNS,
     CSV_COLUMNS,
@@ -334,10 +334,25 @@ DEFAULT_SWEEP_SHA256 = {
     "aggregate": "934c6a3319ad38b901d43da666f637efc32c56668afb8b891431cd274fb41a08",
     "destinations": "3809cd071355edc65501b6356886f5b92ff874b17850c77882d739c1bdc5fef5",
 }
+# Heap pushes over the default sweep: TCP data packets, acks and timer events,
+# and the services a busy consumer cannot start at once. Sends and datagram
+# arrivals reach each clock as its arrival stream, never through the heap.
+DEFAULT_SWEEP_HEAP_PUSHES = 307_412
 
 
-def test_default_sweep_csvs_match_fingerprint(tmp_path):
+def test_default_sweep_csvs_match_fingerprint(tmp_path, monkeypatch):
+    pushes = 0
+    schedule = SimClock.schedule
+
+    def counting(self, *args, **kwargs):
+        nonlocal pushes
+        pushes += 1
+        schedule(self, *args, **kwargs)
+
+    monkeypatch.setattr(SimClock, "schedule", counting)
     sweep = run_sweep(master_seed=20100)
+    monkeypatch.undo()
+    assert pushes == DEFAULT_SWEEP_HEAP_PUSHES
     write_sweep_csv(str(tmp_path / "sweep_results"), sweep)
     write_aggregate_csv(str(tmp_path / "aggregate"), sweep_rows(sweep))
     write_destination_csv(str(tmp_path / "destinations"), sweep)

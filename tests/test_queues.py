@@ -416,3 +416,27 @@ def test_keyed_matches_reference_model(ops):
     assert q.dequeued == len(dequeued)
     # No message, superseded or not, comes out twice.
     assert len({id(m) for m in dequeued}) == len(dequeued)
+
+
+# Three senders, mostly statuses and one dequeue per four enqueues: keyed
+# insertions supersede often enough that most drawn sequences compact.
+live_length_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["enq"] * 4 + ["deq"]),
+        st.integers(min_value=0, max_value=2),
+        st.sampled_from("SSSSSCE"),
+    ),
+    min_size=10,
+    max_size=300,
+)
+
+
+@pytest.mark.parametrize("policy", ["fifo", "uqa", "keyed"])
+@settings(max_examples=150, derandomize=True, database=None)
+@given(ops=live_length_ops)
+def test_live_length_matches_contents_after_every_operation(policy, ops):
+    def check(q):
+        assert len(q) == q.length == len(q.snapshot())
+        assert q.inserted == q.replaced + len(q) + q.dequeued
+
+    apply_ops(UpdatableQueue(), ops, f"enqueue_{policy}", check=check)
