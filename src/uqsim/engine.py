@@ -32,14 +32,14 @@ data at no extra application cost.
 Link, window, timeout and cost settings are fields of one
 ``harness.ExperimentConfig``; each wire and sender keeps the ones it reads.
 
-Ties at equal simulation times resolve by priority band then insertion
-order; receiver dequeues run in an earlier band than packet arrivals, so a
-dequeue and an arrival at the same instant process the dequeue first. A
-sender's ``run`` feeds the clock a sorted stream beside the heap, each record
-ordered as if scheduled in band 0 before any heap event: a TCP connection's
-sends, or a datagram sender's arrivals at the receiver (a FIFO wire keeps
-them sorted). A delivery that finds its consumer idle and free serves it in
-the same event (see ``Receiver``).
+Every event fires as ``fn(arg, t)``. Ties at equal simulation times resolve by
+priority band then insertion order; receiver dequeues run in an earlier band
+than packet arrivals, so a dequeue and an arrival at the same instant process
+the dequeue first. A sender's ``run`` feeds the clock a sorted stream beside
+the heap, each record ordered as if scheduled in band 0 before any heap event:
+a TCP connection's sends, or a datagram sender's arrivals at the receiver (a
+FIFO wire keeps them sorted). A delivery that finds its consumer idle and free
+serves it in the same event (see ``Receiver``).
 """
 
 from __future__ import annotations
@@ -80,24 +80,26 @@ class EventHandle:
 class SimClock:
     """Event loop with deterministic (time, priority, insertion) ordering.
 
-    Heap entries are plain ``(time, priority, insertion, fn, args)`` tuples;
-    the insertion counter is unique, so ``fn`` is never compared. Exogenous
-    arrivals do not enter the heap: ``run`` merges them in from a sorted
-    sequence of ``(t, arg)`` records: sends, datagram arrivals or a trace.
+    Every event fires as ``fn(arg, t)``: a heap entry ``(time, priority,
+    insertion, fn, arg)`` (the insertion counter is unique, so ``fn`` is never
+    compared), and each ``(t, arg)`` record of the sorted stream that ``run``
+    merges in beside the heap (sends, datagram arrivals or a trace). An event
+    with no payload passes the class function and its object as ``arg``.
     """
 
     def __init__(self) -> None:
         self.now = 0.0
-        self._heap: list[tuple[float, int, int, Callable[..., None], tuple]] = []
+        self._heap: list[tuple[float, int, int, Callable[[Any, float], None], Any]] = []
         self._counter = itertools.count()
 
     def schedule(
-        self, at: float, fn: Callable[..., None], *args: object, priority: int = DEFAULT_PRIORITY
+        self, at: float, fn: Callable[[Any, float], None], arg: Any = None,
+        *, priority: int = DEFAULT_PRIORITY,
     ) -> None:
-        """Call ``fn(*args, at)`` when the clock reaches ``at``."""
+        """Call ``fn(arg, at)`` when the clock reaches ``at``."""
         if not at >= self.now:
             raise ValueError(f"cannot schedule at {at}; clock is at {self.now}")
-        heapq.heappush(self._heap, (at, priority, next(self._counter), fn, args))
+        heapq.heappush(self._heap, (at, priority, next(self._counter), fn, arg))
 
     def run(
         self,
@@ -107,12 +109,12 @@ class SimClock:
     ) -> None:
         """Fire every event with time <= until, then advance the clock to until.
 
-        ``arrivals`` is a time-sorted sequence of ``(t, arg)``; each calls
-        ``fire(arg, t)`` as if it had been scheduled in band 0 before every
-        heap event. So at equal times a heap event fires first only in a band
-        below 0 (receiver service). An arrival that is NaN, out of order or
-        before ``now`` raises ``ValueError`` before it fires; arrivals after
-        ``until`` do not fire.
+        Heap events fire as ``fn(arg, t)``. ``arrivals`` is a time-sorted
+        sequence of ``(t, arg)``; each calls ``fire(arg, t)`` as if it had
+        been scheduled in band 0 before every heap event. So at equal times a
+        heap event fires first only in a band below 0 (receiver service). An
+        arrival that is NaN, out of order or before ``now`` raises
+        ``ValueError`` before it fires; arrivals after ``until`` do not fire.
         """
         if not until >= self.now:
             raise ValueError(f"cannot run to {until}; clock is at {self.now}")
@@ -125,15 +127,15 @@ class SimClock:
                 break
             key = (ta, DEFAULT_PRIORITY)
             while heap and heap[0] < key:
-                t, _, _, fn, args = pop(heap)
+                t, _, _, fn, payload = pop(heap)
                 self.now = t
-                fn(*args, t)
+                fn(payload, t)
             self.now = ta
             fire(arg, ta)  # type: ignore[misc]
         while heap and heap[0][0] <= until:
-            t, _, _, fn, args = pop(heap)
+            t, _, _, fn, payload = pop(heap)
             self.now = t
-            fn(*args, t)
+            fn(payload, t)
         self.now = until
 
 
@@ -189,7 +191,12 @@ class Receiver:
     suffix: ``fifo``, ``uqa`` or ``keyed``. Callers validate the delay first
     (``ExperimentConfig.validate``, ``uqsim replay``).
 
-    ``deliver`` enqueues and samples. ``arrive`` delivers, then lets an idle
+    Only ``deliver`` and ``_service`` change the queue length. Just before a
+    change at ``now``, each does ``collector.len_integral += queue.length *
+    (now - collector.last_sample_t)`` and ``last_sample_t = now``; ``deliver``
+    then raises ``peak_len`` to ``queue.length``.
+
+    ``arrive`` delivers (``deliver`` only enqueues), then lets an idle
     consumer act: at once if it is free (``ready_at <= now``), else by a
     service event at ``ready_at``; a transport handing over several messages
     at once delivers all but the last. A dequeue that empties the queue
@@ -219,10 +226,14 @@ class Receiver:
 
     def deliver(self, msg: Message, now: float) -> None:
         """Enqueue ``msg``; the consumer does not act until ``arrive``."""
-        self.enqueue(msg, now)
+        queue = self.queue
         collector = self.collector
+        collector.len_integral += queue.length * (now - collector.last_sample_t)
+        collector.last_sample_t = now
+        self.enqueue(msg, now)
         collector.data_bits_enqueued += msg.size_bytes * 8.0
-        collector.record_queue_sample(now, self.queue.length)
+        if queue.length > collector.peak_len:
+            collector.peak_len = queue.length
 
     def arrive(self, msg: Message, now: float) -> None:
         self.deliver(msg, now)
@@ -231,18 +242,19 @@ class Receiver:
             if self.ready_at <= now:
                 self._service(now)
             else:
-                self.clock.schedule(self.ready_at, self._service, priority=SERVICE_PRIORITY)
+                self.clock.schedule(self.ready_at, Receiver._service, self, priority=SERVICE_PRIORITY)
 
     def _service(self, now: float) -> None:
         queue = self.queue
         collector = self.collector
+        collector.len_integral += queue.length * (now - collector.last_sample_t)
+        collector.last_sample_t = now
         msg = queue.dequeue()
-        collector.record_queue_sample(now, queue.length)
         collector.wait_time_sum_s += now - msg.t_enqueued
         if self.on_consume is not None:
             self.on_consume(msg, now)
         if queue.length:
-            self.clock.schedule(now + self.hold_s, self._service, priority=SERVICE_PRIORITY)
+            self.clock.schedule(now + self.hold_s, Receiver._service, self, priority=SERVICE_PRIORITY)
         else:
             self.ready_at = now + self.hold_s
             self.busy = False
@@ -372,7 +384,7 @@ class TcpConnection:
         self.rto_deadline = deadline
         if deadline < self.rto_event_at:
             self.rto_event_at = deadline
-            self.clock.schedule(deadline, self._rto_fire)
+            self.clock.schedule(deadline, TcpConnection._rto_fire, self)
 
     def _rto_fire(self, now: float) -> None:
         if now != self.rto_event_at:

@@ -310,9 +310,13 @@ def run_sweep(
     groups = [configs[g::n_groups] for g in range(n_groups)]
     group_results: list[list[ExperimentResult]]
     if jobs > 1:
-        # The pool starts every worker at once; more than one per group would idle.
+        # Largest groups first (canonical order among equals), so no worker idles
+        # on a long last group; the pool starts at most one worker per group.
+        work = [-config.message_count * config.destinations for config in configs[:n_groups]]
+        order = sorted(range(n_groups), key=work.__getitem__)
         with ProcessPoolExecutor(max_workers=min(jobs, n_groups)) as pool:
-            group_results = list(pool.map(_run_group, groups))
+            ran = dict(zip(order, pool.map(_run_group, [groups[g] for g in order])))
+        group_results = [ran[g] for g in range(n_groups)]
     else:
         group_results = [_run_group(group) for group in groups]
     return SweepResult(results=[res for per_protocol in zip(*group_results) for res in per_protocol])

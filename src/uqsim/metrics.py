@@ -17,7 +17,7 @@ Definitions, chosen to make the four transports comparable:
   same traffic; comparisons rank lower as better.
 
 * ``avg_queue_len`` - time-weighted mean of the instantaneous queue length,
-  sampled event-driven on every enqueue/dequeue (exact, no grid).
+  integrated exactly by the receiver on every enqueue and dequeue (no grid).
 
 * ``avg_time_in_queue_s`` - mean of (dequeue time - t_enqueued) over delivered
   messages only. Replaced (coalesced) messages were never delivered and are
@@ -100,9 +100,10 @@ class MetricsCollector:
     The receive queue keeps the receive-side counts, which ``finalize``
     reads, and the transport its in-flight state. The collector keeps the
     source side, acks, bits, summed wait and length integral; the senders
-    and the receiver add to them directly. Queue samples must arrive with
-    non-decreasing timestamps from t = 0, where the queue is empty; the
-    integral of length over time and the peak are maintained incrementally.
+    and the receiver add to them directly. There is no sampler: the receiver
+    (``engine.Receiver``) writes ``len_integral``, the integral of queue
+    length over time from t = 0 to ``last_sample_t``, and ``peak_len`` where
+    the length changes; ``finalize`` closes the integral at the run's end.
     """
 
     def __init__(self) -> None:
@@ -115,21 +116,9 @@ class MetricsCollector:
         self.ack_bits_generated = 0.0
         self.source_busy_s = 0.0
         self.wait_time_sum_s = 0.0
-        self._len_integral = 0.0
-        self._peak_len = 0
-        self._last_sample_t = 0.0
-        self._last_len = 0
-
-    def record_queue_sample(self, t: float, length: int) -> None:
-        if t < self._last_sample_t:
-            raise ValueError(
-                f"queue samples must be time-ordered: {t} < {self._last_sample_t}"
-            )
-        self._len_integral += self._last_len * (t - self._last_sample_t)
-        self._last_sample_t = t
-        self._last_len = length
-        if length > self._peak_len:
-            self._peak_len = length
+        self.len_integral = 0.0
+        self.peak_len = 0
+        self.last_sample_t = 0.0
 
     # -- finalize ----------------------------------------------------------
 
@@ -137,18 +126,12 @@ class MetricsCollector:
         """The report at ``run_duration_s``; the receive-side counts come from ``queue``."""
         if run_duration_s < 0:
             raise ValueError(f"run_duration_s must be >= 0, got {run_duration_s}")
-        len_integral = self._len_integral
-        if run_duration_s > self._last_sample_t:
-            len_integral += self._last_len * (run_duration_s - self._last_sample_t)
+        len_integral = self.len_integral
+        if run_duration_s > self.last_sample_t:
+            len_integral += len(queue) * (run_duration_s - self.last_sample_t)
         avg_len = len_integral / run_duration_s if run_duration_s > 0 else 0.0
-        avg_wait = (
-            self.wait_time_sum_s / queue.dequeued
-            if queue.dequeued
-            else 0.0
-        )
-        client_bps = (
-            self.data_bits_sent / self.source_busy_s if self.source_busy_s > 0 else 0.0
-        )
+        avg_wait = self.wait_time_sum_s / queue.dequeued if queue.dequeued else 0.0
+        client_bps = self.data_bits_sent / self.source_busy_s if self.source_busy_s > 0 else 0.0
         server_bps = (
             (self.data_bits_enqueued + self.ack_bits_generated) / run_duration_s
             if run_duration_s > 0
@@ -158,7 +141,7 @@ class MetricsCollector:
             avg_client_throughput_bps=client_bps,
             avg_server_throughput_bps=server_bps,
             avg_queue_len=avg_len,
-            peak_queue_len=float(self._peak_len),
+            peak_queue_len=float(self.peak_len),
             avg_time_in_queue_s=avg_wait,
             messages_sent=float(self.messages_sent),
             messages_delivered=float(queue.dequeued),

@@ -7,6 +7,10 @@ never occupies the wire, so under loss the recursion runs over the sends
 that survive the destination's loss draws. The recursion lives here, not in
 ``src/``: the program keeps one path, and this test derives the same
 numbers a second way from the cell's traffic and loss seed alone.
+
+A one-to-one ``udp_uqa`` destination has the same wire and hold but one
+sender, so an arriving status replaces the stored tail whenever that tail is
+a status. Its queue is rebuilt by one list-based single-server pass.
 """
 
 import random
@@ -22,28 +26,81 @@ from uqsim.harness import (
     destination_schedules,
     run_experiment,
 )
+from uqsim.messages import MessageKind
 from uqsim.traffic import derive_seed
+
+
+def wire_arrivals(schedule, config):
+    """Queue arrival time of each send: it starts when the link is free and
+    arrives a propagation delay after its serialization ends."""
+    free = 0.0
+    arrivals = []
+    for t_send, msg in schedule:
+        start = t_send if t_send > free else free
+        free = start + msg.size_bytes * 8.0 / config.bandwidth_bps
+        arrivals.append(free + config.propagation_delay_s)
+    return arrivals
 
 
 def lindley(schedule, config):
     """Queue arrival and dequeue times (A, D) of one destination's messages.
 
-    Wire: a send starts when the link is free and arrives a propagation
-    delay after its serialization ends. Consumer: each dequeue is followed
-    by the hold, and a message waits for the previous hold to end.
+    Consumer: each dequeue is followed by the hold, and a message waits for
+    the previous hold to end.
     """
     hold = config.receiver_delay_s + config.udp_app_per_msg_s
-    free = 0.0
-    arrivals, departures = [], []
+    arrivals, departures = wire_arrivals(schedule, config), []
     d = -float("inf")
-    for t_send, msg in schedule:
-        start = t_send if t_send > free else free
-        free = start + msg.size_bytes * 8.0 / config.bandwidth_bps
-        a = free + config.propagation_delay_s
+    for a in arrivals:
         d = max(a, d + hold)
-        arrivals.append(a)
         departures.append(d)
     return arrivals, departures
+
+
+def coalescing_queue(schedule, config):
+    """(replaced, peak, waits, occupancy) of a one-sender tail-replacing queue.
+
+    One pass over the arrivals with a list as the queue. Ties follow the
+    engine: a pending dequeue at a time <= the arrival is served first, and a
+    free, idle consumer serves the arrival in its own event, after the
+    length is read. ``occupancy`` is the integral of the length over time,
+    summed per stored entry: a delivered one holds its slot until its
+    dequeue, a replaced one until the status that replaces it.
+    """
+    hold = config.receiver_delay_s + config.udp_app_per_msg_s
+    queue = []  # [kind, t_enqueued], head first
+    waits, replaced, peak, occupancy = [], 0, 0, 0.0
+    ready_at, next_dequeue = 0.0, None  # next_dequeue None: the consumer is idle
+
+    def dequeue(t):
+        nonlocal next_dequeue, ready_at
+        _, t_enqueued = queue.pop(0)
+        waits.append(t - t_enqueued)
+        if queue:
+            next_dequeue = t + hold
+        else:
+            next_dequeue, ready_at = None, t + hold
+
+    arrivals = wire_arrivals(schedule, config)
+    for a, (_, msg) in zip(arrivals, schedule):
+        while next_dequeue is not None and next_dequeue <= a:
+            dequeue(next_dequeue)
+        if msg.kind is MessageKind.STATUS and queue and queue[-1][0] is MessageKind.STATUS:
+            occupancy += a - queue[-1][1]
+            queue[-1] = [msg.kind, a]
+            replaced += 1
+        else:
+            queue.append([msg.kind, a])
+        peak = max(peak, len(queue))
+        if next_dequeue is None:
+            if ready_at <= a:
+                dequeue(a)
+            else:
+                next_dequeue = ready_at
+    while next_dequeue is not None and next_dequeue <= config.duration_s:
+        dequeue(next_dequeue)
+    assert not queue  # the run drains
+    return replaced, peak, waits, occupancy + sum(waits)
 
 
 UDP_CELLS = [
@@ -102,3 +159,26 @@ def test_lossy_udp_cells_follow_lindley_over_the_surviving_sends():
             assert report.peak_queue_len == peak
             checked += 1
     assert checked == 60
+
+
+def test_one_to_one_udp_uqa_cells_follow_the_coalescing_queue():
+    cells = [
+        cfg
+        for cfg in default_configs(DEFAULT_MASTER_SEED)
+        if cfg.protocol is TransportKind.UDP_UQA and cfg.destinations == 1
+    ]
+    assert len(cells) == 12
+    replaced_total = 0
+    for config in cells:
+        (report,) = run_experiment(config).per_destination
+        (schedule,) = destination_schedules(config)
+        replaced, peak, waits, occupancy = coalescing_queue(schedule, config)
+        assert report.conservation_residual() == 0
+        assert report.messages_lost == 0
+        assert report.messages_replaced == replaced
+        assert report.messages_delivered == len(waits) == len(schedule) - replaced
+        assert report.peak_queue_len == peak
+        assert report.avg_time_in_queue_s == pytest.approx(sum(waits) / len(waits), rel=1e-12)
+        assert report.avg_queue_len == pytest.approx(occupancy / config.duration_s, rel=1e-12)
+        replaced_total += replaced
+    assert replaced_total > 0

@@ -8,6 +8,7 @@ from uqsim.engine import (
     SERVICE_PRIORITY,
     Receiver,
     SimClock,
+    TcpConnection,
     TransportKind,
     UdpSender,
     Wire,
@@ -30,35 +31,35 @@ def status(seq, sender=0, size=512):
 
 def test_schedule_in_past_fails():
     clock = SimClock()
-    clock.schedule(1.0, lambda t: None)
+    clock.schedule(1.0, lambda _, t: None)
     clock.run(1.0)
     with pytest.raises(ValueError, match="schedule"):
-        clock.schedule(0.5, lambda t: None)
+        clock.schedule(0.5, lambda _, t: None)
 
 
 @pytest.mark.parametrize("call", ["schedule", "run"])
 def test_nan_time_is_rejected_and_changes_nothing(call):
     clock = SimClock()
-    clock.schedule(1.0, lambda t: None)
+    clock.schedule(1.0, lambda _, t: None)
     clock.run(0.5)
     heap = list(clock._heap)
     with pytest.raises(ValueError, match="nan"):
         if call == "schedule":
-            clock.schedule(float("nan"), lambda t: None)
+            clock.schedule(float("nan"), lambda _, t: None)
         else:
             clock.run(float("nan"))
     assert clock._heap == heap
     assert clock.now == 0.5
     # A NaN clock would have let a time in the past through.
     with pytest.raises(ValueError, match="schedule"):
-        clock.schedule(-5.0, lambda t: None)
+        clock.schedule(-5.0, lambda _, t: None)
 
 
 def test_first_event_fires_first():
     clock = SimClock()
     fired = []
-    clock.schedule(0.0, lambda t: fired.append("a"))
-    clock.schedule(1.0, lambda t: fired.append("b"))
+    clock.schedule(0.0, lambda _, t: fired.append("a"))
+    clock.schedule(1.0, lambda _, t: fired.append("b"))
     clock.run(2.0)
     assert fired == ["a", "b"]
 
@@ -66,8 +67,8 @@ def test_first_event_fires_first():
 def test_equal_times_fire_in_insertion_order():
     clock = SimClock()
     fired = []
-    clock.schedule(1.0, lambda t: fired.append("first"))
-    clock.schedule(1.0, lambda t: fired.append("second"))
+    clock.schedule(1.0, lambda _, t: fired.append("first"))
+    clock.schedule(1.0, lambda _, t: fired.append("second"))
     clock.run(1.0)
     assert fired == ["first", "second"]
 
@@ -75,8 +76,8 @@ def test_equal_times_fire_in_insertion_order():
 def test_priority_band_beats_insertion_order():
     clock = SimClock()
     fired = []
-    clock.schedule(1.0, lambda t: fired.append("normal"), priority=0)
-    clock.schedule(1.0, lambda t: fired.append("service"), priority=-1)
+    clock.schedule(1.0, lambda _, t: fired.append("normal"), priority=0)
+    clock.schedule(1.0, lambda _, t: fired.append("service"), priority=-1)
     clock.run(1.0)
     assert fired == ["service", "normal"]
 
@@ -84,16 +85,23 @@ def test_priority_band_beats_insertion_order():
 def test_schedule_passes_args_before_time():
     clock = SimClock()
     fired = []
-    clock.schedule(1.0, lambda a, b, t: fired.append((a, b, t)), "x", 2)
+    clock.schedule(1.0, lambda arg, t: fired.append((arg, t)), ("x", 2))
+    clock.schedule(1.0, lambda arg, t: fired.append((arg, t)))
     clock.run(1.0)
-    assert fired == [("x", 2, 1.0)]
+    assert fired == [(("x", 2), 1.0), (None, 1.0)]
+
+
+def test_priority_is_keyword_only():
+    # A positional priority would be taken for a second payload.
+    with pytest.raises(TypeError):
+        SimClock().schedule(1.0, lambda arg, t: None, None, SERVICE_PRIORITY)
 
 
 def test_run_boundary_is_inclusive():
     clock = SimClock()
     fired = []
-    clock.schedule(1.0, lambda t: fired.append("at"))
-    clock.schedule(1.0 + 1e-9, lambda t: fired.append("after"))
+    clock.schedule(1.0, lambda _, t: fired.append("at"))
+    clock.schedule(1.0 + 1e-9, lambda _, t: fired.append("after"))
     clock.run(1.0)
     assert fired == ["at"]
     assert clock.now == 1.0
@@ -108,7 +116,7 @@ def test_run_with_no_events_advances_clock():
 def test_events_scheduled_during_run_fire():
     clock = SimClock()
     fired = []
-    clock.schedule(1.0, lambda t: clock.schedule(t, lambda t2: fired.append(t2)))
+    clock.schedule(1.0, lambda _, t: clock.schedule(t, lambda _, t2: fired.append(t2)))
     clock.run(1.0)
     assert fired == [1.0]
 
@@ -123,11 +131,11 @@ def test_arrival_ties_fall_between_service_and_runtime_events():
     def arrive(name, t):
         fired.append(name)
         if name == "arrival 1":
-            clock.schedule(t, lambda t: fired.append("service 2"), priority=SERVICE_PRIORITY)
-            clock.schedule(t, lambda t: fired.append("runtime 2"), priority=DEFAULT_PRIORITY)
+            clock.schedule(t, lambda _, t: fired.append("service 2"), priority=SERVICE_PRIORITY)
+            clock.schedule(t, lambda _, t: fired.append("runtime 2"), priority=DEFAULT_PRIORITY)
 
-    clock.schedule(1.0, lambda t: fired.append("runtime 1"), priority=DEFAULT_PRIORITY)
-    clock.schedule(1.0, lambda t: fired.append("service 1"), priority=SERVICE_PRIORITY)
+    clock.schedule(1.0, lambda _, t: fired.append("runtime 1"), priority=DEFAULT_PRIORITY)
+    clock.schedule(1.0, lambda _, t: fired.append("service 1"), priority=SERVICE_PRIORITY)
     clock.run(1.0, [(1.0, "arrival 1"), (1.0, "arrival 2")], arrive)
     assert fired == [
         "service 1", "arrival 1", "service 2", "arrival 2", "runtime 1", "runtime 2"
@@ -190,7 +198,7 @@ def test_bad_arrival_time_is_rejected(times, now):
 def test_arrivals_after_until_do_not_fire():
     clock = SimClock()
     fired = []
-    clock.schedule(1.5, lambda t: fired.append(("heap", t)))
+    clock.schedule(1.5, lambda _, t: fired.append(("heap", t)))
     arrivals = [(t, "arrival") for t in (0.5, 1.0, 1.0 + 1e-9)]
     clock.run(1.0, arrivals, lambda arg, t: fired.append((arg, t)))
     assert fired == [("arrival", 0.5), ("arrival", 1.0)]
@@ -393,11 +401,14 @@ def test_lossless_connection_keeps_at_most_one_timer_event(monkeypatch):
     # The timer is restarted on every ack but moves only later, so no event
     # is superseded: each connection has at most one _rto_fire pending.
     class CheckingClock(SimClock):
-        def schedule(self, at, fn, *args, priority=DEFAULT_PRIORITY):
-            super().schedule(at, fn, *args, priority=priority)
-            if getattr(fn, "__name__", None) == "_rto_fire":
-                owner = fn.__self__
-                assert sum(entry[3] == owner._rto_fire for entry in self._heap) <= 1
+        def schedule(self, at, fn, arg=None, *, priority=DEFAULT_PRIORITY):
+            super().schedule(at, fn, arg, priority=priority)
+            if fn is TcpConnection._rto_fire:
+                owner = arg
+                assert sum(
+                    entry[3] is TcpConnection._rto_fire and entry[4] is owner
+                    for entry in self._heap
+                ) <= 1
                 timers.append(at)
 
     timers = []
@@ -430,10 +441,10 @@ def test_idle_receiver_schedules_at_most_one_service_per_delivery(
     service_calls = []
 
     class CountingClock(SimClock):
-        def schedule(self, at, fn, *args, priority=DEFAULT_PRIORITY):
+        def schedule(self, at, fn, arg=None, *, priority=DEFAULT_PRIORITY):
             if priority == SERVICE_PRIORITY:
                 service_calls.append(at)
-            super().schedule(at, fn, *args, priority=priority)
+            super().schedule(at, fn, arg, priority=priority)
 
     monkeypatch.setattr(harness, "SimClock", CountingClock)
     cfg = ExperimentConfig(
@@ -469,7 +480,7 @@ def make_receiver(policy="fifo", delay=0.0, app_cost=0.0):
 def test_zero_delay_drains_immediately():
     clock, receiver = make_receiver(delay=0.0)
     for i in range(10):
-        clock.schedule(i * 0.1, lambda t, m=status(i + 1): receiver.arrive(m, t))
+        clock.schedule(i * 0.1, receiver.arrive, status(i + 1))
     clock.run(2.0)
     report = receiver.collector.finalize(2.0, receiver.queue)
     assert report.messages_delivered == 10
@@ -484,7 +495,7 @@ def test_overloaded_fifo_grows_one_per_service_interval():
     # (t = 0, 0.1, ..., 1.9) leave exactly twenty waiting.
     clock, receiver = make_receiver(delay=0.1)
     for i in range(40):
-        clock.schedule(i * 0.05, lambda t, m=status(i + 1): receiver.arrive(m, t))
+        clock.schedule(i * 0.05, receiver.arrive, status(i + 1))
     clock.run(1.96)
     assert len(receiver.queue) == 20
     assert receiver.queue.dequeued == 20
@@ -496,7 +507,7 @@ def test_overloaded_uqa_single_sender_stays_bounded():
     # tail, so the backlog never exceeds one message.
     clock, receiver = make_receiver(policy="uqa", delay=0.1)
     for i in range(40):
-        clock.schedule(i * 0.05, lambda t, m=status(i + 1): receiver.arrive(m, t))
+        clock.schedule(i * 0.05, receiver.arrive, status(i + 1))
     clock.run(2.0)
     report = receiver.collector.finalize(2.0, receiver.queue)
     assert report.peak_queue_len == 1
@@ -509,9 +520,9 @@ def test_dequeue_processed_before_simultaneous_arrival():
     # A service tick and an arrival at the same instant: the stored message
     # leaves first, so the newcomer cannot coalesce with it.
     clock, receiver = make_receiver(policy="uqa", delay=1.0)
-    clock.schedule(0.0, lambda t: receiver.arrive(status(1), t))  # consumed at t=0
-    clock.schedule(0.5, lambda t: receiver.arrive(status(2), t))  # waits until t=1
-    clock.schedule(1.0, lambda t: receiver.arrive(status(3), t))  # arrives at tick
+    clock.schedule(0.0, receiver.arrive, status(1))  # consumed at t=0
+    clock.schedule(0.5, receiver.arrive, status(2))  # waits until t=1
+    clock.schedule(1.0, receiver.arrive, status(3))  # arrives at tick
     clock.run(3.0)
     assert receiver.queue.replaced == 0
     assert receiver.queue.dequeued == 3

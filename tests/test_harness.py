@@ -215,6 +215,7 @@ class SerialPool:
     """Stands in for ProcessPoolExecutor: maps serially and starts no process."""
 
     workers: list[int] = []
+    tasks: list = []  # every task, in the order it reached map
 
     def __init__(self, max_workers):
         self.workers.append(max_workers)
@@ -226,7 +227,9 @@ class SerialPool:
         return False
 
     def map(self, fn, iterable):
-        return map(fn, iterable)
+        tasks = list(iterable)
+        self.tasks.extend(tasks)
+        return map(fn, tasks)
 
 
 @pytest.mark.parametrize("jobs, workers", [(1000, 4), (3, 3)])
@@ -238,6 +241,23 @@ def test_parallel_sweep_starts_at_most_one_worker_per_task(monkeypatch, jobs, wo
     sweep = small_sweep(jobs=jobs)  # 16 cells: 4 groups of 4 protocols
     assert SerialPool.workers == [workers]
     assert len(sweep.results) == 16
+
+
+def test_parallel_sweep_submits_the_largest_groups_first(monkeypatch):
+    # A long group submitted last would leave the other workers idle at the
+    # end. Work is the group's message count over all its destinations.
+    monkeypatch.setattr(SerialPool, "workers", [])
+    monkeypatch.setattr(SerialPool, "tasks", [])
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    parallel = small_sweep(jobs=2)  # 4 groups: 2 one-to-one, then 2 one-to-many
+    work = [group[0].message_count * group[0].destinations for group in SerialPool.tasks]
+    assert len(work) == 4
+    assert all(a >= b for a, b in zip(work, work[1:]))
+    assert work[0] > work[-1]
+    # Ties keep canonical order, and the rows come back in canonical order.
+    cells = default_configs(7, packet_sizes=(256,), receiver_delays=(0.0, 0.05))
+    assert [group[0] for group in SerialPool.tasks] == [cells[2], cells[3], cells[0], cells[1]]
+    assert sweep_rows(parallel) == sweep_rows(small_sweep(jobs=1))
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -37,19 +37,26 @@ def fifo_queue(enqueued, dequeued):
     return queue
 
 
+def run_receiver(feed, until, delay=0.0):
+    """Fire ``(t, method, msg)`` records on a FIFO receiver's clock; its report at ``until``."""
+    clock = SimClock()
+    receiver = Receiver(clock, delay, "fifo")
+    for t, method, msg in feed:
+        clock.schedule(t, getattr(receiver, method), msg)
+    clock.run(until)
+    return receiver.collector.finalize(until, receiver.queue)
+
+
 def test_constant_length_average():
-    c = MetricsCollector()
-    c.record_queue_sample(0.0, 5)
-    report = c.finalize(10.0, UpdatableQueue())
+    # Five messages enqueued at t = 0 and never served: length 5 throughout.
+    report = run_receiver([(0.0, "deliver", command(seq)) for seq in range(1, 6)], 10.0)
     assert report.avg_queue_len == 5.0
     assert report.peak_queue_len == 5
 
 
 def test_step_function_average_and_peak():
-    c = MetricsCollector()
-    c.record_queue_sample(0.0, 0)
-    c.record_queue_sample(5.0, 10)
-    report = c.finalize(10.0, UpdatableQueue())
+    # Empty until t = 5, then ten messages that are never served.
+    report = run_receiver([(5.0, "deliver", command(seq)) for seq in range(1, 11)], 10.0)
     assert report.avg_queue_len == 5.0
     assert report.peak_queue_len == 10
 
@@ -63,32 +70,43 @@ def test_zero_duration_reports_zeros():
 
 
 def test_zero_width_spike_contributes_nothing():
-    c = MetricsCollector()
-    c.record_queue_sample(1.0, 1)
-    c.record_queue_sample(1.0, 0)
-    report = c.finalize(10.0, UpdatableQueue())
+    # A free consumer serves the message at t = 1 in its delivering event.
+    report = run_receiver([(1.0, "arrive", command(1))], 10.0)
     assert report.avg_queue_len == 0.0
     assert report.peak_queue_len == 1
 
 
 def test_decreasing_sample_time_rejected():
-    c = MetricsCollector()
-    c.record_queue_sample(2.0, 1)
-    with pytest.raises(ValueError, match="time-ordered"):
-        c.record_queue_sample(1.0, 2)
-    # The length integral starts at t = 0, so no first sample may precede it.
-    with pytest.raises(ValueError, match="time-ordered"):
-        MetricsCollector().record_queue_sample(-1.0, 1)
+    # The clock rejects an out-of-order arrival before the receiver samples it.
+    clock = SimClock()
+    receiver = Receiver(clock, 10.0, "fifo")
+    with pytest.raises(ValueError, match="arrival"):
+        clock.run(5.0, [(2.0, command(1)), (1.0, command(2))], receiver.arrive)
+    assert receiver.queue.inserted == 1
+    assert receiver.collector.last_sample_t == 2.0
+    # The length integral starts at t = 0, so no first arrival may precede it.
+    receiver = Receiver(SimClock(), 10.0, "fifo")
+    with pytest.raises(ValueError, match="arrival"):
+        receiver.clock.run(1.0, [(-1.0, command(1))], receiver.arrive)
+    assert receiver.queue.inserted == 0
+    assert receiver.collector.last_sample_t == 0.0
 
 
 def test_time_weighted_matches_arithmetic_on_uniform_grid():
     # Constant length sampled on a uniform grid: the time-weighted mean must
-    # equal the arithmetic mean of the samples.
-    c = MetricsCollector()
-    lengths = [3] * 11
-    for i, length in enumerate(lengths):
-        c.record_queue_sample(i * 1.0, length)
-    report = c.finalize(10.0, UpdatableQueue())
+    # equal the arithmetic mean of the samples. The consumer serves one
+    # message a second, and a message arrives each second after its service,
+    # so the length is 3 at every grid point t = 0, 1, ..., 10.
+    clock = SimClock()
+    receiver = Receiver(clock, 1.0, "fifo")
+    lengths = []
+    for i in range(11):
+        clock.schedule(float(i), lambda _, t: lengths.append(len(receiver.queue)), priority=1)
+    feed = [(0.0, command(seq)) for seq in range(1, 5)]
+    feed += [(float(i), command(i + 4)) for i in range(1, 11)]
+    clock.run(10.0, feed, receiver.arrive)
+    report = receiver.collector.finalize(10.0, receiver.queue)
+    assert lengths == [3] * 11
     assert report.avg_queue_len == pytest.approx(sum(lengths) / len(lengths))
 
 
@@ -175,20 +193,17 @@ def test_conservation_residual_and_in_transport():
 
 
 def test_littles_law_on_deterministic_feed():
-    # Synthetic D/D/1: one arrival every 0.2 s, each waiting exactly 0.1 s.
+    # Synthetic D/D/1: one arrival every 0.2 s, each waiting 0.1 s for a
+    # consumer that is busy until t = 0.1 and then serves every 0.2 s.
     # L = lambda * W = 5 * 0.1 = 0.5 with zero residual.
-    c = MetricsCollector()
-    queue = UpdatableQueue()
+    clock = SimClock()
+    receiver = Receiver(clock, 0.2, "fifo")
+    receiver.ready_at = 0.1
     n = 200
-    for i in range(n):
-        t = i * 0.2
-        queue.enqueue_fifo(command(i + 1), t)
-        c.record_queue_sample(t, 1)
-        queue.dequeue()
-        c.record_queue_sample(t + 0.1, 0)
-        c.wait_time_sum_s += 0.1
+    clock.run(n * 0.2, [(i * 0.2, command(i + 1)) for i in range(n)], receiver.arrive)
     duration = n * 0.2
-    report = c.finalize(duration, queue)
+    report = receiver.collector.finalize(duration, receiver.queue)
+    assert report.avg_time_in_queue_s == pytest.approx(0.1)
     rate = report.messages_delivered / duration
     assert littles_law_residual(report, rate) <= 0.05
 

@@ -38,3 +38,25 @@ def test_replay_keyed_workload_passes_its_check(monkeypatch, tmp_path):
     assert status == 0
     assert f"inserted: {replay.messages}" in out
     assert replay.check((status, out)) == set()
+
+
+def test_traced_sweep_counts_service_pushes_and_every_delivery(monkeypatch):
+    # The traced run divides the service pushes its schedule hook counts by
+    # the deliveries it counts, and checks those against the reports. A
+    # priority passed positionally, or a delivery that skips
+    # Receiver.deliver, would skew both without an error.
+    run = load_benchmark(monkeypatch)
+    import spans
+
+    from uqsim.harness import run_sweep
+
+    tracer = spans.Tracer()
+    try:
+        run.install(tracer, True)
+        sweep = run_sweep(master_seed=7, packet_sizes=(256,), receiver_delays=(0.0, 0.05))
+    finally:
+        tracer.restore()
+    assert len(sweep.results) == 16
+    assert tracer.counts["engine.service_scheduled"] > 0
+    delivered = sum(rep.delivered_to_queue for res in sweep.results for rep in res.per_destination)
+    assert tracer.aggregate()["Receiver.deliver"]["calls"] == delivered
