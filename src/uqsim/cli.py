@@ -20,6 +20,7 @@ import argparse
 import os
 import sys
 from dataclasses import fields, replace
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -211,19 +212,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    records = sorted(load_trace(args.trace), key=lambda rec: rec[0])
+    records = sorted(load_trace(args.trace), key=itemgetter(0))  # stable: ties keep file order
     delay = args.receiver_delay
     clock = SimClock()
     receiver = Receiver(clock, delay or 0.0, args.queue_variant)
     queue = receiver.queue
     duration = records[-1][0] if records else 0.0
     # Without a delay the consumer is never woken: the queue only fills.
-    fire = receiver.deliver
+    fire, blame = receiver.deliver, f"the trace's last send time {duration}"
     if delay is not None:
         check_range("receiver_delay_s", delay, 0.0, FINITE, ">= 0 and finite")
         duration += delay * (len(records) + 1)
-        check_horizon(duration, len(records), f"--receiver-delay {delay}")
-        fire = receiver.arrive
+        fire, blame = receiver.arrive, f"--receiver-delay {delay}"
+    check_horizon(duration, len(records), blame)
     clock.run(duration, records, fire)
     print(f"final_queue_length: {len(queue)}")
     for msg in queue.snapshot():

@@ -22,7 +22,6 @@ heap: its sender's ``run`` feeds them to the clock as its arrival stream.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from math import inf
 from typing import Iterable, Optional, Sequence
@@ -314,6 +313,7 @@ def run_sweep(
         # on a long last group; the pool starts at most one worker per group.
         work = [-config.message_count * config.destinations for config in configs[:n_groups]]
         order = sorted(range(n_groups), key=work.__getitem__)
+        from concurrent.futures import ProcessPoolExecutor  # multiprocessing only when forking
         with ProcessPoolExecutor(max_workers=min(jobs, n_groups)) as pool:
             ran = dict(zip(order, pool.map(_run_group, [groups[g] for g in order])))
         group_results = [ran[g] for g in range(n_groups)]

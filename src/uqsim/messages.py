@@ -69,20 +69,23 @@ def format_trace_record(t_send: float, msg: Message) -> str:
     )
 
 
+# Kind letter -> kind, built once: a lookup per record, not an enum call.
+_KIND_OF_LETTER = {kind.value: kind for kind in MessageKind}
+
+
 def parse_trace_record(line: str) -> TraceRecord:
-    parts = line.strip().split(",")
+    """One record from a line without surrounding whitespace."""
+    parts = line.split(",")
     if len(parts) != 5:
         raise ValueError(f"malformed trace record: {line!r}")
     t_send = float(parts[0])
     if not 0 <= t_send < inf:
-        raise ValueError(f"trace record send time must be finite and >= 0: {line.strip()!r}")
-    msg = Message(
-        seq=int(parts[2]),
-        sender=int(parts[1]),
-        kind=MessageKind(parts[3]),
-        size_bytes=int(parts[4]),
-    )
-    return t_send, msg
+        raise ValueError(f"trace record send time must be finite and >= 0: {line!r}")
+    try:
+        kind = _KIND_OF_LETTER[parts[3]]
+    except KeyError:
+        raise ValueError(f"{parts[3]!r} is not a valid MessageKind") from None
+    return t_send, Message(int(parts[2]), int(parts[1]), kind, int(parts[4]))
 
 
 def dump_trace(path: str, records: Iterable[TraceRecord]) -> None:

@@ -12,12 +12,14 @@ status anywhere in the queue, leaving at most one stored status per sender.
 It is off by default and selectable by configuration. It finds the stored
 status through a per-sender index and removes it lazily: the superseded
 entry stays in the deque, marked only by no longer being its sender's
-indexed status, and readers skip it. A superseded entry always has its
-replacement (a newer status from the same sender) somewhere behind it, so
-the tail is always live and a non-empty deque always holds a live message.
-When superseded entries outnumber live ones the deque is compacted in
-place, so it never holds more than twice the live length reached at the
-last keyed insertion.
+indexed status, and readers skip it. The liveness rule (not a status, or
+its sender's indexed status) lives in one comprehension, ``_live``, which
+both ``snapshot`` and compaction use; ``dequeue`` applies it to the head
+only. A superseded entry always has its replacement (a newer status from
+the same sender) somewhere behind it, so the tail is always live and a
+non-empty deque always holds a live message. When superseded entries
+outnumber live ones the deque is compacted in place, so it never holds
+more than twice the live length reached at the last keyed insertion.
 
 Cost per operation: ``enqueue_fifo``, ``enqueue_uqa``, ``dequeue`` and
 ``len`` (the live ``length`` every policy keeps) are O(1); ``enqueue_keyed`` is
@@ -71,14 +73,16 @@ class UpdatableQueue:
     def __len__(self) -> int:
         return self.length
 
-    def _is_live(self, msg: Message) -> bool:
-        return msg.kind is not MessageKind.STATUS or self._status_of[msg.sender] is msg
+    def _live(self) -> list[Message]:
+        """The stored messages that are not superseded, head first."""
+        status, status_of = MessageKind.STATUS, self._status_of
+        return [msg for msg in self._messages if msg.kind is not status or status_of[msg.sender] is msg]
 
     def snapshot(self) -> tuple[Message, ...]:
         """Current contents, head first. For inspection and oracles."""
         if self.length == len(self._messages):
             return tuple(self._messages)
-        return tuple(filter(self._is_live, self._messages))
+        return tuple(self._live())
 
     def enqueue_uqa(self, msg: Message, now: float = 0.0) -> EnqueueOutcome:
         """Insert with tail-only status coalescing.
@@ -142,7 +146,7 @@ class UpdatableQueue:
 
     def _compact(self) -> None:
         """Drop every superseded entry, keeping the same deque object."""
-        live = list(filter(self._is_live, self._messages))
+        live = self._live()
         self._messages.clear()
         self._messages.extend(live)
 

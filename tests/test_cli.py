@@ -260,6 +260,30 @@ def test_replay_keyed_multi_sender_output_is_pinned(tmp_path, capsys, case, extr
     assert hashlib.sha256(out.encode()).hexdigest() == KEYED_REPLAY_SHA256[case]
 
 
+@pytest.mark.parametrize("extra", [["--receiver-delay", "0.05"], []], ids=["drained", "queued"])
+def test_replay_reads_a_reversed_trace_like_a_sorted_one(tmp_path, capsys, extra):
+    sorted_trace, reversed_trace = tmp_path / "sorted.csv", tmp_path / "reversed.csv"
+    multi_sender_trace(sorted_trace)
+    lines = sorted_trace.read_text().splitlines()
+    assert len({line.split(",")[0] for line in lines}) == len(lines)  # no ties
+    reversed_trace.write_text("\n".join(reversed(lines)) + "\n")
+    outputs = []
+    for trace in (sorted_trace, reversed_trace):
+        assert run_cli(["replay", "--trace", str(trace), "--queue-variant", "keyed", *extra]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("senders", [(2, 1), (1, 2)])
+def test_replay_keeps_file_order_among_equal_send_times(tmp_path, capsys, senders):
+    trace = tmp_path / "trace.csv"
+    first, second = senders
+    trace.write_text(f"0.7,3,1,C,8\n0.5,{first},1,C,8\n0.5,{second},1,E,8\n")
+    assert run_cli(["replay", "--trace", str(trace), "--queue-variant", "fifo"]) == 0
+    queued = [line for line in capsys.readouterr().out.splitlines() if "," in line]
+    assert [line.split(",")[1] for line in queued] == [str(first), str(second), "3"]
+
+
 def assert_clean_rejection(rc, err, needle):
     assert rc == 1
     lines = err.strip().splitlines()
@@ -533,6 +557,17 @@ def test_replay_rejects_receiver_delay_whose_drain_overflows(tmp_path, capsys, m
     captured = capsys.readouterr()
     assert captured.out == ""
     assert_clean_rejection(rc, captured.err, "--receiver-delay")
+
+
+def test_replay_rejects_fill_only_horizon_that_overflows(tmp_path, capsys):
+    # Without a delay the horizon is the last send time; three messages held
+    # until 1.7e308 would make the length integral inf.
+    trace = tmp_path / "trace.csv"
+    trace.write_text("0,0,1,C,8\n0,0,2,C,8\n1.7e308,0,3,C,8\n")
+    rc = run_cli(["replay", "--trace", str(trace), "--queue-variant", "fifo"])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_clean_rejection(rc, captured.err, "last send time")
 
 
 @pytest.mark.parametrize("case", ["queued", "drained"])

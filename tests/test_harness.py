@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 
 import pytest
@@ -237,7 +238,7 @@ def test_parallel_sweep_starts_at_most_one_worker_per_task(monkeypatch, jobs, wo
     # The pool starts every worker at once, so workers beyond the task count
     # would only idle. One task is one comparison group.
     monkeypatch.setattr(SerialPool, "workers", [])
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     sweep = small_sweep(jobs=jobs)  # 16 cells: 4 groups of 4 protocols
     assert SerialPool.workers == [workers]
     assert len(sweep.results) == 16
@@ -248,7 +249,7 @@ def test_parallel_sweep_submits_the_largest_groups_first(monkeypatch):
     # end. Work is the group's message count over all its destinations.
     monkeypatch.setattr(SerialPool, "workers", [])
     monkeypatch.setattr(SerialPool, "tasks", [])
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     parallel = small_sweep(jobs=2)  # 4 groups: 2 one-to-one, then 2 one-to-many
     work = [group[0].message_count * group[0].destinations for group in SerialPool.tasks]
     assert len(work) == 4
@@ -269,7 +270,7 @@ def test_each_comparison_group_draws_its_traffic_once(monkeypatch, jobs):
         return draw_traffic(config)
 
     monkeypatch.setattr(SerialPool, "workers", [])
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(harness, "draw_traffic", counting_draw)
     sweep = small_sweep(jobs=jobs)  # 16 cells, 4 comparison groups
     assert len(drawn) == len(set(drawn)) == 4

@@ -30,9 +30,9 @@ def test_trace_record_round_trip(make_msg):
 
 
 def test_parse_trace_record_rejects_garbage():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="malformed trace record"):
         parse_trace_record("1.0,2,3")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="'X' is not a valid MessageKind"):
         parse_trace_record("1.0,2,3,X,64")
 
 
@@ -54,3 +54,20 @@ def test_trace_file_round_trip(tmp_path, make_msg):
             m_in.kind,
             m_in.size_bytes,
         )
+
+
+def test_crlf_endings_and_blank_lines_load_like_a_clean_trace(tmp_path):
+    lines = ["0.000000000,0,1,S,64", "0.500000000,1,1,C,128", "1.000000000,0,2,E,32"]
+    clean = tmp_path / "clean.csv"
+    clean.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    messy = tmp_path / "messy.csv"
+    messy.write_bytes(("\r\n" + "\r\n  \r\n".join(lines) + "\r\n\r\n").encode())
+
+    def fields_of(path):
+        return [
+            (t_send, msg.sender, msg.seq, msg.kind, msg.size_bytes)
+            for t_send, msg in load_trace(str(path))
+        ]
+
+    assert fields_of(messy) == fields_of(clean)
+    assert len(fields_of(clean)) == 3

@@ -49,16 +49,28 @@ def test_littles_law_check_runs(monkeypatch, capsys):
     ids=["uqsim.queues", "uqsim.engine"],
 )
 def test_queue_library_imports_without_the_simulator(module, loaded):
-    # A fresh interpreter: this one has loaded every module already.
-    code = (
-        f"import sys, {module}\n"
-        "print(sorted(m for m in sys.modules if m.startswith('uqsim')))"
-    )
+    child = fresh_import(module, "sorted(m for m in sys.modules if m.startswith('uqsim'))")
+    assert child.stdout.strip() == str(loaded), child.stderr
+
+
+def fresh_import(module, expression):
+    """Print ``expression`` in a fresh interpreter that imported ``module``:
+    this one has loaded every module already."""
+    code = f"import sys, {module}\nprint({expression})"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    child = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
-    assert child.stdout.strip() == str(loaded), child.stderr
+
+
+@pytest.mark.parametrize("module", ["uqsim.cli", "uqsim.harness"])
+def test_serial_entry_points_import_no_process_pool(module):
+    # Only a sweep with --jobs > 1 needs the pool; multiprocessing is most of
+    # what importing it costs a serial run or a replay.
+    child = fresh_import(
+        module, "[m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules]"
+    )
+    assert child.stdout.strip() == "[]", child.stdout + child.stderr
 
 
 def run_child(argv, unbuffered, stdout=subprocess.PIPE):
