@@ -223,7 +223,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     if delay is not None:
         check_range("receiver_delay_s", delay, 0.0, FINITE, ">= 0 and finite")
         duration += delay * (len(records) + 1)
-        fire, blame = receiver.arrive, f"--receiver-delay {delay}"
+        fire, blame = receiver.arrive, f"{blame} plus --receiver-delay {delay} per message"
     check_horizon(duration, len(records), blame)
     clock.run(duration, records, fire)
     print(f"final_queue_length: {len(queue)}")

@@ -140,6 +140,8 @@ class SimClock:
 
 
 class TransportKind(enum.Enum):
+    """The four transports, in the order of the sweep's CSV rows and figure columns."""
+
     TCP = "tcp"
     UDP = "udp"
     TCP_UQA = "tcp_uqa"
@@ -196,11 +198,13 @@ class Receiver:
     (now - collector.last_sample_t)`` and ``last_sample_t = now``; ``deliver``
     then raises ``peak_len`` to ``queue.length``.
 
-    ``arrive`` delivers (``deliver`` only enqueues), then lets an idle
-    consumer act: at once if it is free (``ready_at <= now``), else by a
-    service event at ``ready_at``; a transport handing over several messages
-    at once delivers all but the last. A dequeue that empties the queue
-    schedules nothing and records ``ready_at``. So every service event
+    ``ready_at`` is the consumer's one state field: when it is next free to
+    dequeue, or ``inf`` while a service event is pending. ``arrive`` delivers
+    (``deliver`` only enqueues), then serves at once if ``ready_at <= now``,
+    pushes a service event at ``ready_at`` if that is ahead, and otherwise
+    leaves the message to the pending event; a transport handing over several
+    messages at once delivers all but the last. A dequeue that empties the
+    queue pushes nothing and records ``ready_at``. So every service event
     dequeues a message, and at most one is pending. Serving in the
     delivering event is exact: each destination runs on a clock of its own,
     and a service pushed at ``now`` in the earlier band would fire next.
@@ -220,8 +224,7 @@ class Receiver:
         self.enqueue: Callable[[Message, float], EnqueueOutcome] = getattr(
             self.queue, f"enqueue_{policy}"
         )
-        self.busy = False
-        self.ready_at = 0.0
+        self.ready_at = 0.0  # inf while a service event is pending
         self.on_consume: Optional[Callable[[Message, float], None]] = None
 
     def deliver(self, msg: Message, now: float) -> None:
@@ -237,12 +240,12 @@ class Receiver:
 
     def arrive(self, msg: Message, now: float) -> None:
         self.deliver(msg, now)
-        if not self.busy:
-            self.busy = True
-            if self.ready_at <= now:
-                self._service(now)
-            else:
-                self.clock.schedule(self.ready_at, Receiver._service, self, priority=SERVICE_PRIORITY)
+        ready_at = self.ready_at
+        if ready_at <= now:
+            self._service(now)
+        elif ready_at < inf:
+            self.ready_at = inf
+            self.clock.schedule(ready_at, Receiver._service, self, priority=SERVICE_PRIORITY)
 
     def _service(self, now: float) -> None:
         queue = self.queue
@@ -254,10 +257,10 @@ class Receiver:
         if self.on_consume is not None:
             self.on_consume(msg, now)
         if queue.length:
+            self.ready_at = inf
             self.clock.schedule(now + self.hold_s, Receiver._service, self, priority=SERVICE_PRIORITY)
         else:
             self.ready_at = now + self.hold_s
-            self.busy = False
 
 
 class UdpSender:
@@ -301,21 +304,24 @@ class UdpSender:
 class TcpConnection:
     """Fixed-window reliable stream between the source and one destination.
 
-    Transport sequence numbers are assigned at submission in FIFO order.
-    Data packets are subject to link loss; acknowledgements are not lost.
-    The connection keeps one retransmission timer, managed as RFC 6298 §5
-    does: a send starts it when it is off, an ack of new data restarts it and
-    resets the timeout to ``rto_s``, and it stops when nothing is
-    outstanding. On expiry the earliest unacked packet is retransmitted and
-    the timeout doubles, capped at ``max(60 s, rto_s)``. The receiver-side
-    transport delivers to the application queue exactly once, in order,
-    buffering anything that arrives ahead of a gap. One cumulative
-    acknowledgement is generated per consumed message; a coalesced-away
-    status is covered by the next consumption's cumulative value, so its
-    window slot is recovered without a dedicated ack packet. The timer keeps
-    one authoritative heap event, at ``rto_event_at``: firing before the
-    deadline, it pushes itself again; a deadline moved before it (an ack after
-    a backoff) pushes a new event, and the superseded one returns on a guard.
+    The source keeps one queue, ``unacked``: the messages submitted and not
+    yet acked, in transport-seq order, of which the first ``in_flight`` are
+    sent; the next is sent while fewer than ``window_size`` are in flight. A
+    message's seq is ``highest_acked`` plus its place in the queue, and a
+    cumulative ack pops from the head. Data packets are subject to link loss;
+    acknowledgements are not lost. The connection keeps one retransmission
+    timer, managed as RFC 6298 §5 does: a send starts it when it is off, an
+    ack of new data restarts it and resets the timeout to ``rto_s``, and it
+    stops when nothing is outstanding. On expiry the head of ``unacked`` is
+    resent and the timeout doubles, capped at ``max(60 s, rto_s)``. The
+    receiver-side transport delivers to the application queue exactly once, in
+    order, buffering anything that arrives ahead of a gap. One cumulative
+    acknowledgement is generated per consumed message; a coalesced-away status
+    is covered by the next consumption's cumulative value, so its window slot
+    is recovered without a dedicated ack packet. The timer keeps one
+    authoritative heap event, at ``rto_event_at``: firing before the deadline,
+    it pushes itself again; a deadline moved before it (an ack after a
+    backoff) pushes a new event, and the superseded one returns on a guard.
     """
 
     def __init__(
@@ -341,10 +347,9 @@ class TcpConnection:
         self.data_wire = Wire(config)
         self.ack_wire = Wire(config)
         self.ack_ser_s = self.ack_wire.serialization_s(config.ack_size_bytes)
-        self.send_buffer: deque[Message] = deque()
-        self.next_seq = 1  # next transport seq to assign at submission
         self.highest_acked = 0
-        self.pending: dict[int, Message] = {}  # transmitted, not yet acked
+        self.unacked: deque[Message] = deque()
+        self.in_flight = 0
         self.expected = 1  # receiver transport: next in-order seq
         self.ooo: dict[int, Message] = {}
         receiver.on_consume = self._on_consume
@@ -357,17 +362,15 @@ class TcpConnection:
     def submit(self, msg: Message, now: float) -> None:
         self.collector.messages_sent += 1
         self.collector.source_busy_s += self.update_cost_s
-        msg.tx_seq = self.next_seq
-        self.next_seq += 1
-        # A non-empty send buffer means a full window.
-        if not self.send_buffer and len(self.pending) < self.window_size:
+        msg.tx_seq = self.highest_acked + len(self.unacked) + 1
+        self.unacked.append(msg)
+        if self.in_flight < self.window_size:
             self._transmit(msg, now, first=True)
-        else:
-            self.send_buffer.append(msg)
 
     def _transmit(self, msg: Message, now: float, first: bool) -> None:
         collector = self.collector
         if first:
+            self.in_flight += 1
             collector.data_bits_sent += msg.size_bytes * 8.0
         else:
             collector.retransmissions += 1
@@ -375,7 +378,6 @@ class TcpConnection:
         collector.source_busy_s += ser
         if not (self.loss_prob > 0.0 and self.rng.random() < self.loss_prob):
             self.clock.schedule(self.data_wire.transmit(now, ser), self._data_arrive, msg)
-        self.pending[msg.tx_seq] = msg
         if self.rto_deadline == inf:
             self._arm(now + self.rto)
 
@@ -395,7 +397,7 @@ class TcpConnection:
             if deadline < inf:
                 self._arm(deadline)
             return
-        self._transmit(self.pending[self.highest_acked + 1], now, first=False)
+        self._transmit(self.unacked[0], now, first=False)
         self.rto = min(2.0 * self.rto, self.max_rto_s)
         self._arm(now + self.rto)
 
@@ -403,10 +405,10 @@ class TcpConnection:
 
     def _data_arrive(self, msg: Message, now: float) -> None:
         seq = msg.tx_seq
-        if seq < self.expected or seq in self.ooo:
-            return  # duplicate of something already delivered or buffered
+        if seq < self.expected:
+            return  # duplicate of something already delivered
         if seq > self.expected:
-            self.ooo[seq] = msg
+            self.ooo[seq] = msg  # a resent copy is the same object
             return
         self.expected += 1  # deliver the in-order run; its last message arrives
         while self.expected in self.ooo:
@@ -425,17 +427,18 @@ class TcpConnection:
     def _ack_arrive(self, cum: int, now: float) -> None:
         self.collector.source_busy_s += self.ack_ser_s
         if cum > self.highest_acked:
-            for seq in range(self.highest_acked + 1, cum + 1):
-                del self.pending[seq]
+            unacked = self.unacked
+            for _ in range(cum - self.highest_acked):
+                unacked.popleft()
+            self.in_flight -= cum - self.highest_acked
             self.highest_acked = cum
             self.rto = self.rto_s
-            if self.pending:
+            if self.in_flight:
                 self._arm(now + self.rto_s)
             else:
                 self.rto_deadline = inf
-            send_buffer = self.send_buffer
-            while send_buffer and len(self.pending) < self.window_size:
-                self._transmit(send_buffer.popleft(), now, first=True)
+            while self.in_flight < self.window_size and self.in_flight < len(unacked):
+                self._transmit(unacked[self.in_flight], now, first=True)
 
 
 def build_connection(

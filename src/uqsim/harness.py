@@ -43,17 +43,11 @@ from .traffic import (  # noqa: F401
     schedule_messages,
 )
 
-PROTOCOL_ORDER = (
-    TransportKind.TCP,
-    TransportKind.UDP,
-    TransportKind.TCP_UQA,
-    TransportKind.UDP_UQA,
-)
-TOPOLOGIES = ("one_to_one", "one_to_many")
 DEFAULT_PACKET_SIZES = (32, 256, 512)
 DEFAULT_RECEIVER_DELAYS = (0.0, 0.033, 0.05, 0.1)
 DEFAULT_MESSAGE_COUNT = 1000
 DEFAULT_DURATIONS = {"one_to_one": 180.0, "one_to_many": 720.0}
+TOPOLOGIES = tuple(DEFAULT_DURATIONS)
 DEFAULT_DESTINATIONS = 4
 # Most destinations one cell may fan out to. Connections are built and run one
 # at a time; at this ceiling a one-to-many TCP cell with one message per
@@ -258,7 +252,7 @@ def default_configs(
     """The sweep matrix in canonical (protocol, topology, size, delay) order."""
     template = base if base is not None else ExperimentConfig(protocol=TransportKind.TCP)
     configs = []
-    for protocol in PROTOCOL_ORDER:
+    for protocol in TransportKind:
         for topology in TOPOLOGIES:
             for size in packet_sizes:
                 for delay in receiver_delays:
@@ -305,7 +299,7 @@ def run_sweep(
         except ValueError as exc:
             raise _cell_failure(config, exc) from exc
     # Canonical order is protocol-major, so group g holds every n_groups-th cell.
-    n_groups = len(configs) // len(PROTOCOL_ORDER)
+    n_groups = len(configs) // len(TransportKind)
     groups = [configs[g::n_groups] for g in range(n_groups)]
     group_results: list[list[ExperimentResult]]
     if jobs > 1:
@@ -424,7 +418,7 @@ def aggregate_rows(rows: Iterable[dict[str, object]]) -> list[dict[str, object]]
     for row in rows:
         key = (row["protocol"], row["topology"], row["receiver_delay_s"])
         groups.setdefault(key, []).append(row)
-    protocol_rank = {kind.value: i for i, kind in enumerate(PROTOCOL_ORDER)}
+    protocol_rank = {kind.value: i for i, kind in enumerate(TransportKind)}
     topology_rank = {name: i for i, name in enumerate(TOPOLOGIES)}
     out = []
     for key in sorted(
@@ -463,7 +457,7 @@ def figure_table(rows: Iterable[dict[str, object]], figure: int) -> list[dict[st
     table = []
     for delay in delays:
         entry: dict[str, object] = {"receiver_delay_s": delay}
-        for kind in PROTOCOL_ORDER:
+        for kind in TransportKind:
             row = by_key.get((kind.value, topology, delay))
             if row is None:
                 raise ValueError(
@@ -475,6 +469,6 @@ def figure_table(rows: Iterable[dict[str, object]], figure: int) -> list[dict[st
 
 
 def write_figure_csv(path: str, rows: Iterable[dict[str, object]], figure: int) -> None:
-    columns = ["receiver_delay_s"] + [kind.value for kind in PROTOCOL_ORDER]
+    columns = ["receiver_delay_s"] + [kind.value for kind in TransportKind]
     write_csv(path, columns, figure_table(rows, figure))
 

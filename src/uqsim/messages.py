@@ -78,14 +78,16 @@ def parse_trace_record(line: str) -> TraceRecord:
     parts = line.split(",")
     if len(parts) != 5:
         raise ValueError(f"malformed trace record: {line!r}")
-    t_send = float(parts[0])
+    try:
+        t_send = float(parts[0])
+        msg = Message(int(parts[2]), int(parts[1]), _KIND_OF_LETTER[parts[3]], int(parts[4]))
+    except KeyError as exc:  # its text is the letter's repr
+        raise ValueError(f"bad trace record {line!r}: {exc} is not a valid MessageKind") from None
+    except ValueError as exc:
+        raise ValueError(f"bad trace record {line!r}: {exc}") from None
     if not 0 <= t_send < inf:
         raise ValueError(f"trace record send time must be finite and >= 0: {line!r}")
-    try:
-        kind = _KIND_OF_LETTER[parts[3]]
-    except KeyError:
-        raise ValueError(f"{parts[3]!r} is not a valid MessageKind") from None
-    return t_send, Message(int(parts[2]), int(parts[1]), kind, int(parts[4]))
+    return t_send, msg
 
 
 def dump_trace(path: str, records: Iterable[TraceRecord]) -> None:

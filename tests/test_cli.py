@@ -570,6 +570,18 @@ def test_replay_rejects_fill_only_horizon_that_overflows(tmp_path, capsys):
     assert_clean_rejection(rc, captured.err, "last send time")
 
 
+def test_replay_with_zero_delay_blames_the_last_send_time(tmp_path, capsys):
+    # A zero delay adds nothing to the horizon: the last send time overflows it.
+    trace = tmp_path / "trace.csv"
+    trace.write_text("0,0,1,S,8\n1e308,1,1,S,8\n")
+    rc = run_cli(["replay", "--trace", str(trace), "--receiver-delay", "0"])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_clean_rejection(
+        rc, captured.err, "last send time 1e+308 plus --receiver-delay 0.0 per message"
+    )
+
+
 @pytest.mark.parametrize("case", ["queued", "drained"])
 def test_replay_rejects_negative_send_time(tmp_path, capsys, case):
     trace = tmp_path / "trace.csv"

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -341,7 +342,7 @@ def test_rto_timer_for_acked_seq_is_a_no_op():
     assert report.retransmissions == 0
     assert report.messages_delivered == n
     assert report.conservation_residual() == 0
-    assert sender.pending == {}
+    assert not sender.unacked and sender.in_flight == 0
 
 
 class RecordingRandom(random.Random):
@@ -394,7 +395,22 @@ def test_ack_of_new_data_after_backoff_pulls_the_expiry_in():
     assert acks[0] == pytest.approx(3.0 + SER_512 + ACK_SER + 2 * PROP)
     assert rng.times[4] == acks[0] + 1.0
     assert sender.receiver.queue.dequeued == 2
-    assert sender.pending == {}
+    assert not sender.unacked and sender.in_flight == 0
+
+
+@pytest.mark.parametrize("protocol", [TransportKind.TCP, TransportKind.TCP_UQA])
+def test_non_integral_window_rounds_up(protocol):
+    # Only the API passes a float window (the CLI casts to int). A message is
+    # sent while fewer than window_size are in flight, so 2.5 keeps 3 packets
+    # in flight: it runs as window 3, not as window 2.
+    cfg = ExperimentConfig(
+        protocol=protocol, topology="one_to_many", receiver_delay_s=0.05, loss_prob=0.2, seed=7
+    )
+    reports = {
+        w: run_experiment(replace(cfg, window_size=w)).per_destination for w in (2, 2.5, 3)
+    }
+    assert reports[2.5] == reports[3]
+    assert reports[2.5] != reports[2]
 
 
 def test_lossless_connection_keeps_at_most_one_timer_event(monkeypatch):
@@ -583,7 +599,7 @@ def test_residual_is_tcp_messages_in_transport(monkeypatch):
     result, (sender,) = run_cell_keeping_senders(monkeypatch, cfg)
     residual = result.report.conservation_residual()
     assert residual > 0
-    assert residual == sender.next_seq - sender.expected
+    assert residual == sender.highest_acked + len(sender.unacked) + 1 - sender.expected
 
 
 def test_residual_is_udp_datagrams_in_flight(monkeypatch):

@@ -36,6 +36,21 @@ def test_parse_trace_record_rejects_garbage():
         parse_trace_record("1.0,2,3,X,64")
 
 
+@pytest.mark.parametrize(
+    "line, why",
+    [
+        ("1,0,2,S,1e3", "invalid literal for int() with base 10: '1e3'"),
+        ("x,0,2,S,8", "could not convert string to float: 'x'"),
+        ("1,-1,2,S,8", "sender must be non-negative, got -1"),
+        ("1,0,2,S,0", "size_bytes must be in [1, 1073741824], got 0"),
+    ],
+)
+def test_parse_trace_record_names_the_record_in_every_field_error(line, why):
+    with pytest.raises(ValueError) as info:
+        parse_trace_record(line)
+    assert str(info.value) == f"bad trace record {line!r}: {why}"
+
+
 def test_trace_file_round_trip(tmp_path, make_msg):
     records = [
         (0.0, make_msg(sender=0, kind="S")),
