@@ -341,8 +341,8 @@ def _cell_failure(config: ExperimentConfig, exc: Exception) -> RuntimeError:
 
 
 def format_number(value: float) -> str:
-    """Integers print bare; everything else gets 6 significant digits."""
-    if value == int(value) and abs(value) < 1e15:
+    """Integers print bare; everything else, inf too, gets 6 significant digits."""
+    if abs(value) < 1e15 and value == int(value):
         return str(int(value))
     return f"{value:.6g}"
 

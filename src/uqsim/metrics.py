@@ -24,7 +24,7 @@ Definitions, chosen to make the four transports comparable:
   excluded; they still appear in ``messages_replaced``.
 
 ``conservation_residual()`` counts the messages still in transport at run
-end (in TCP's send buffer, window or reorder buffer, or datagrams on the
+end (in TCP's ``unacked`` queue or reorder buffer, or datagrams on the
 wire); it is 0 whenever the run drains, as in every default sweep cell.
 
 Zero-duration or zero-traffic runs report zeros rather than NaNs.

@@ -9,22 +9,14 @@ dequeue. The tail-only check means interleaved statuses from the same sender
 
 ``enqueue_keyed`` is an optional stricter variant that replaces a same-sender
 status anywhere in the queue, leaving at most one stored status per sender.
-It is off by default and selectable by configuration. It finds the stored
-status through a per-sender index and removes it lazily: the superseded
-entry stays in the deque, marked only by no longer being its sender's
-indexed status, and readers skip it. The liveness rule (not a status, or
-its sender's indexed status) lives in one comprehension, ``_live``, which
-both ``snapshot`` and compaction use; ``dequeue`` applies it to the head
-only. A superseded entry always has its replacement (a newer status from
-the same sender) somewhere behind it, so the tail is always live and a
-non-empty deque always holds a live message. When superseded entries
-outnumber live ones the deque is compacted in place, so it never holds
-more than twice the live length reached at the last keyed insertion.
+It is off by default and selectable by configuration. Its queue is one
+insertion-ordered map: a status is keyed by its sender, any other message by
+a unique negative key. A replacing status moves its sender's entry to the
+tail and takes its place, so the map holds exactly the queue's contents.
 
-Cost per operation: ``enqueue_fifo``, ``enqueue_uqa``, ``dequeue`` and
-``len`` (the live ``length`` every policy keeps) are O(1); ``enqueue_keyed`` is
-O(1) amortized (compaction is linear but pays for the superseded entries that
-triggered it); ``snapshot`` is linear.
+Cost per operation: ``enqueue_fifo``, ``enqueue_uqa``, ``enqueue_keyed``,
+``dequeue`` and ``len`` (the live ``length`` every policy keeps) are O(1);
+``snapshot`` is linear.
 
 The structure is single-writer and unbounded; peak sizes are something the
 experiments measure, not something the queue enforces.
@@ -33,10 +25,10 @@ experiments measure, not something the queue enforces.
 from __future__ import annotations
 
 import enum
-from collections import deque
+from collections import OrderedDict, deque
 from typing import Optional
 
-from .messages import Message, MessageKind, SenderId
+from .messages import Message, MessageKind
 
 
 class EnqueueOutcome(enum.Enum):
@@ -54,17 +46,19 @@ class UpdatableQueue:
 
     A queue is driven by one insertion policy (``enqueue_fifo``,
     ``enqueue_uqa`` or ``enqueue_keyed``) for its whole life, as ``Receiver``
-    binds it. Under the fifo and uqa policies ``_messages`` holds exactly the
-    live messages and the keyed index stays empty. ``length`` is the live
-    length: one more per ``INSERTED`` outcome, one less per dequeue.
+    binds it. The fifo and uqa policies store their messages in the deque
+    ``_messages``, the keyed policy in the ordered map ``_keyed``; the other
+    store stays empty. ``length`` is the live length: one more per
+    ``INSERTED`` outcome, one less per dequeue.
     """
 
-    __slots__ = ("_messages", "_status_of", "length", "inserted", "replaced", "dequeued")
+    __slots__ = ("_messages", "_keyed", "length", "inserted", "replaced", "dequeued")
 
     def __init__(self) -> None:
         self._messages: deque[Message] = deque()
-        # Keyed policy only: each sender's one live stored status.
-        self._status_of: dict[SenderId, Message] = {}
+        # Keyed policy only: a status under its sender, any other message
+        # under -inserted; senders are non-negative, so keys never collide.
+        self._keyed: OrderedDict[int, Message] = OrderedDict()
         self.length = 0
         self.inserted = 0
         self.replaced = 0
@@ -73,16 +67,9 @@ class UpdatableQueue:
     def __len__(self) -> int:
         return self.length
 
-    def _live(self) -> list[Message]:
-        """The stored messages that are not superseded, head first."""
-        status, status_of = MessageKind.STATUS, self._status_of
-        return [msg for msg in self._messages if msg.kind is not status or status_of[msg.sender] is msg]
-
     def snapshot(self) -> tuple[Message, ...]:
         """Current contents, head first. For inspection and oracles."""
-        if self.length == len(self._messages):
-            return tuple(self._messages)
-        return tuple(self._live())
+        return tuple(self._messages or self._keyed.values())
 
     def enqueue_uqa(self, msg: Message, now: float = 0.0) -> EnqueueOutcome:
         """Insert with tail-only status coalescing.
@@ -120,51 +107,36 @@ class UpdatableQueue:
     def enqueue_keyed(self, msg: Message, now: float = 0.0) -> EnqueueOutcome:
         """Whole-queue variant: replace a same-sender status anywhere.
 
-        The new message always appends at the tail. A status also becomes
-        its sender's indexed status; the one it displaces from the index,
-        if any, is superseded: it leaves the queue's contents, counts as
-        replaced, and stays in the deque until a dequeue or a compaction
-        drops it.
+        The new message always goes to the tail. A status from a sender
+        with a stored status drops that one, which counts as replaced; the
+        outcome is then ``REPLACED_TAIL`` and the length is unchanged.
         """
         if msg.t_enqueued is not None:
             raise ValueError("message was already enqueued once")
         msg.t_enqueued = now
         self.inserted += 1
-        messages = self._messages
-        messages.append(msg)
+        keyed = self._keyed
         if msg.kind is MessageKind.STATUS:
-            status_of = self._status_of
-            replacing = msg.sender in status_of
-            status_of[msg.sender] = msg
-            if replacing:
+            key = msg.sender
+            if key in keyed:
+                keyed.move_to_end(key)
+                keyed[key] = msg
                 self.replaced += 1
-                if 2 * self.length < len(messages):
-                    self._compact()
                 return EnqueueOutcome.REPLACED_TAIL
+        else:
+            key = -self.inserted
+        keyed[key] = msg
         self.length += 1
         return EnqueueOutcome.INSERTED
 
-    def _compact(self) -> None:
-        """Drop every superseded entry, keeping the same deque object."""
-        live = self._live()
-        self._messages.clear()
-        self._messages.extend(live)
-
     def dequeue(self) -> Optional[Message]:
         """Remove and return the head, or None when empty (not an error)."""
-        messages = self._messages
-        if not messages:
+        if self._messages:
+            msg = self._messages.popleft()
+        elif self._keyed:
+            msg = self._keyed.popitem(last=False)[1]
+        else:
             return None
-        msg = messages.popleft()
-        if self._status_of:
-            # Keyed: drop superseded heads. Each has its replacement behind
-            # it, so the deque cannot run dry before a live message.
-            status_of = self._status_of
-            while msg.kind is MessageKind.STATUS:
-                if status_of[msg.sender] is msg:
-                    del status_of[msg.sender]
-                    break
-                msg = messages.popleft()
         self.length -= 1
         self.dequeued += 1
         return msg

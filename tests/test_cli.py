@@ -484,6 +484,19 @@ def test_run_rejects_duration_whose_queue_statistics_overflow(capsys):
     assert_clean_rejection(rc, captured.err, "run_duration_s")
 
 
+def test_run_prints_an_overflowing_throughput_as_inf(tmp_path, capsys):
+    # At the largest bandwidth each destination's client throughput is near
+    # the float maximum, so the cell mean overflows; the summary ended in an
+    # OverflowError traceback from format_number.
+    config = tmp_path / "run.conf"
+    config.write_text(f"bandwidth_bps = {sys.float_info.max!r}\ntopology = one_to_many\n")
+    rc = run_cli(["run", "--protocol", "udp", "--messages", "1", "--config", str(config)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "avg_client_throughput_bps: inf\n" in out
+    assert "messages_delivered: 1\n" in out
+
+
 def test_lossy_tcp_duration_is_bounded_by_timer_expiries(tmp_path, capsys, monkeypatch):
     # After the backoff cap a connection whose data is all lost fires one
     # expiry per 60 s to the end of the run: 145,034 retransmissions at 1e7 s,

@@ -8,8 +8,9 @@ that survive the destination's loss draws. The recursion lives here, not in
 ``src/``: the program keeps one path, and this test derives the same
 numbers a second way from the cell's traffic and loss seed alone.
 
-A one-to-one ``udp_uqa`` destination has the same wire and hold but one
-sender, so an arriving status replaces the stored tail whenever that tail is
+A ``udp_uqa`` destination has the same wire and hold, and its queue holds
+one sender's messages (a one-to-many cell's sender sends each destination
+its own stream), so an arriving status replaces the stored tail whenever that tail is
 a status. Its queue is rebuilt by one list-based single-server pass.
 """
 
@@ -161,24 +162,28 @@ def test_lossy_udp_cells_follow_lindley_over_the_surviving_sends():
     assert checked == 60
 
 
-def test_one_to_one_udp_uqa_cells_follow_the_coalescing_queue():
+def test_udp_uqa_cells_follow_the_coalescing_queue():
+    # Each one-to-many destination queues its own stream from one sender,
+    # so the one-sender pass covers it as it covers a one-to-one cell.
     cells = [
         cfg
         for cfg in default_configs(DEFAULT_MASTER_SEED)
-        if cfg.protocol is TransportKind.UDP_UQA and cfg.destinations == 1
+        if cfg.protocol is TransportKind.UDP_UQA
     ]
-    assert len(cells) == 12
-    replaced_total = 0
+    assert len(cells) == 24
+    replaced_total, checked = 0, 0
     for config in cells:
-        (report,) = run_experiment(config).per_destination
-        (schedule,) = destination_schedules(config)
-        replaced, peak, waits, occupancy = coalescing_queue(schedule, config)
-        assert report.conservation_residual() == 0
-        assert report.messages_lost == 0
-        assert report.messages_replaced == replaced
-        assert report.messages_delivered == len(waits) == len(schedule) - replaced
-        assert report.peak_queue_len == peak
-        assert report.avg_time_in_queue_s == pytest.approx(sum(waits) / len(waits), rel=1e-12)
-        assert report.avg_queue_len == pytest.approx(occupancy / config.duration_s, rel=1e-12)
-        replaced_total += replaced
+        reports = run_experiment(config).per_destination
+        for report, schedule in zip(reports, destination_schedules(config), strict=True):
+            replaced, peak, waits, occupancy = coalescing_queue(schedule, config)
+            assert report.conservation_residual() == 0
+            assert report.messages_lost == 0
+            assert report.messages_replaced == replaced
+            assert report.messages_delivered == len(waits) == len(schedule) - replaced
+            assert report.peak_queue_len == peak
+            assert report.avg_time_in_queue_s == pytest.approx(sum(waits) / len(waits), rel=1e-12)
+            assert report.avg_queue_len == pytest.approx(occupancy / config.duration_s, rel=1e-12)
+            replaced_total += replaced
+            checked += 1
+    assert checked == 60
     assert replaced_total > 0

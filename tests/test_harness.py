@@ -1,5 +1,6 @@
 import concurrent.futures
 import hashlib
+import math
 
 import pytest
 
@@ -498,6 +499,7 @@ def test_format_number():
     assert format_number(0.03312) == "0.03312"
     assert format_number(927536.2312) == "927536"
     assert format_number(1234567.891) == "1.23457e+06"
+    assert format_number(math.inf) == "inf"
 
 
 def test_format_value_keeps_large_ints_exact():

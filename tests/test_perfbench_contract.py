@@ -40,6 +40,29 @@ def test_replay_keyed_workload_passes_its_check(monkeypatch, tmp_path):
     assert replay.check((status, out)) == set()
 
 
+def test_traced_keyed_replay_counts_every_replacement(monkeypatch, tmp_path):
+    # The traced run counts queues.replaced from enqueue_keyed's REPLACED_TAIL
+    # outcome; a replacement returned as INSERTED would skew replaced_frac
+    # without an error.
+    run = load_benchmark(monkeypatch)
+    import spans
+
+    monkeypatch.setattr(run, "WORK", tmp_path)
+    replay = run.Replay(20100)
+    tracer = spans.Tracer()
+    try:
+        run.install(tracer, True)
+        status, out = replay.call()
+    finally:
+        tracer.restore()
+    assert status == 0
+    counters = dict(line.split(": ") for line in out.splitlines() if ": " in line)
+    assert int(counters["replaced"]) > 0
+    assert tracer.counts["queues.replaced"] == int(counters["replaced"])
+    calls = tracer.aggregate()["UpdatableQueue.enqueue_keyed"]["calls"]
+    assert calls == int(counters["inserted"]) == replay.messages
+
+
 def test_traced_sweep_counts_service_pushes_and_every_delivery(monkeypatch):
     # The traced run divides the service pushes its schedule hook counts by
     # the deliveries it counts, and checks those against the reports. A

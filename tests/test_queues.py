@@ -236,7 +236,7 @@ def test_keyed_single_sender_flood_stays_compact(make_msg):
     for _ in range(10_000):
         newest = make_msg(sender=3, kind="S")
         q.enqueue_keyed(newest)
-        assert len(q._messages) <= 2 * len(q) + 1
+        assert len(q._keyed) == len(q)
     assert len(q) == 1
     assert q.replaced == 9_999
     assert q.dequeue() is newest
@@ -419,7 +419,7 @@ def test_keyed_matches_reference_model(ops):
 
 
 # Three senders, mostly statuses and one dequeue per four enqueues: keyed
-# insertions supersede often enough that most drawn sequences compact.
+# insertions replace a stored status in most drawn sequences.
 live_length_ops = st.lists(
     st.tuples(
         st.sampled_from(["enq"] * 4 + ["deq"]),
@@ -437,6 +437,8 @@ live_length_ops = st.lists(
 def test_live_length_matches_contents_after_every_operation(policy, ops):
     def check(q):
         assert len(q) == q.length == len(q.snapshot())
+        # Each policy stores exactly its live messages, in one of the stores.
+        assert len(q._messages) + len(q._keyed) == q.length
         assert q.inserted == q.replaced + len(q) + q.dequeued
 
     apply_ops(UpdatableQueue(), ops, f"enqueue_{policy}", check=check)

@@ -1,7 +1,8 @@
 """Settings at the edges of their types, one or two at a time, near a small
 valid cell: ``uqsim run`` rejects each point with one ``error:`` line, or it
-exits 0 and the cell conserves messages. The names come from
-``cli.SETTINGS``, so a new setting is covered without editing this file."""
+exits 0 and every message the cell sent and did not account for is still in
+transport. The names come from ``cli.SETTINGS``, so a new setting is covered
+without editing this file."""
 
 import contextlib
 import io
@@ -10,11 +11,12 @@ import os
 import sys
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uqsim import cli
-from uqsim.engine import TransportKind
+from uqsim import cli, harness
+from uqsim.engine import TcpConnection, TransportKind, UdpSender
 from uqsim.harness import MAX_DESTINATIONS, TOPOLOGIES, run_experiment
 from uqsim.messages import MAX_SIZE_BYTES
 from uqsim.traffic import MAX_MESSAGE_COUNT
@@ -64,6 +66,38 @@ def run_cli(point, print_config):
     return rc, out.getvalue(), err.getvalue()
 
 
+def residuals_and_transport(config):
+    """Per destination of one run of ``config``: (conservation residual,
+    messages still in its transport at run end).
+
+    TCP holds every seq it assigned and has not handed to the receiver;
+    UDP holds the datagrams that arrive after the run end.
+    """
+    senders, arrivals = [], {}
+    build, submit = harness.build_connection, UdpSender.submit
+
+    def keep(*args):
+        senders.append(build(*args))
+        return senders[-1]
+
+    def recording(self, msg, now):
+        at = submit(self, msg, now)
+        if at is not None:
+            arrivals.setdefault(self, []).append(at)
+        return at
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "build_connection", keep)
+        mp.setattr(UdpSender, "submit", recording)
+        reports = run_experiment(config).per_destination
+    for report, sender in zip(reports, senders, strict=True):
+        if isinstance(sender, TcpConnection):
+            held = sender.highest_acked + len(sender.unacked) + 1 - sender.expected
+        else:
+            held = sum(at > config.duration_s for at in arrivals.get(sender, ()))
+        yield report.conservation_residual(), held
+
+
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(points())
 def test_setting_edges_are_rejected_cleanly_or_conserve(point):
@@ -77,5 +111,5 @@ def test_setting_edges_are_rejected_cleanly_or_conserve(point):
     if heavy:
         return
     config = cli.build_experiment_config(point, point["seed"])
-    for report in run_experiment(config).per_destination:
-        assert 0 <= report.conservation_residual() <= report.messages_sent
+    for residual, held in residuals_and_transport(config):
+        assert residual == held
