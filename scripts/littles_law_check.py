@@ -6,20 +6,19 @@ satisfy Little's law to within a few percent; the residual column is the
 relative gap. Large residuals would indicate broken queue accounting.
 """
 
-import argparse
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from uqsim.cli import run_guarded  # noqa: E402
+from uqsim.cli import CliParser, run_guarded  # noqa: E402
 from uqsim.engine import TransportKind  # noqa: E402
 from uqsim.harness import ExperimentConfig, run_experiment  # noqa: E402
 from uqsim.metrics import littles_law_residual  # noqa: E402
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = CliParser(description=__doc__)
     parser.add_argument("--messages", type=int, default=12_000)
     parser.add_argument("--seed", type=int, default=80706)
     args = parser.parse_args()

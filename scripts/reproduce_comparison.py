@@ -8,7 +8,6 @@ and the eight figure tables (``sweep_figure_06.csv`` ... ``sweep_figure_13.csv``
 Rerunning with the same seed reproduces every file byte for byte.
 """
 
-import argparse
 import sys
 import time
 from pathlib import Path
@@ -20,7 +19,7 @@ from uqsim.harness import DEFAULT_MASTER_SEED, check_jobs  # noqa: E402
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = cli.CliParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED)
     parser.add_argument("--jobs", type=int, default=4)
     parser.add_argument("--out-dir", default="results")

@@ -11,7 +11,7 @@ Subcommands:
 Configuration comes from defaults, then an optional key=value file
 (--config), then flags; later layers override earlier ones. --print-config
 validates the effective settings, prints them and exits. Exit status is 0
-on success and nonzero with a diagnostic on stderr otherwise.
+on success and 1, with one ``error:`` line on stderr, for any bad input.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import sys
 from dataclasses import fields, replace
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NoReturn, Optional
 
 from .engine import QUEUE_VARIANTS, Receiver, SimClock, TransportKind
 from .harness import (
@@ -127,42 +127,41 @@ def print_settings(settings: dict[str, object]) -> None:
         print(f"{key}={settings[key]}")
 
 
+class CliParser(argparse.ArgumentParser):
+    """A parser whose ``error`` raises ValueError, so ``run_guarded`` reports a
+    bad flag as it reports a bad config line: one ``error:`` line, exit 1."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(message)
+
+
 def _add_model_flags(parser: argparse.ArgumentParser, full: bool) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="master seed")
-    parser.add_argument("--loss", dest="loss_prob", type=float, default=None,
-                        help="per-packet loss probability on the link")
-    parser.add_argument("--window", dest="window_size", type=int, default=None,
-                        help="tcp window size in packets")
-    parser.add_argument("--queue-variant", dest="queue_variant",
-                        choices=QUEUE_VARIANTS, default=None,
-                        help="updatable-queue replacement scope")
-    parser.add_argument("--schedule", choices=SCHEDULES, default=None,
-                        help="send schedule shape")
+    def setting(flag: str, name: str, **kwargs: object) -> None:
+        """A flag for one setting, cast as the config file casts it."""
+        parser.add_argument(flag, dest=name, type=SETTINGS[name][0], default=None, **kwargs)
+
+    setting("--seed", "seed", help="master seed")
+    setting("--loss", "loss_prob", help="per-packet loss probability on the link")
+    setting("--window", "window_size", help="tcp window size in packets")
+    setting("--queue-variant", "queue_variant", choices=QUEUE_VARIANTS,
+            help="updatable-queue replacement scope")
+    setting("--schedule", "schedule", choices=SCHEDULES, help="send schedule shape")
     parser.add_argument("--config", default=None, help="key=value configuration file")
     parser.add_argument("--print-config", action="store_true",
                         help="print effective settings and exit")
     if full:
-        parser.add_argument("--protocol", choices=[k.value for k in TransportKind],
-                            default=None)
-        parser.add_argument("--topology", choices=TOPOLOGIES, default=None)
-        parser.add_argument("--packet-size", dest="packet_size_bytes", type=int,
-                            default=None)
-        parser.add_argument("--receiver-delay", dest="receiver_delay_s", type=float,
-                            default=None)
-        parser.add_argument("--messages", dest="message_count", type=int, default=None,
-                            help="messages per destination")
-        parser.add_argument("--duration", dest="run_duration_s", type=float,
-                            default=None)
+        setting("--protocol", "protocol", choices=[k.value for k in TransportKind])
+        setting("--topology", "topology", choices=TOPOLOGIES)
+        setting("--packet-size", "packet_size_bytes")
+        setting("--receiver-delay", "receiver_delay_s")
+        setting("--messages", "message_count", help="messages per destination")
+        setting("--duration", "run_duration_s")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     settings = effective_settings(args)
-    derived = cell_seed(
-        settings["seed"],  # type: ignore[arg-type]
-        settings["topology"],  # type: ignore[arg-type]
-        settings["packet_size_bytes"],  # type: ignore[arg-type]
-        settings["receiver_delay_s"],  # type: ignore[arg-type]
-    )
+    # The cell seed's inputs: the master seed, then the axes but the protocol.
+    derived = cell_seed(*(settings[name] for name in ("seed", *SWEEP_AXES[1:])))  # type: ignore[arg-type]
     config = build_experiment_config(settings, derived)
     config.validate()
     if args.print_config:
@@ -239,7 +238,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = CliParser(
         prog="uqsim",
         description="transport comparison harness over FIFO and updatable receive queues",
     )
@@ -290,8 +289,11 @@ def run_guarded(command: Callable[[], int]) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    return run_guarded(lambda: args.func(args))
+    def command() -> int:  # parsing inside run_guarded: a bad flag exits 1 too
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+
+    return run_guarded(command)
 
 
 if __name__ == "__main__":

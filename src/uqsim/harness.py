@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, fields, replace
+from itertools import product
 from math import inf
 from typing import Iterable, Optional, Sequence
 
 from .engine import QUEUE_VARIANTS, SimClock, TransportKind, build_connection
 from .messages import MAX_SIZE_BYTES, TraceRecord
-from .metrics import MetricsReport, check_horizon, littles_law_residual, mean_report
+from .metrics import MetricsReport, check_horizon, littles_law_residual, mean, mean_report
 # generate_schedule stays a harness name: perfbench/run.py wraps it here.
 from .traffic import (  # noqa: F401
     FINITE,
@@ -57,16 +58,15 @@ DEFAULT_MASTER_SEED = 20100
 
 # The settings default_configs sets per cell; the rest come from the base config.
 SWEEP_AXES = ("protocol", "topology", "packet_size_bytes", "receiver_delay_s")
+# The columns that name a cell, and those that name its average over packet sizes.
+CELL_COLUMNS = SWEEP_AXES + ("seed",)
+AGGREGATE_KEY = ("protocol", "topology", "receiver_delay_s")
 
 # The CSV metric columns: the MetricsReport fields before run_duration_s.
 _REPORT_FIELDS = tuple(f.name for f in fields(MetricsReport))
 METRIC_COLUMNS = _REPORT_FIELDS[: _REPORT_FIELDS.index("run_duration_s")]
-CSV_COLUMNS = (
-    ("protocol", "topology", "packet_size_bytes", "receiver_delay_s", "seed")
-    + METRIC_COLUMNS
-    + ("littles_residual",)
-)
-AGGREGATE_COLUMNS = ("protocol", "topology", "receiver_delay_s") + METRIC_COLUMNS
+CSV_COLUMNS = CELL_COLUMNS + METRIC_COLUMNS + ("littles_residual",)
+AGGREGATE_COLUMNS = AGGREGATE_KEY + METRIC_COLUMNS
 
 # Figure id -> (metric column, topology). 6-10 are one-to-one, 11-13 fan-out.
 FIGURE_SPECS = {
@@ -251,22 +251,11 @@ def default_configs(
 ) -> list[ExperimentConfig]:
     """The sweep matrix in canonical (protocol, topology, size, delay) order."""
     template = base if base is not None else ExperimentConfig(protocol=TransportKind.TCP)
-    configs = []
-    for protocol in TransportKind:
-        for topology in TOPOLOGIES:
-            for size in packet_sizes:
-                for delay in receiver_delays:
-                    configs.append(
-                        replace(
-                            template,
-                            protocol=protocol,
-                            topology=topology,
-                            packet_size_bytes=size,
-                            receiver_delay_s=delay,
-                            seed=cell_seed(master_seed, topology, size, delay),
-                        )
-                    )
-    return configs
+    # Each cell sets the SWEEP_AXES; its seed derives from all of them but the protocol.
+    return [
+        replace(template, **dict(zip(SWEEP_AXES, cell)), seed=cell_seed(master_seed, *cell[1:]))
+        for cell in product(TransportKind, TOPOLOGIES, packet_sizes, receiver_delays)
+    ]
 
 
 @dataclass(slots=True)
@@ -367,15 +356,10 @@ def report_row(rep: MetricsReport) -> dict[str, object]:
 
 
 def result_row(result: ExperimentResult) -> dict[str, object]:
-    cfg = result.config
-    return {
-        "protocol": cfg.protocol.value,
-        "topology": cfg.topology,
-        "packet_size_bytes": cfg.packet_size_bytes,
-        "receiver_delay_s": cfg.receiver_delay_s,
-        "seed": cfg.seed,
-        **report_row(result.report),
-    }
+    """The ``CSV_COLUMNS`` of one cell: its ``CELL_COLUMNS``, then its mean report's."""
+    row = {col: getattr(result.config, col) for col in CELL_COLUMNS}
+    row["protocol"] = result.config.protocol.value
+    return {**row, **report_row(result.report)}
 
 
 def sweep_rows(sweep: SweepResult) -> list[dict[str, object]]:
@@ -396,7 +380,7 @@ def write_sweep_csv(path: str, sweep: SweepResult) -> None:
 
 def write_destination_csv(path: str, sweep: SweepResult) -> None:
     """Per-destination rows for fan-out cells (plus the single 1:1 row)."""
-    columns = CSV_COLUMNS[:5] + ("destination",) + CSV_COLUMNS[5:]
+    columns = CELL_COLUMNS + ("destination",) + CSV_COLUMNS[len(CELL_COLUMNS):]
     rows = []
     for result in sweep.results:
         base = result_row(result)
@@ -416,22 +400,14 @@ def aggregate_rows(rows: Iterable[dict[str, object]]) -> list[dict[str, object]]
     """
     groups: dict[tuple, list[dict[str, object]]] = {}
     for row in rows:
-        key = (row["protocol"], row["topology"], row["receiver_delay_s"])
-        groups.setdefault(key, []).append(row)
-    protocol_rank = {kind.value: i for i, kind in enumerate(TransportKind)}
-    topology_rank = {name: i for i, name in enumerate(TOPOLOGIES)}
+        groups.setdefault(tuple(row[col] for col in AGGREGATE_KEY), []).append(row)
+    protocols = [kind.value for kind in TransportKind]
+    # AGGREGATE_KEY's order: protocol, topology, then receiver delay.
     out = []
-    for key in sorted(
-        groups, key=lambda k: (protocol_rank[k[0]], topology_rank[k[1]], k[2])
-    ):
-        members = groups[key]
-        agg: dict[str, object] = {
-            "protocol": key[0],
-            "topology": key[1],
-            "receiver_delay_s": key[2],
-        }
+    for key in sorted(groups, key=lambda k: (protocols.index(k[0]), TOPOLOGIES.index(k[1]), k[2])):
+        agg: dict[str, object] = dict(zip(AGGREGATE_KEY, key))
         for col in METRIC_COLUMNS:
-            agg[col] = sum(m[col] for m in members) / len(members)  # type: ignore[call-overload]
+            agg[col] = mean([m[col] for m in groups[key]])  # type: ignore[misc]
         out.append(agg)
     return out
 
@@ -450,20 +426,19 @@ def figure_table(rows: Iterable[dict[str, object]], figure: int) -> list[dict[st
             f"unknown figure id {figure}; known: {sorted(FIGURE_SPECS)}"
         )
     metric, topology = FIGURE_SPECS[figure]
-    # aggregate_rows gives at most one row per (protocol, topology, delay).
-    agg = aggregate_rows(rows)
-    by_key = {(r["protocol"], r["topology"], r["receiver_delay_s"]): r for r in agg}
-    delays = sorted({delay for _, top, delay in by_key if top == topology})
+    # aggregate_rows gives at most one row per AGGREGATE_KEY value.
+    values = {tuple(r[col] for col in AGGREGATE_KEY): r[metric] for r in aggregate_rows(rows)}
+    delays = sorted({delay for _, top, delay in values if top == topology})
     table = []
     for delay in delays:
         entry: dict[str, object] = {"receiver_delay_s": delay}
         for kind in TransportKind:
-            row = by_key.get((kind.value, topology, delay))
-            if row is None:
+            key = (kind.value, topology, delay)
+            if key not in values:
                 raise ValueError(
                     f"figure {figure}: no aggregate row for ({kind.value}, {topology}, {delay})"
                 )
-            entry[kind.value] = row[metric]
+            entry[kind.value] = values[key]
         table.append(entry)
     return table
 

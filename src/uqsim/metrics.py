@@ -33,7 +33,7 @@ Zero-duration or zero-traffic runs report zeros rather than NaNs.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from math import isfinite
+from math import isfinite, isinf
 
 from .queues import UpdatableQueue
 
@@ -155,11 +155,20 @@ class MetricsCollector:
         )
 
 
+def mean(values: list[float]) -> float:
+    """The one average of every report and table: the plain sum over the count,
+    unless finite values sum past the largest float; then the exact mean."""
+    total = sum(values)
+    if isinf(total) and all(map(isfinite, values)):
+        from fractions import Fraction  # exact, so rounded once; imported on this path only
+        return float(sum(map(Fraction, values)) / len(values))
+    return total / len(values)
+
+
 def mean_report(reports: list[MetricsReport]) -> MetricsReport:
     """Field-wise mean across destinations of a fan-out run."""
     if not reports:
         raise ValueError("mean_report needs at least one report")
-    n = len(reports)
     return MetricsReport(
-        **{f.name: sum(getattr(r, f.name) for r in reports) / n for f in fields(MetricsReport)}
+        **{f.name: mean([getattr(r, f.name) for r in reports]) for f in fields(MetricsReport)}
     )

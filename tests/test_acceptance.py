@@ -6,7 +6,6 @@ lines and timings. The directional criteria (5, 6) evaluate the default
 are built for the figure emitters.
 """
 
-import itertools
 import math
 import random
 import time

@@ -99,9 +99,48 @@ def test_load_config_file_parses_types(tmp_path):
 
 
 def test_invalid_flag_value_exits_nonzero(capsys):
+    rc = run_cli(["run", "--protocol", "bogus"])
+    assert_clean_rejection(rc, capsys.readouterr().err, "--protocol")
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["run", "--window", "2.5"], "--window"),
+        (["run", "--messages", "1e3"], "--messages"),
+        (["run", "--topology", "ring"], "--topology"),
+        (["run", "--bogus"], "--bogus"),
+        (["replay"], "--trace"),
+        (["sweep", "--jobs", "x"], "--jobs"),
+        (["bogus"], "bogus"),
+    ],
+)
+def test_bad_flags_are_rejected_as_config_lines_are(capsys, argv, needle):
+    # Each printed a usage block and exited 2; a bad config line exits 1.
+    rc = run_cli(argv)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_clean_rejection(rc, captured.err, needle)
+
+
+def test_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as excinfo:
-        build_parser().parse_args(["run", "--protocol", "bogus"])
-    assert excinfo.value.code == 2
+        run_cli(["run", "--help"])
+    assert excinfo.value.code == 0
+    assert "--window" in capsys.readouterr().out
+
+
+def test_model_flags_cast_as_their_settings():
+    args = build_parser().parse_args([
+        "run", "--seed", "3", "--loss", "0", "--window", "2", "--queue-variant", "keyed",
+        "--schedule", "uniform", "--protocol", "tcp", "--topology", "one_to_one",
+        "--packet-size", "8", "--receiver-delay", "0", "--messages", "5", "--duration", "9",
+    ])
+    flagged = {name: getattr(args, name) for name in SETTINGS if getattr(args, name, None) is not None}
+    assert len(flagged) == 11
+    assert {name: type(value) for name, value in flagged.items()} == {
+        name: SETTINGS[name][0] for name in flagged
+    }
 
 
 def test_invalid_model_value_reports_error(capsys):
@@ -484,16 +523,15 @@ def test_run_rejects_duration_whose_queue_statistics_overflow(capsys):
     assert_clean_rejection(rc, captured.err, "run_duration_s")
 
 
-def test_run_prints_an_overflowing_throughput_as_inf(tmp_path, capsys):
+def test_run_prints_the_finite_mean_of_throughputs_near_the_float_maximum(tmp_path, capsys):
     # At the largest bandwidth each destination's client throughput is near
-    # the float maximum, so the cell mean overflows; the summary ended in an
-    # OverflowError traceback from format_number.
+    # the float maximum; their plain sum overflows, and the cell mean printed inf.
     config = tmp_path / "run.conf"
     config.write_text(f"bandwidth_bps = {sys.float_info.max!r}\ntopology = one_to_many\n")
     rc = run_cli(["run", "--protocol", "udp", "--messages", "1", "--config", str(config)])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "avg_client_throughput_bps: inf\n" in out
+    assert "avg_client_throughput_bps: 1.79769e+308\n" in out
     assert "messages_delivered: 1\n" in out
 
 
@@ -730,5 +768,5 @@ def test_readme_commands_parse():
     for line in commands:
         try:
             build_parser().parse_args(shlex.split(line, comments=True)[1:])
-        except SystemExit:
+        except (SystemExit, ValueError):
             pytest.fail(f"README command does not parse: {line}")

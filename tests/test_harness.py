@@ -1,6 +1,7 @@
 import concurrent.futures
 import hashlib
 import math
+import sys
 
 import pytest
 
@@ -11,6 +12,7 @@ from uqsim.harness import (
     CSV_COLUMNS,
     DEFAULT_PACKET_SIZES,
     DEFAULT_RECEIVER_DELAYS,
+    METRIC_COLUMNS,
     ExperimentConfig,
     aggregate_rows,
     cell_seed,
@@ -325,6 +327,19 @@ def test_aggregate_rows_average_packet_sizes():
         if r["protocol"] == "udp" and r["topology"] == "one_to_one"
     )
     assert float(got["avg_queue_len"]) == pytest.approx(expected)
+
+
+def test_aggregate_rows_of_values_near_the_float_maximum_are_finite():
+    # Three packet sizes at the float maximum: the plain sum overflows, and so
+    # does the sum of the values each divided by 3 first.
+    big = sys.float_info.max
+    rows = [
+        {"protocol": "udp", "topology": "one_to_many", "receiver_delay_s": 0.0,
+         "packet_size_bytes": size, **dict.fromkeys(METRIC_COLUMNS, big)}
+        for size in DEFAULT_PACKET_SIZES
+    ]
+    (agg,) = aggregate_rows(rows)
+    assert [agg[col] for col in METRIC_COLUMNS] == [big] * len(METRIC_COLUMNS)
 
 
 def test_csv_round_trip(tmp_path):

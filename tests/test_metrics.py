@@ -1,4 +1,6 @@
 import random
+import sys
+from dataclasses import replace
 
 import pytest
 
@@ -12,8 +14,8 @@ from uqsim.harness import ExperimentConfig
 from uqsim.messages import Message, MessageKind
 from uqsim.metrics import (
     MetricsCollector,
-    MetricsReport,
     littles_law_residual,
+    mean,
     mean_report,
 )
 from uqsim.queues import UpdatableQueue
@@ -242,6 +244,24 @@ def test_mean_report_preserves_conservation():
         reports.append(c.finalize(1.0, queue))
     assert all(r.conservation_residual() == 0 for r in reports)
     assert mean_report(reports).conservation_residual() == 0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_mean_report_of_throughputs_near_the_float_maximum_is_finite(n):
+    # Their plain sum overflows; it used to make the fan-out mean inf.
+    report = MetricsCollector().finalize(1.0, UpdatableQueue())
+    reports = [replace(report, avg_client_throughput_bps=sys.float_info.max)] * n
+    assert mean_report(reports).avg_client_throughput_bps == sys.float_info.max
+
+
+def test_mean_divides_the_plain_sum_unless_it_overflows():
+    values = [0.1, 0.2, 0.3, 0.7]
+    assert mean(values) == sum(values) / len(values)
+    big = sys.float_info.max
+    assert mean([big, -big, big * 0.5]) == (big - big + big * 0.5) / 3  # no overflow
+    assert mean([big, big * 0.5, big]) == pytest.approx(big / 6 * 5, rel=1e-15)
+    assert mean([-big, -big, -big]) == -big
+    assert mean([big, float("inf")]) == float("inf")  # an infinite value stays infinite
 
 
 def test_negative_duration_rejected():

@@ -1,7 +1,8 @@
 """The scripts import uqsim names; removing one must fail here. Also what
 importing the queue library or the engine loads, how the scripts and
-``uqsim`` end: bad input, closed stdout, and that the package imports
-nothing it does not use and defines no public name only tests use."""
+``uqsim`` end: bad input, closed stdout, and that the package, the scripts
+and the tests import nothing they do not use, and that the package defines
+no public name only tests use."""
 
 import ast
 import importlib.util
@@ -97,6 +98,19 @@ def test_reproduce_comparison_rejects_jobs_below_one(tmp_path):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["reproduce_comparison.py", "--jobs", "x"], ["littles_law_check.py", "--messages", "1e3"]],
+    ids=["reproduce_comparison", "littles_law_check"],
+)
+def test_script_rejects_a_bad_flag_in_one_line(argv):
+    child = run_child([str(SCRIPTS / argv[0]), *argv[1:]], unbuffered=False)
+    out, err = child.communicate(timeout=60)
+    assert child.returncode == 1 and out == b""
+    lines = err.decode().strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and argv[1] in lines[0], err
+
+
 @pytest.mark.parametrize("unbuffered", [True, False])
 @pytest.mark.parametrize(
     "argv",
@@ -171,6 +185,15 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", sorted((ROOT / "src" / "uqsim").glob("*.py")), ids=lambda p: p.name)
 def test_package_has_no_unused_imports(path):
     # No linter is a test dependency, so this is the one lint that runs.
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted([*SCRIPTS.glob("*.py"), *(ROOT / "tests").glob("*.py")]),
+    ids=lambda p: f"{p.parent.name}/{p.name}",
+)
+def test_scripts_and_tests_have_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
