@@ -48,7 +48,7 @@ from .harness import (
 )
 from .messages import format_trace_record, load_trace
 from .metrics import check_horizon
-from .traffic import FINITE, SCHEDULES, check_range
+from .traffic import FINITE, SCHEDULES, check_choice, check_range
 
 # Settings the CLI defines itself: a protocol name, and the master seed that
 # cell seeds derive from.
@@ -107,19 +107,19 @@ def effective_settings(
 
 def build_experiment_config(settings: dict[str, object], derived_seed: int) -> ExperimentConfig:
     """An ExperimentConfig from typed settings, with the derived cell seed."""
-    try:
-        protocol = TransportKind(settings["protocol"])
-    except ValueError:
-        choices = ", ".join(kind.value for kind in TransportKind)
-        raise ValueError(f"protocol must be one of: {choices}") from None
+    check_choice("protocol", settings["protocol"], [kind.value for kind in TransportKind])
+    protocol = TransportKind(settings["protocol"])
     values = {name: settings[name] for name in SETTINGS if name not in CLI_SETTINGS}
     return ExperimentConfig(protocol=protocol, seed=derived_seed, **values)  # type: ignore[arg-type]
 
 
-def require_output_dirs(*paths: Path) -> None:
+def check_output_paths(*paths: Path) -> None:
+    """Reject an output whose directory is missing or that is a directory."""
     for path in paths:
         if not path.parent.is_dir():
             raise ValueError(f"output directory {path.parent} does not exist")
+        if path.is_dir():
+            raise ValueError(f"output path {path} is a directory")
 
 
 def print_settings(settings: dict[str, object]) -> None:
@@ -168,7 +168,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         print_settings({**settings, "derived_cell_seed": derived})
         return 0
     if args.out:
-        require_output_dirs(Path(args.out))
+        check_output_paths(Path(args.out))
     result = run_experiment(config)
     row = result_row(result)
     for key, value in row.items():
@@ -190,22 +190,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print_settings({**shown, "jobs": args.jobs, "out": args.out})
         return 0
     out = Path(args.out)
-    require_output_dirs(out)  # every other output goes next to it
-
-    def sibling(tag: str) -> str:
-        return str(out.with_name(f"{out.stem}_{tag}{out.suffix}"))
-
+    # The other outputs go next to it, one per tag; all are checked before any cell runs.
+    tags = ("aggregate", "destinations", *(f"figure_{figure:02d}" for figure in sorted(FIGURE_SPECS)))
+    aggregate, destinations, *figures = (out.with_name(f"{out.stem}_{t}{out.suffix}") for t in tags)
+    check_output_paths(out, aggregate, destinations, *figures)
     sweep = run_sweep(master_seed=settings["seed"], jobs=args.jobs, base=base)  # type: ignore[arg-type]
     rows = sweep_rows(sweep)
     write_sweep_csv(str(out), sweep)
-    write_aggregate_csv(sibling("aggregate"), rows)
-    write_destination_csv(sibling("destinations"), sweep)
+    write_aggregate_csv(str(aggregate), rows)
+    write_destination_csv(str(destinations), sweep)
     print(f"wrote {out} ({len(sweep.results)} cells)")
-    print(f"wrote {sibling('aggregate')}")
-    print(f"wrote {sibling('destinations')}")
-    for figure in sorted(FIGURE_SPECS):
-        path = sibling(f"figure_{figure:02d}")
-        write_figure_csv(path, rows, figure)
+    print(f"wrote {aggregate}")
+    print(f"wrote {destinations}")
+    for figure, path in zip(sorted(FIGURE_SPECS), figures):
+        write_figure_csv(str(path), rows, figure)
         print(f"wrote {path}")
     return 0
 

@@ -301,6 +301,11 @@ class UdpSender:
         return self.wire.transmit(now, ser)
 
 
+def backoff_cap(rto_s: float) -> float:
+    """The ceiling the retransmission timeout doubles up to (RFC 6298 §5.5)."""
+    return max(60.0, rto_s)
+
+
 class TcpConnection:
     """Fixed-window reliable stream between the source and one destination.
 
@@ -336,7 +341,7 @@ class TcpConnection:
         self.window_size = config.window_size
         self.ack_size_bytes = config.ack_size_bytes
         self.rto_s = config.rto_s
-        self.max_rto_s = max(60.0, config.rto_s)  # backoff ceiling, RFC 6298 §5.5
+        self.max_rto_s = backoff_cap(config.rto_s)
         self.rto = config.rto_s  # current timeout, doubled on each expiry
         self.rto_deadline = inf  # inf: timer off
         self.rto_event_at = inf  # time of the authoritative heap event

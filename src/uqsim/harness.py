@@ -3,7 +3,8 @@
 The default matrix crosses 4 protocols x 3 packet sizes x 4 receiver delays
 x 2 topologies. One-to-one runs send 1000 messages over 180 s; one-to-many
 runs fan 1000 messages out to each of 4 equidistant destinations over 720 s,
-the source interleaving destinations round-robin.
+each destination on an independent Poisson stream (a uniform schedule instead
+interleaves them round-robin on one grid).
 
 Cell seeds derive from the master seed and the cell's (topology, size,
 delay) coordinates - deliberately not the protocol, so the four protocols in
@@ -27,7 +28,7 @@ from itertools import product
 from math import inf
 from typing import Iterable, Optional, Sequence
 
-from .engine import QUEUE_VARIANTS, SimClock, TransportKind, build_connection
+from .engine import QUEUE_VARIANTS, SimClock, TransportKind, backoff_cap, build_connection
 from .messages import MAX_SIZE_BYTES, TraceRecord
 from .metrics import MetricsReport, check_horizon, littles_law_residual, mean, mean_report
 # generate_schedule stays a harness name: perfbench/run.py wraps it here.
@@ -37,6 +38,7 @@ from .traffic import (  # noqa: F401
     POSITIVE,
     Draw,
     TrafficConfig,
+    check_choice,
     check_range,
     derive_seed,
     draw_schedule,
@@ -68,6 +70,9 @@ METRIC_COLUMNS = _REPORT_FIELDS[: _REPORT_FIELDS.index("run_duration_s")]
 CSV_COLUMNS = CELL_COLUMNS + METRIC_COLUMNS + ("littles_residual",)
 AGGREGATE_COLUMNS = AGGREGATE_KEY + METRIC_COLUMNS
 
+# TrafficConfig's defaults, read off its fields: a slots class keeps none itself.
+_TRAFFIC_DEFAULTS = {f.name: f.default for f in fields(TrafficConfig)}
+
 # Figure id -> (metric column, topology). 6-10 are one-to-one, 11-13 fan-out.
 FIGURE_SPECS = {
     6: ("avg_client_throughput_bps", "one_to_one"),
@@ -93,9 +98,9 @@ class ExperimentConfig:
     run_duration_s: Optional[float] = None  # default 180 / 720 by topology
     seed: int = 0
     n_destinations: int = DEFAULT_DESTINATIONS
-    p_status: float = 0.70
+    p_status: float = _TRAFFIC_DEFAULTS["p_status"]
     schedule: str = "poisson"
-    send_window_fraction: float = 0.9
+    send_window_fraction: float = _TRAFFIC_DEFAULTS["send_window_fraction"]
     queue_variant: str = "tail"  # tail | keyed, applies to *_uqa protocols
     propagation_delay_s: float = 0.010
     bandwidth_bps: float = 1_000_000.0
@@ -147,8 +152,7 @@ class ExperimentConfig:
         """
         if not isinstance(self.protocol, TransportKind):
             raise ValueError(f"protocol must be a TransportKind, got {self.protocol!r}")
-        if self.topology not in TOPOLOGIES:
-            raise ValueError(f"topology must be one of {TOPOLOGIES}, got {self.topology!r}")
+        check_choice("topology", self.topology, TOPOLOGIES)
         for name in (
             "receiver_delay_s", "propagation_delay_s", "udp_app_per_msg_s", "uqa_update_cost_s"
         ):
@@ -160,10 +164,7 @@ class ExperimentConfig:
                 f"message_count * n_destinations must be at most {MAX_MESSAGE_COUNT} per cell, "
                 f"got {self.message_count} * {self.destinations}"
             )
-        if self.queue_variant not in QUEUE_VARIANTS:
-            raise ValueError(
-                f"queue_variant must be one of {tuple(QUEUE_VARIANTS)}, got {self.queue_variant!r}"
-            )
+        check_choice("queue_variant", self.queue_variant, QUEUE_VARIANTS)
         self.traffic().validate()
         check_horizon(self.duration_s, self.message_count, f"run_duration_s {self.duration_s}")
         check_range("bandwidth_bps", self.bandwidth_bps, POSITIVE, FINITE, "positive and finite")
@@ -175,7 +176,7 @@ class ExperimentConfig:
         if self.duration_s + self.rto_s == self.duration_s:
             raise ValueError(f"rto_s must be above the clock's resolution at "
                              f"run_duration_s {self.duration_s}, got {self.rto_s}")
-        expiries = self.destinations * self.duration_s / max(60.0, self.rto_s)
+        expiries = self.destinations * self.duration_s / backoff_cap(self.rto_s)
         if self.protocol.reliable and self.loss_prob > 0 and expiries > MAX_MESSAGE_COUNT:
             raise ValueError(
                 f"run_duration_s {self.duration_s} is too long for a lossy {self.protocol.value} "
@@ -329,20 +330,14 @@ def _cell_failure(config: ExperimentConfig, exc: Exception) -> RuntimeError:
 # -- CSV emission ------------------------------------------------------------
 
 
-def format_number(value: float) -> str:
-    """Integers print bare; everything else, inf too, gets 6 significant digits."""
-    if abs(value) < 1e15 and value == int(value):
-        return str(int(value))
-    return f"{value:.6g}"
-
-
 def format_value(value: object) -> str:
-    """CSV cell formatting: strings pass through, ints stay exact."""
+    """One CSV cell: strings pass through, ints print exactly and integral
+    floats below 1e15 bare; every other float, inf too, to 6 significant digits."""
     if isinstance(value, str):
         return value
-    if isinstance(value, int):
-        return str(value)
-    return format_number(float(value))  # type: ignore[arg-type]
+    if isinstance(value, int) or abs(value) < 1e15 and value == int(value):  # type: ignore[arg-type]
+        return str(int(value))  # type: ignore[call-overload]
+    return f"{value:.6g}"
 
 
 def report_row(rep: MetricsReport) -> dict[str, object]:
@@ -395,19 +390,17 @@ def write_destination_csv(path: str, sweep: SweepResult) -> None:
 def aggregate_rows(rows: Iterable[dict[str, object]]) -> list[dict[str, object]]:
     """Average the metric columns over packet sizes.
 
-    Returns one row per (protocol, topology, receiver delay), canonically
-    ordered; 32 rows for the default matrix.
+    Returns one row per (protocol, topology, receiver delay), in the order the
+    rows first name each; 32 rows for the default matrix.
     """
     groups: dict[tuple, list[dict[str, object]]] = {}
     for row in rows:
         groups.setdefault(tuple(row[col] for col in AGGREGATE_KEY), []).append(row)
-    protocols = [kind.value for kind in TransportKind]
-    # AGGREGATE_KEY's order: protocol, topology, then receiver delay.
     out = []
-    for key in sorted(groups, key=lambda k: (protocols.index(k[0]), TOPOLOGIES.index(k[1]), k[2])):
+    for key, group in groups.items():
         agg: dict[str, object] = dict(zip(AGGREGATE_KEY, key))
         for col in METRIC_COLUMNS:
-            agg[col] = mean([m[col] for m in groups[key]])  # type: ignore[misc]
+            agg[col] = mean([m[col] for m in group])  # type: ignore[misc]
         out.append(agg)
     return out
 
@@ -420,27 +413,19 @@ def write_aggregate_csv(path: str, rows: Iterable[dict[str, object]]) -> None:
 
 
 def figure_table(rows: Iterable[dict[str, object]], figure: int) -> list[dict[str, object]]:
-    """Figure data: receiver delay rows x protocol columns for one metric."""
+    """Figure data: the aggregate of the figure's topology pivoted to receiver
+    delay rows, in sorted order, x protocol columns of one metric."""
     if figure not in FIGURE_SPECS:
         raise ValueError(
             f"unknown figure id {figure}; known: {sorted(FIGURE_SPECS)}"
         )
     metric, topology = FIGURE_SPECS[figure]
-    # aggregate_rows gives at most one row per AGGREGATE_KEY value.
-    values = {tuple(r[col] for col in AGGREGATE_KEY): r[metric] for r in aggregate_rows(rows)}
-    delays = sorted({delay for _, top, delay in values if top == topology})
-    table = []
-    for delay in delays:
-        entry: dict[str, object] = {"receiver_delay_s": delay}
-        for kind in TransportKind:
-            key = (kind.value, topology, delay)
-            if key not in values:
-                raise ValueError(
-                    f"figure {figure}: no aggregate row for ({kind.value}, {topology}, {delay})"
-                )
-            entry[kind.value] = values[key]
-        table.append(entry)
-    return table
+    table: dict = {}  # receiver delay -> its entry
+    for agg in aggregate_rows(rows):
+        if agg["topology"] == topology:
+            delay = agg["receiver_delay_s"]
+            table.setdefault(delay, {"receiver_delay_s": delay})[agg["protocol"]] = agg[metric]
+    return [table[delay] for delay in sorted(table)]
 
 
 def write_figure_csv(path: str, rows: Iterable[dict[str, object]], figure: int) -> None:

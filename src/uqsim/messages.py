@@ -48,7 +48,7 @@ class Message:
     tx_seq: int = field(default=0, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not 0 < self.size_bytes <= MAX_SIZE_BYTES:
+        if not 1 <= self.size_bytes <= MAX_SIZE_BYTES:
             raise ValueError(
                 f"size_bytes must be in [1, {MAX_SIZE_BYTES}], got {self.size_bytes}"
             )

@@ -19,7 +19,7 @@ import random
 import sys
 from dataclasses import dataclass
 from math import ulp
-from typing import Literal, get_args
+from typing import Collection, Literal, get_args
 
 from .messages import MAX_SIZE_BYTES, Message, MessageKind, SenderId, TraceRecord
 
@@ -43,6 +43,12 @@ def check_range(name: str, value: float, low: float, high: float, rule: str) -> 
     """The one single-setting bound: ``low <= value <= high``; NaN breaks every rule."""
     if not low <= value <= high:
         raise ValueError(f"{name} must be {rule}, got {value}")
+
+
+def check_choice(name: str, value: object, choices: Collection[object]) -> None:
+    """The one named-choice rule: ``value`` is one of ``choices``."""
+    if value not in choices:
+        raise ValueError(f"{name} must be one of {tuple(choices)}, got {value!r}")
 
 
 def derive_seed(*labels: object) -> int:
@@ -73,8 +79,7 @@ class TrafficConfig:
                     "positive and finite")
         check_range("send_window_fraction", self.send_window_fraction, POSITIVE, 1.0,
                     "in (0, 1]")
-        if self.schedule not in SCHEDULES:
-            raise ValueError(f"schedule must be one of {SCHEDULES}, got {self.schedule!r}")
+        check_choice("schedule", self.schedule, SCHEDULES)
 
 
 def draw_kind(rng: random.Random, p_status: float) -> MessageKind:

@@ -747,6 +747,36 @@ def test_run_into_missing_directory_fails_before_running(tmp_path, capsys, monke
     assert_clean_rejection(rc, captured.err, "missing")
 
 
+def test_run_into_a_directory_fails_before_running(tmp_path, capsys, monkeypatch):
+    # The summary printed in full before writing the row failed with EISDIR.
+    monkeypatch.setattr(cli, "run_experiment", refuse_to_run)
+    rc = run_cli(["run", "--messages", "50", "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_clean_rejection(rc, captured.err, f"output path {tmp_path} is a directory")
+
+
+@pytest.mark.parametrize("taken", ["res.csv", "res_aggregate.csv", "res_figure_13.csv"])
+def test_sweep_onto_a_directory_fails_before_running(tmp_path, capsys, monkeypatch, taken):
+    # With the last figure's path a directory, all 96 cells ran and 10 files
+    # were written before the sweep failed.
+    monkeypatch.setattr(cli, "run_sweep", refuse_to_sweep)
+    (tmp_path / taken).mkdir()
+    rc = run_cli(["sweep", "--out", str(tmp_path / "res.csv")])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_clean_rejection(rc, captured.err, f"{tmp_path / taken} is a directory")
+    assert [path.name for path in tmp_path.iterdir()] == [taken]
+
+
+def test_a_bad_protocol_names_the_choices(tmp_path, capsys):
+    config = tmp_path / "run.conf"
+    config.write_text("protocol = bogus\n")
+    rc = run_cli(["run", "--config", str(config)])
+    assert_clean_rejection(rc, capsys.readouterr().err, "protocol must be one of "
+                           "('tcp', 'udp', 'tcp_uqa', 'udp_uqa'), got 'bogus'")
+
+
 @pytest.mark.parametrize("extra", [["--jobs", "0"], ["--jobs", "-3", "--print-config"]])
 def test_sweep_rejects_jobs_below_one(tmp_path, capsys, monkeypatch, extra):
     monkeypatch.setattr(cli, "run_sweep", refuse_to_sweep)

@@ -9,10 +9,12 @@ from uqsim import harness
 from uqsim.engine import SimClock, TransportKind
 from uqsim.harness import (
     AGGREGATE_COLUMNS,
+    AGGREGATE_KEY,
     CSV_COLUMNS,
     DEFAULT_PACKET_SIZES,
     DEFAULT_RECEIVER_DELAYS,
     METRIC_COLUMNS,
+    TOPOLOGIES,
     ExperimentConfig,
     aggregate_rows,
     cell_seed,
@@ -20,7 +22,6 @@ from uqsim.harness import (
     destination_schedules,
     draw_traffic,
     figure_table,
-    format_number,
     format_value,
     result_row,
     run_experiment,
@@ -342,6 +343,19 @@ def test_aggregate_rows_of_values_near_the_float_maximum_are_finite():
     assert [agg[col] for col in METRIC_COLUMNS] == [big] * len(METRIC_COLUMNS)
 
 
+def test_aggregate_rows_keep_the_sweeps_delay_order():
+    # Delays swept unsorted: the aggregate follows the rows, as the results CSV
+    # does, while a figure table still sorts its delays.
+    base = ExperimentConfig(protocol=TransportKind.TCP, message_count=50)
+    rows = sweep_rows(run_sweep(master_seed=7, base=base, packet_sizes=(32,), receiver_delays=(0.05, 0.0)))
+    keys = [tuple(r[col] for col in AGGREGATE_KEY) for r in aggregate_rows(rows)]
+    assert keys == [
+        (kind.value, topology, delay)
+        for kind in TransportKind for topology in TOPOLOGIES for delay in (0.05, 0.0)
+    ]
+    assert [entry["receiver_delay_s"] for entry in figure_table(rows, 8)] == [0.0, 0.05]
+
+
 def test_csv_round_trip(tmp_path):
     sweep = small_sweep()
     path = tmp_path / "results.csv"
@@ -497,24 +511,12 @@ def test_figure_csv_and_unknown_id(tmp_path):
         figure_table(rows, 99)
 
 
-def test_figure_table_names_a_missing_row():
-    rows = sweep_rows(small_sweep())
-    # Drop the one (udp_uqa, one_to_one, 0.05) row of the 16-cell sweep.
-    gapped = [
-        r for r in rows
-        if (r["protocol"], r["topology"], r["receiver_delay_s"]) != ("udp_uqa", "one_to_one", 0.05)
-    ]
-    assert len(gapped) == len(rows) - 1
-    with pytest.raises(ValueError, match=r"no aggregate row for \(udp_uqa, one_to_one, 0.05\)"):
-        figure_table(gapped, 8)
-
-
 def test_format_number():
-    assert format_number(1000.0) == "1000"
-    assert format_number(0.03312) == "0.03312"
-    assert format_number(927536.2312) == "927536"
-    assert format_number(1234567.891) == "1.23457e+06"
-    assert format_number(math.inf) == "inf"
+    assert format_value(1000.0) == "1000"
+    assert format_value(0.03312) == "0.03312"
+    assert format_value(927536.2312) == "927536"
+    assert format_value(1234567.891) == "1.23457e+06"
+    assert format_value(math.inf) == "inf"
 
 
 def test_format_value_keeps_large_ints_exact():

@@ -15,6 +15,12 @@ def test_message_rejects_nonpositive_size():
         Message(seq=1, sender=0, kind=MessageKind.STATUS, size_bytes=0)
 
 
+def test_message_rejects_a_fractional_size_below_one_byte():
+    # The bound reads [1, ...]; 0.5 passed a test of 0 < size_bytes.
+    with pytest.raises(ValueError, match=r"size_bytes must be in \[1, "):
+        Message(seq=1, sender=0, kind=MessageKind.STATUS, size_bytes=0.5)
+
+
 def test_message_rejects_negative_sender():
     with pytest.raises(ValueError, match="sender"):
         Message(seq=1, sender=-1, kind=MessageKind.STATUS, size_bytes=8)

@@ -124,6 +124,7 @@ def test_closed_stdout_ends_quietly(argv, unbuffered):
     child = run_child(argv, unbuffered)
     child.stdout.close()  # the reader is gone before the child writes
     err = child.stderr.read()
+    child.stderr.close()
     assert child.wait(timeout=60) == 0
     assert err == b""
 
