@@ -38,7 +38,7 @@ def main() -> int:
         report = run_experiment(config).report
         rate = report.messages_delivered / report.run_duration_s
         service = delay + config.udp_app_per_msg_s
-        residual = littles_law_residual(report, rate)
+        residual = littles_law_residual(report)
         print(
             f"{delay:8.3f} {rate * service:6.3f} {report.avg_queue_len:9.5f} "
             f"{rate * report.avg_time_in_queue_s:9.5f} {residual:9.5f}"

@@ -20,6 +20,7 @@ import argparse
 import os
 import sys
 from dataclasses import fields, replace
+from itertools import islice
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, NoReturn, Optional
@@ -48,7 +49,7 @@ from .harness import (
 )
 from .messages import format_trace_record, load_trace
 from .metrics import check_horizon
-from .traffic import FINITE, SCHEDULES, check_choice, check_range
+from .traffic import FINITE, MAX_MESSAGE_COUNT, SCHEDULES, check_choice, check_range
 
 # Settings the CLI defines itself: a protocol name, and the master seed that
 # cell seeds derive from.
@@ -105,12 +106,14 @@ def effective_settings(
     return settings
 
 
-def build_experiment_config(settings: dict[str, object], derived_seed: int) -> ExperimentConfig:
-    """An ExperimentConfig from typed settings, with the derived cell seed."""
+def build_experiment_config(settings: dict[str, object]) -> ExperimentConfig:
+    """An ExperimentConfig from typed settings, seeded with its cell seed."""
     check_choice("protocol", settings["protocol"], [kind.value for kind in TransportKind])
     protocol = TransportKind(settings["protocol"])
     values = {name: settings[name] for name in SETTINGS if name not in CLI_SETTINGS}
-    return ExperimentConfig(protocol=protocol, seed=derived_seed, **values)  # type: ignore[arg-type]
+    # The cell seed's inputs: the master seed, then the axes but the protocol.
+    seed = cell_seed(*(settings[name] for name in ("seed", *SWEEP_AXES[1:])))  # type: ignore[arg-type]
+    return ExperimentConfig(protocol=protocol, seed=seed, **values)  # type: ignore[arg-type]
 
 
 def check_output_paths(*paths: Path) -> None:
@@ -160,12 +163,10 @@ def _add_model_flags(parser: argparse.ArgumentParser, full: bool) -> None:
 
 def cmd_run(args: argparse.Namespace) -> int:
     settings = effective_settings(args)
-    # The cell seed's inputs: the master seed, then the axes but the protocol.
-    derived = cell_seed(*(settings[name] for name in ("seed", *SWEEP_AXES[1:])))  # type: ignore[arg-type]
-    config = build_experiment_config(settings, derived)
+    config = build_experiment_config(settings)
     config.validate()
     if args.print_config:
-        print_settings({**settings, "derived_cell_seed": derived})
+        print_settings({**settings, "derived_cell_seed": config.seed})
         return 0
     if args.out:
         check_output_paths(Path(args.out))
@@ -182,7 +183,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     check_jobs(args.jobs)
     settings = effective_settings(args, fixed=SWEEP_AXES)
-    base = build_experiment_config(settings, derived_seed=0)
+    base = build_experiment_config(settings)
     for topology in TOPOLOGIES:  # the cell budget and duration depend on it
         replace(base, topology=topology).validate()
     if args.print_config:
@@ -209,7 +210,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    records = sorted(load_trace(args.trace), key=itemgetter(0))  # stable: ties keep file order
+    records = list(islice(load_trace(args.trace), MAX_MESSAGE_COUNT + 1))
+    if len(records) > MAX_MESSAGE_COUNT:
+        raise ValueError(f"trace {args.trace} exceeds the ceiling of {MAX_MESSAGE_COUNT} records")
+    records.sort(key=itemgetter(0))  # stable: ties keep file order
     delay = args.receiver_delay
     clock = SimClock()
     receiver = Receiver(clock, delay or 0.0, args.queue_variant)

@@ -184,13 +184,13 @@ class Wire:
 class Receiver:
     """Consumer draining one queue; owns its destination's metrics collector.
 
-    Drains one message at a time; after each dequeue it is busy for the
-    receiver delay plus its per-message application cost. With zero delay it
-    drains immediately upon arrival. ``on_consume`` fires on every dequeue
-    (the reliable transports hook it to generate acknowledgements).
+    Drains one message at a time; after each dequeue it is busy for the hold
+    its caller resolved, ``hold_s`` (see ``build_connection``). With a zero
+    hold it drains immediately upon arrival. ``on_consume`` fires on every
+    dequeue (the reliable transports hook it to generate acknowledgements).
 
     ``policy`` names the queue's ``UpdatableQueue.enqueue_*`` method by its
-    suffix: ``fifo``, ``uqa`` or ``keyed``. Callers validate the delay first
+    suffix: ``fifo``, ``uqa`` or ``keyed``. Callers validate the hold first
     (``ExperimentConfig.validate``, ``uqsim replay``).
 
     Only ``deliver`` and ``_service`` change the queue length. Just before a
@@ -210,16 +210,10 @@ class Receiver:
     and a service pushed at ``now`` in the earlier band would fire next.
     """
 
-    def __init__(
-        self,
-        clock: SimClock,
-        receiver_delay_s: float,
-        policy: str,
-        app_cost_s: float = 0.0,
-    ):
+    def __init__(self, clock: SimClock, hold_s: float, policy: str):
         self.clock = clock
         self.collector = MetricsCollector()
-        self.hold_s = receiver_delay_s + app_cost_s  # busy time after each dequeue
+        self.hold_s = hold_s  # busy time after each dequeue
         self.queue = UpdatableQueue()
         self.enqueue: Callable[[Message, float], EnqueueOutcome] = getattr(
             self.queue, f"enqueue_{policy}"
@@ -451,15 +445,15 @@ def build_connection(
 ) -> UdpSender | TcpConnection:
     """Assemble the sender of one destination of ``config``'s cell.
 
-    The one place costs resolve: the consumer pays ``udp_app_per_msg_s`` on
-    datagram transports only, the sender ``uqa_update_cost_s`` on tcp_uqa only.
+    The one place costs resolve: the receiver's hold is the receiver delay
+    plus ``udp_app_per_msg_s`` on datagram transports only, and the sender's
+    ``update_cost_s`` is ``uqa_update_cost_s`` on tcp_uqa only.
     """
     kind = config.protocol
     receiver = Receiver(
         clock,
-        config.receiver_delay_s,
+        config.receiver_delay_s + (0.0 if kind.reliable else config.udp_app_per_msg_s),
         QUEUE_VARIANTS[config.queue_variant] if kind.uses_uqa else "fifo",
-        app_cost_s=0.0 if kind.reliable else config.udp_app_per_msg_s,
     )
     if kind.reliable:
         update_cost = config.uqa_update_cost_s if kind is TransportKind.TCP_UQA else 0.0

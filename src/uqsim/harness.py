@@ -292,9 +292,10 @@ def run_sweep(
     n_groups = len(configs) // len(TransportKind)
     groups = [configs[g::n_groups] for g in range(n_groups)]
     group_results: list[list[ExperimentResult]]
-    if jobs > 1:
+    if jobs > 1 and n_groups:
         # Largest groups first (canonical order among equals), so no worker idles
-        # on a long last group; the pool starts at most one worker per group.
+        # on a long last group; the pool starts at most one worker per group,
+        # and none on an empty matrix.
         work = [-config.message_count * config.destinations for config in configs[:n_groups]]
         order = sorted(range(n_groups), key=work.__getitem__)
         from concurrent.futures import ProcessPoolExecutor  # multiprocessing only when forking
@@ -343,10 +344,7 @@ def format_value(value: object) -> str:
 def report_row(rep: MetricsReport) -> dict[str, object]:
     """The metric columns of one report plus its Little's-law residual."""
     row: dict[str, object] = {col: getattr(rep, col) for col in METRIC_COLUMNS}
-    rate = (
-        rep.messages_delivered / rep.run_duration_s if rep.run_duration_s > 0 else 0.0
-    )
-    row["littles_residual"] = littles_law_residual(rep, rate)
+    row["littles_residual"] = littles_law_residual(rep)
     return row
 
 

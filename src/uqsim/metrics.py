@@ -84,13 +84,17 @@ class MetricsReport:
         )
 
 
-def littles_law_residual(report: MetricsReport, effective_arrival_rate: float) -> float:
+def littles_law_residual(report: MetricsReport) -> float:
     """Relative gap between L and lambda * W; a consistency check, not a metric.
 
-    Uses the delivered-message rate and delivered-only waiting time, so it is
-    meaningful for FIFO runs (no coalescing) and informational otherwise.
+    lambda is the delivered-message rate, ``messages_delivered /
+    run_duration_s`` (0 for a zero-duration run), and W the delivered-only
+    waiting time, so it is meaningful for FIFO runs (no coalescing) and
+    informational otherwise.
     """
-    expected = effective_arrival_rate * report.avg_time_in_queue_s
+    duration = report.run_duration_s
+    rate = report.messages_delivered / duration if duration > 0 else 0.0
+    expected = rate * report.avg_time_in_queue_s
     return abs(report.avg_queue_len - expected) / max(report.avg_queue_len, LITTLES_EPSILON)
 
 
@@ -126,9 +130,8 @@ class MetricsCollector:
         """The report at ``run_duration_s``; the receive-side counts come from ``queue``."""
         if run_duration_s < 0:
             raise ValueError(f"run_duration_s must be >= 0, got {run_duration_s}")
-        len_integral = self.len_integral
-        if run_duration_s > self.last_sample_t:
-            len_integral += len(queue) * (run_duration_s - self.last_sample_t)
+        # The clock fires nothing after the run's end, so last_sample_t <= run_duration_s.
+        len_integral = self.len_integral + len(queue) * (run_duration_s - self.last_sample_t)
         avg_len = len_integral / run_duration_s if run_duration_s > 0 else 0.0
         avg_wait = self.wait_time_sum_s / queue.dequeued if queue.dequeued else 0.0
         client_bps = self.data_bits_sent / self.source_busy_s if self.source_busy_s > 0 else 0.0

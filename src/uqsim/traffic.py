@@ -26,9 +26,9 @@ from .messages import MAX_SIZE_BYTES, Message, MessageKind, SenderId, TraceRecor
 ScheduleKind = Literal["uniform", "poisson"]
 SCHEDULES: tuple[str, ...] = get_args(ScheduleKind)
 
-# Most messages one stream, and one cell over all its destinations, may hold.
-# A schedule is built in memory before the run starts; at this ceiling a
-# destination takes about 0.3 GB.
+# Most messages one stream, one cell over all its destinations, or one
+# replayed trace may hold. Each is built in memory before the run starts; at
+# this ceiling a destination or a trace takes about 0.3 GB.
 MAX_MESSAGE_COUNT = 1_000_000
 
 # One drawn send: its time and its kind.
@@ -123,6 +123,6 @@ def schedule_messages(config: TrafficConfig, draws: list[Draw]) -> list[TraceRec
     return [(t, Message(seq, sender, kind, size)) for seq, (t, kind) in enumerate(draws, 1)]
 
 
-def generate_schedule(config: TrafficConfig, slot: int = 0, slots: int = 1) -> list[TraceRecord]:
+def generate_schedule(config: TrafficConfig) -> list[TraceRecord]:
     """Build the full (t_send, message) schedule for one stream (see draw_schedule)."""
-    return schedule_messages(config, draw_schedule(config, slot, slots))
+    return schedule_messages(config, draw_schedule(config))

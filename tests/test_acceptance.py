@@ -333,8 +333,7 @@ def test_8_littles_law_stationary_run():
         seed=80706,
     )
     report = run_experiment(config).report
-    rate = report.messages_delivered / report.run_duration_s
-    residual = littles_law_residual(report, rate)
+    residual = littles_law_residual(report)
     print(f"\n[criterion 8: residual {residual:.4f}]")
     check("8 littles-law", residual <= 0.05)
 

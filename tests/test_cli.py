@@ -18,6 +18,7 @@ from uqsim.harness import (
     MAX_DESTINATIONS,
     SWEEP_AXES,
     ExperimentConfig,
+    default_configs,
     run_sweep,
     sweep_rows,
     write_figure_csv,
@@ -621,6 +622,22 @@ def test_replay_rejects_fill_only_horizon_that_overflows(tmp_path, capsys):
     assert_clean_rejection(rc, captured.err, "last send time")
 
 
+def test_replay_rejects_a_trace_past_the_message_ceiling(tmp_path, capsys, monkeypatch, make_msg):
+    # A cell holds at most MAX_MESSAGE_COUNT messages, and so does a replayed
+    # trace; the ceiling is lowered here so that the trace stays small.
+    monkeypatch.setattr(cli, "MAX_MESSAGE_COUNT", 3)
+    trace = tmp_path / "trace.csv"
+    argv = ["replay", "--trace", str(trace), "--queue-variant", "fifo"]
+    dump_trace(str(trace), [(0.1 * i, make_msg(sender=1, kind="C")) for i in range(3)])
+    assert run_cli(argv) == 0
+    assert "final_queue_length: 3" in capsys.readouterr().out
+    dump_trace(str(trace), [(0.1 * i, make_msg(sender=1, kind="C")) for i in range(4)])
+    rc = run_cli(argv)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_clean_rejection(rc, captured.err, f"trace {trace} exceeds the ceiling of 3 records")
+
+
 def test_replay_with_zero_delay_blames_the_last_send_time(tmp_path, capsys):
     # A zero delay adds nothing to the horizon: the last send time overflows it.
     trace = tmp_path / "trace.csv"
@@ -708,9 +725,28 @@ def test_run_print_config_at_defaults_is_pinned(capsys):
 def test_setting_defaults_are_the_dataclass_defaults():
     derived = 2616431056626070054
     defaults = {name: default for name, (_, default) in SETTINGS.items()}
-    config = build_experiment_config(defaults, derived)
+    config = build_experiment_config(defaults)
     assert config == ExperimentConfig(protocol=TransportKind.UDP, seed=derived)
     assert set(SETTINGS) == {f.name for f in fields(ExperimentConfig)}
+
+
+def test_run_builds_each_sweep_cell(capsys):
+    # `uqsim run` on a cell's four axes and the sweep's master seed builds
+    # the cell the sweep runs, seed included.
+    master = 77
+    cells = default_configs(master)
+    assert len(cells) == 96
+    for cell in cells:
+        argv = [
+            "run", "--print-config", "--seed", str(master),
+            "--protocol", cell.protocol.value, "--topology", cell.topology,
+            "--packet-size", str(cell.packet_size_bytes),
+            "--receiver-delay", str(cell.receiver_delay_s),
+        ]
+        assert run_cli(argv) == 0
+        assert f"derived_cell_seed={cell.seed}\n" in capsys.readouterr().out
+        settings = cli.effective_settings(build_parser().parse_args(argv))
+        assert build_experiment_config(settings) == cell
 
 
 @pytest.mark.parametrize(

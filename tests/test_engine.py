@@ -489,7 +489,7 @@ def test_causality_enqueue_after_created_plus_propagation():
 
 def make_receiver(policy="fifo", delay=0.0, app_cost=0.0):
     clock = SimClock()
-    receiver = Receiver(clock, delay, policy, app_cost_s=app_cost)
+    receiver = Receiver(clock, delay + app_cost, policy)
     return clock, receiver
 
 

@@ -216,6 +216,13 @@ def test_parallel_sweep_matches_serial():
     assert sweep_rows(serial) == sweep_rows(parallel)
 
 
+@pytest.mark.parametrize("axis", ["packet_sizes", "receiver_delays"])
+def test_parallel_sweep_matches_serial_on_an_empty_matrix(axis):
+    # An empty axis leaves no comparison group, and a pool of no workers is an error.
+    serial, parallel = (run_sweep(jobs=jobs, **{axis: ()}) for jobs in (1, 2))
+    assert sweep_rows(serial) == sweep_rows(parallel) == []
+
+
 class SerialPool:
     """Stands in for ProcessPoolExecutor: maps serially and starts no process."""
 

@@ -2,7 +2,7 @@
 importing the queue library or the engine loads, how the scripts and
 ``uqsim`` end: bad input, closed stdout, and that the package, the scripts
 and the tests import nothing they do not use, and that the package defines
-no public name only tests use."""
+no public name only tests use and no defaulted parameter only tests pass."""
 
 import ast
 import importlib.util
@@ -247,3 +247,98 @@ def test_public_names_counts_a_name_only_tests_use():
     tree = ast.parse("A = 1\nB: int = 2\ndef f():\n    return A\nclass _Hidden:\n    pass\n")
     assert public_names(tree) == {"A", "B", "f"}
     assert public_names(tree) - uses(tree) == {"B", "f"}
+
+
+def defaulted_parameters(tree):
+    """(label, called name, position, name) of each defaulted parameter of a
+    public function, or of a public class's public method or ``__init__``.
+    The position leaves out ``self``; it is None for a keyword-only parameter."""
+    found = []
+
+    def add(node, label, called, bound):
+        args = node.args
+        positional = [*args.posonlyargs, *args.args]
+        for index in range(len(positional) - len(args.defaults), len(positional)):
+            found.append((label, called, index - bound, positional[index].arg))
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                found.append((label, called, None, arg.arg))
+
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            add(node, node.name, node.name, 0)
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and (
+                    item.name == "__init__" or not item.name.startswith("_")
+                ):
+                    static = any(getattr(d, "id", None) == "staticmethod" for d in item.decorator_list)
+                    called = node.name if item.name == "__init__" else item.name
+                    add(item, f"{node.name}.{item.name}", called, 0 if static else 1)
+    return found
+
+
+def passed_arguments(tree):
+    """(called name, position or keyword) of every argument of every call, and
+    (called name, "*") for a call with ``*args`` or ``**kwargs``."""
+    passed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            called = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            passed |= {(called, index) for index in range(len(node.args))}
+            passed |= {(called, keyword.arg or "*") for keyword in node.keywords}
+            if any(isinstance(arg, ast.Starred) for arg in node.args):
+                passed.add((called, "*"))
+    return passed
+
+
+def unpassed_defaults(tree, passed):
+    """``label(name)`` of each of ``tree``'s defaulted parameters no call in ``passed`` sets."""
+    return [
+        f"{label}({name})"
+        for label, called, index, name in defaulted_parameters(tree)
+        if not {(called, "*"), (called, index), (called, name)} & passed
+    ]
+
+
+# Defaulted parameters that no caller outside the tests passes, each with the
+# reason it stays.
+UNPASSED_ALLOWED = {
+    "harness.run_sweep(packet_sizes)": "tests pass it to run test-sized sweeps",
+    "harness.run_sweep(receiver_delays)": "tests pass it to run test-sized sweeps",
+    **{
+        f"queues.UpdatableQueue.enqueue_{policy}(now)":
+            "Receiver binds the method with getattr, so no call names it"
+        for policy in ("fifo", "uqa", "keyed")
+    },
+}
+
+
+def test_defaulted_parameters_are_passed_outside_tests():
+    # A default that only tests override is a parameter kept alive for its own tests.
+    package = sorted((ROOT / "src" / "uqsim").glob("*.py"))
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"))
+        for path in [*package, *SCRIPTS.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    }
+    passed = set().union(*map(passed_arguments, trees.values()))
+    unpassed = {
+        f"{path.stem}.{entry}" for path in package for entry in unpassed_defaults(trees[path], passed)
+    }
+    assert unpassed == set(UNPASSED_ALLOWED)
+
+
+def test_unpassed_defaults_are_found():
+    source = (
+        "def f(a, b=1, *, c=2):\n    pass\n"
+        "def _g(v=0):\n    pass\n"
+        "class K:\n"
+        "    def __init__(self, x=0):\n        pass\n"
+        "    def m(self, y=0, z=0):\n        pass\n"
+        "    def _hidden(self, w=0):\n        pass\n"
+        "f(0, c=3)\nK()\nobj.m(1)\n"
+    )
+    tree = ast.parse(source)
+    assert unpassed_defaults(tree, passed_arguments(tree)) == ["f(b)", "K.__init__(x)", "K.m(z)"]
+    tree = ast.parse(source + "f(*rest)\nK(**options)\n")
+    assert unpassed_defaults(tree, passed_arguments(tree)) == ["K.m(z)"]

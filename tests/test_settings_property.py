@@ -110,6 +110,6 @@ def test_setting_edges_are_rejected_cleanly_or_conserve(point):
         return
     if heavy:
         return
-    config = cli.build_experiment_config(point, point["seed"])
+    config = cli.build_experiment_config(point)
     for residual, held in residuals_and_transport(config):
         assert residual == held
