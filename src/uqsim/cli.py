@@ -20,7 +20,6 @@ import argparse
 import os
 import sys
 from dataclasses import fields, replace
-from itertools import islice
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, NoReturn, Optional
@@ -47,9 +46,9 @@ from .harness import (
     write_figure_csv,
     write_sweep_csv,
 )
-from .messages import format_trace_record, load_trace
+from .messages import MAX_MESSAGE_COUNT, format_trace_record, load_trace
 from .metrics import check_horizon
-from .traffic import FINITE, MAX_MESSAGE_COUNT, SCHEDULES, check_choice, check_range
+from .traffic import FINITE, SCHEDULES, check_choice, check_range
 
 # Settings the CLI defines itself: a protocol name, and the master seed that
 # cell seeds derive from.
@@ -210,9 +209,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    records = list(islice(load_trace(args.trace), MAX_MESSAGE_COUNT + 1))
-    if len(records) > MAX_MESSAGE_COUNT:
-        raise ValueError(f"trace {args.trace} exceeds the ceiling of {MAX_MESSAGE_COUNT} records")
+    records = load_trace(args.trace, MAX_MESSAGE_COUNT)
     records.sort(key=itemgetter(0))  # stable: ties keep file order
     delay = args.receiver_delay
     clock = SimClock()

@@ -303,24 +303,27 @@ def backoff_cap(rto_s: float) -> float:
 class TcpConnection:
     """Fixed-window reliable stream between the source and one destination.
 
-    The source keeps one queue, ``unacked``: the messages submitted and not
-    yet acked, in transport-seq order, of which the first ``in_flight`` are
-    sent; the next is sent while fewer than ``window_size`` are in flight. A
-    message's seq is ``highest_acked`` plus its place in the queue, and a
-    cumulative ack pops from the head. Data packets are subject to link loss;
-    acknowledgements are not lost. The connection keeps one retransmission
-    timer, managed as RFC 6298 §5 does: a send starts it when it is off, an
-    ack of new data restarts it and resets the timeout to ``rto_s``, and it
-    stops when nothing is outstanding. On expiry the head of ``unacked`` is
-    resent and the timeout doubles, capped at ``max(60 s, rto_s)``. The
-    receiver-side transport delivers to the application queue exactly once, in
-    order, buffering anything that arrives ahead of a gap. One cumulative
+    A connection carries each message under its own ``seq``: every schedule
+    numbers its messages from 1 in send order (``schedule_messages``), so the
+    n-th message submitted has seq n. The source keeps one queue, ``unacked``:
+    the messages submitted and not yet acked, in seq order, of which the first
+    ``in_flight`` are sent; the next is sent while fewer than ``window_size``
+    are in flight. A message's seq is ``highest_acked`` plus its place in the
+    queue, and a cumulative ack pops from the head. Data packets are subject to
+    link loss; acknowledgements are not lost. The connection keeps one
+    retransmission timer, managed as RFC 6298 §5 does: a send starts it when it
+    is off, an ack of new data restarts it and resets the timeout to ``rto_s``,
+    and it stops when nothing is outstanding. On expiry the head of ``unacked``
+    is resent and the timeout doubles, capped at ``max(60 s, rto_s)``. The
+    receiver-side transport hands each message to the queue exactly once, in
+    order, buffering in ``ooo`` anything that arrives ahead of a gap, so the
+    next in-order seq is ``receiver.queue.inserted + 1``. One cumulative
     acknowledgement is generated per consumed message; a coalesced-away status
     is covered by the next consumption's cumulative value, so its window slot
     is recovered without a dedicated ack packet. The timer keeps one
     authoritative heap event, at ``rto_event_at``: firing before the deadline,
-    it pushes itself again; a deadline moved before it (an ack after a
-    backoff) pushes a new event, and the superseded one returns on a guard.
+    it pushes itself again; a deadline moved before it (an ack after a backoff)
+    pushes a new event, and the superseded one returns on a guard.
     """
 
     def __init__(
@@ -333,15 +336,14 @@ class TcpConnection:
         self.clock = receiver.clock
         self.loss_prob = config.loss_prob
         self.window_size = config.window_size
-        self.ack_size_bytes = config.ack_size_bytes
         self.rto_s = config.rto_s
-        self.max_rto_s = backoff_cap(config.rto_s)
         self.rto = config.rto_s  # current timeout, doubled on each expiry
         self.rto_deadline = inf  # inf: timer off
         self.rto_event_at = inf  # time of the authoritative heap event
         self.update_cost_s = update_cost_s
         self.receiver = receiver
         self.collector = receiver.collector
+        self.collector.ack_size_bytes = config.ack_size_bytes
         self.rng = rng
         self.data_wire = Wire(config)
         self.ack_wire = Wire(config)
@@ -349,7 +351,6 @@ class TcpConnection:
         self.highest_acked = 0
         self.unacked: deque[Message] = deque()
         self.in_flight = 0
-        self.expected = 1  # receiver transport: next in-order seq
         self.ooo: dict[int, Message] = {}
         receiver.on_consume = self._on_consume
 
@@ -361,7 +362,6 @@ class TcpConnection:
     def submit(self, msg: Message, now: float) -> None:
         self.collector.messages_sent += 1
         self.collector.source_busy_s += self.update_cost_s
-        msg.tx_seq = self.highest_acked + len(self.unacked) + 1
         self.unacked.append(msg)
         if self.in_flight < self.window_size:
             self._transmit(msg, now, first=True)
@@ -397,29 +397,27 @@ class TcpConnection:
                 self._arm(deadline)
             return
         self._transmit(self.unacked[0], now, first=False)
-        self.rto = min(2.0 * self.rto, self.max_rto_s)
+        self.rto = min(2.0 * self.rto, backoff_cap(self.rto_s))
         self._arm(now + self.rto)
 
     # -- receiver-side transport --------------------------------------------
 
     def _data_arrive(self, msg: Message, now: float) -> None:
-        seq = msg.tx_seq
-        if seq < self.expected:
+        seq = msg.seq
+        inserted = self.receiver.queue.inserted
+        if seq <= inserted:
             return  # duplicate of something already delivered
-        if seq > self.expected:
+        if seq > inserted + 1:
             self.ooo[seq] = msg  # a resent copy is the same object
             return
-        self.expected += 1  # deliver the in-order run; its last message arrives
-        while self.expected in self.ooo:
+        while seq + 1 in self.ooo:  # deliver the in-order run; its last message arrives
             self.receiver.deliver(msg, now)
-            msg = self.ooo.pop(self.expected)
-            self.expected += 1
+            seq += 1
+            msg = self.ooo.pop(seq)
         self.receiver.arrive(msg, now)
 
     def _on_consume(self, msg: Message, now: float) -> None:
-        self.collector.acks_generated += 1
-        self.collector.ack_bits_generated += self.ack_size_bytes * 8.0
-        self.clock.schedule(self.ack_wire.transmit(now, self.ack_ser_s), self._ack_arrive, msg.tx_seq)
+        self.clock.schedule(self.ack_wire.transmit(now, self.ack_ser_s), self._ack_arrive, msg.seq)
 
     # -- back at the source --------------------------------------------------
 

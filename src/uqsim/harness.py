@@ -29,12 +29,11 @@ from math import inf
 from typing import Iterable, Optional, Sequence
 
 from .engine import QUEUE_VARIANTS, SimClock, TransportKind, backoff_cap, build_connection
-from .messages import MAX_SIZE_BYTES, TraceRecord
+from .messages import MAX_MESSAGE_COUNT, MAX_SIZE_BYTES, TraceRecord
 from .metrics import MetricsReport, check_horizon, littles_law_residual, mean, mean_report
 # generate_schedule stays a harness name: perfbench/run.py wraps it here.
 from .traffic import (  # noqa: F401
     FINITE,
-    MAX_MESSAGE_COUNT,
     POSITIVE,
     Draw,
     TrafficConfig,
@@ -214,7 +213,7 @@ def destination_schedules(
     """Per-destination (t_send, message) schedules of fresh messages.
 
     ``draws`` defaults to the cell's own ``draw_traffic``; every run needs
-    fresh messages, because the queue and TCP mark them.
+    fresh messages, because the queue marks them.
     """
     if draws is None:
         draws = draw_traffic(config)

@@ -14,14 +14,19 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import islice
 from math import inf
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 SenderId = int
 
 # Largest packet or acknowledgement size (1 GiB). Every bit count a run sums,
 # up to MAX_MESSAGE_COUNT such messages, stays an exact float.
 MAX_SIZE_BYTES = 2**30
+# Most messages one stream, one cell over all its destinations, or one
+# replayed trace may hold. Each is built in memory before the run starts; at
+# this ceiling a destination or a trace takes about 0.3 GB.
+MAX_MESSAGE_COUNT = 1_000_000
 
 
 class MessageKind(enum.Enum):
@@ -34,9 +39,10 @@ class MessageKind(enum.Enum):
 class Message:
     """One unit of traffic.
 
-    seq increases per sender in creation order. size_bytes is the payload
-    size; no payload contents are modeled. The send time is the ``t_send``
-    of the record that carries it; t_enqueued stays None until a queue sets it.
+    seq increases per sender in creation order; TCP carries the message
+    under it. size_bytes is the payload size; no payload contents are
+    modeled. The send time is the ``t_send`` of the record that carries it;
+    t_enqueued, the one field a run sets, stays None until a queue sets it.
     """
 
     seq: int
@@ -44,8 +50,6 @@ class Message:
     kind: MessageKind
     size_bytes: int
     t_enqueued: Optional[float] = field(default=None, compare=False)
-    # Transport sequence number; a reliable sender sets it at submission.
-    tx_seq: int = field(default=0, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.size_bytes <= MAX_SIZE_BYTES:
@@ -96,9 +100,12 @@ def dump_trace(path: str, records: Iterable[TraceRecord]) -> None:
             fh.write(format_trace_record(t_send, msg) + "\n")
 
 
-def load_trace(path: str) -> Iterator[TraceRecord]:
+def load_trace(path: str, limit: int = MAX_MESSAGE_COUNT) -> list[TraceRecord]:
+    """A trace file's records in file order; past ``limit`` of them, none is parsed."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield parse_trace_record(line)
+        lines: list = list(islice(filter(None, map(str.strip, fh)), limit + 1))
+    if len(lines) > limit:
+        raise ValueError(f"trace {path} exceeds the ceiling of {limit} records")
+    for i, line in enumerate(lines):  # in place: one list, lines become records
+        lines[i] = parse_trace_record(line)
+    return lines

@@ -103,26 +103,27 @@ class MetricsCollector:
 
     The receive queue keeps the receive-side counts, which ``finalize``
     reads, and the transport its in-flight state. The collector keeps the
-    source side, acks, bits, summed wait and length integral; the senders
-    and the receiver add to them directly. There is no sampler: the receiver
-    (``engine.Receiver``) writes ``len_integral``, the integral of queue
-    length over time from t = 0 to ``last_sample_t``, and ``peak_len`` where
-    the length changes; ``finalize`` closes the integral at the run's end.
+    source side, bits, summed wait and length integral; the senders and the
+    receiver add to them directly. A reliable transport sets ``ack_size_bytes``
+    (0 means no acks) and acks every dequeue, so its acks are ``queue.dequeued``.
+    There is no sampler: the receiver (``engine.Receiver``) writes
+    ``len_integral``, the integral of queue length over time from t = 0 to
+    ``last_sample_t``, and ``peak_len`` where the length changes;
+    ``finalize`` closes the integral at the run's end.
     """
 
     def __init__(self) -> None:
         self.messages_sent = 0
         self.messages_lost = 0
-        self.acks_generated = 0
         self.retransmissions = 0
         self.data_bits_sent = 0.0
         self.data_bits_enqueued = 0.0
-        self.ack_bits_generated = 0.0
         self.source_busy_s = 0.0
         self.wait_time_sum_s = 0.0
         self.len_integral = 0.0
         self.peak_len = 0
         self.last_sample_t = 0.0
+        self.ack_size_bytes = 0  # 0: the transport sends no acks
 
     # -- finalize ----------------------------------------------------------
 
@@ -134,9 +135,10 @@ class MetricsCollector:
         len_integral = self.len_integral + len(queue) * (run_duration_s - self.last_sample_t)
         avg_len = len_integral / run_duration_s if run_duration_s > 0 else 0.0
         avg_wait = self.wait_time_sum_s / queue.dequeued if queue.dequeued else 0.0
+        acks = queue.dequeued if self.ack_size_bytes else 0  # one per reliable consumption
         client_bps = self.data_bits_sent / self.source_busy_s if self.source_busy_s > 0 else 0.0
         server_bps = (
-            (self.data_bits_enqueued + self.ack_bits_generated) / run_duration_s
+            (self.data_bits_enqueued + acks * self.ack_size_bytes * 8.0) / run_duration_s
             if run_duration_s > 0
             else 0.0
         )
@@ -150,7 +152,7 @@ class MetricsCollector:
             messages_delivered=float(queue.dequeued),
             messages_replaced=float(queue.replaced),
             messages_lost=float(self.messages_lost),
-            acks_generated=float(self.acks_generated),
+            acks_generated=float(acks),
             run_duration_s=run_duration_s,
             delivered_to_queue=float(queue.inserted),
             final_queue_len=float(len(queue)),

@@ -21,15 +21,10 @@ from dataclasses import dataclass
 from math import ulp
 from typing import Collection, Literal, get_args
 
-from .messages import MAX_SIZE_BYTES, Message, MessageKind, SenderId, TraceRecord
+from .messages import MAX_MESSAGE_COUNT, MAX_SIZE_BYTES, Message, MessageKind, SenderId, TraceRecord
 
 ScheduleKind = Literal["uniform", "poisson"]
 SCHEDULES: tuple[str, ...] = get_args(ScheduleKind)
-
-# Most messages one stream, one cell over all its destinations, or one
-# replayed trace may hold. Each is built in memory before the run starts; at
-# this ceiling a destination or a trace takes about 0.3 GB.
-MAX_MESSAGE_COUNT = 1_000_000
 
 # One drawn send: its time and its kind.
 Draw = tuple[float, MessageKind]

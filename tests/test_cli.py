@@ -23,7 +23,7 @@ from uqsim.harness import (
     sweep_rows,
     write_figure_csv,
 )
-from uqsim.messages import MAX_SIZE_BYTES, dump_trace, parse_trace_record
+from uqsim.messages import MAX_SIZE_BYTES, Message, dump_trace, parse_trace_record
 from uqsim.traffic import (
     MAX_MESSAGE_COUNT,
     TrafficConfig,
@@ -636,6 +636,27 @@ def test_replay_rejects_a_trace_past_the_message_ceiling(tmp_path, capsys, monke
     captured = capsys.readouterr()
     assert captured.out == ""
     assert_clean_rejection(rc, captured.err, f"trace {trace} exceeds the ceiling of 3 records")
+
+
+def test_replay_rejects_a_long_trace_before_building_a_message(tmp_path, capsys, monkeypatch):
+    # The ceiling is checked on the trace's lines, so a malformed record past
+    # it is never read and no Message is built.
+    monkeypatch.setattr(cli, "MAX_MESSAGE_COUNT", 3)
+    built = []
+    init = Message.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Message, "__init__", counting)
+    trace = tmp_path / "trace.csv"
+    trace.write_text("0,0,1,C,8\nnot a record\n0.2,0,3,C,8\n0.3,0,4,C,8\n")
+    rc = run_cli(["replay", "--trace", str(trace), "--queue-variant", "fifo"])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_clean_rejection(rc, captured.err, f"trace {trace} exceeds the ceiling of 3 records")
+    assert built == []
 
 
 def test_replay_with_zero_delay_blames_the_last_send_time(tmp_path, capsys):

@@ -319,13 +319,36 @@ def test_tcp_delivers_exactly_once_in_order_under_loss():
     assert sender.collector.messages_lost == 0
 
 
-def test_tcp_ack_count_equals_consumed_count():
-    clock, sender = build(TransportKind.TCP, receiver_delay_s=0.05)
-    for i in range(50):
-        clock.schedule(i * 0.2, sender.submit, status(i + 1))
-    clock.run(60.0)
-    assert sender.receiver.queue.dequeued == 50
-    assert sender.collector.acks_generated == sender.receiver.queue.dequeued
+def test_tcp_ack_count_equals_consumed_count(monkeypatch):
+    # Counted at the events: every ack that reaches the source, against the
+    # queue's dequeues and the report's acks_generated, lossless and lossy
+    # (seed 11, as in the exactly-once test).
+    acks = 0
+    ack_arrive = TcpConnection._ack_arrive
+
+    def counting(self, cum, now):
+        nonlocal acks
+        acks += 1
+        ack_arrive(self, cum, now)
+
+    monkeypatch.setattr(TcpConnection, "_ack_arrive", counting)
+    for loss_prob in (0.0, 0.2):
+        acks = 0
+        clock, sender = build(TransportKind.TCP, receiver_delay_s=0.05, loss_prob=loss_prob, seed=11)
+        for i in range(50):
+            clock.schedule(i * 0.2, sender.submit, status(i + 1))
+        clock.run(60.0)
+        report = sender.collector.finalize(60.0, sender.receiver.queue)
+        assert sender.receiver.queue.dequeued == 50
+        assert acks == sender.receiver.queue.dequeued == report.acks_generated
+        assert (sender.collector.retransmissions > 0) == (loss_prob > 0)
+    # A datagram destination acks nothing: its server load is its data alone.
+    _, sender = build(TransportKind.UDP, receiver_delay_s=0.05)
+    sender.run(60.0, [(i * 0.2, status(i + 1)) for i in range(50)])
+    report = sender.collector.finalize(60.0, sender.receiver.queue)
+    assert report.messages_delivered == 50
+    assert report.acks_generated == 0
+    assert report.avg_server_throughput_bps == sender.collector.data_bits_enqueued / 60.0
 
 
 def test_rto_timer_for_acked_seq_is_a_no_op():
@@ -599,7 +622,7 @@ def test_residual_is_tcp_messages_in_transport(monkeypatch):
     result, (sender,) = run_cell_keeping_senders(monkeypatch, cfg)
     residual = result.report.conservation_residual()
     assert residual > 0
-    assert residual == sender.highest_acked + len(sender.unacked) + 1 - sender.expected
+    assert residual == sender.highest_acked + len(sender.unacked) - sender.receiver.queue.inserted
 
 
 def test_residual_is_udp_datagrams_in_flight(monkeypatch):

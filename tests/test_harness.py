@@ -429,11 +429,25 @@ LOSSY_SWEEP_SHA256 = {
     "sweep_results": "b6c381d277e06c98101c04443443e456bc6bc80dc70f6e75730b717f9dfe2674",
     "destinations": "45be72537e467f849354234894fb04656602f279bc0638e7edf641b05e604ba8",
 }
+# Heap pushes over that sweep, counted as for the default sweep: they also
+# cover the reorder buffer's deliveries and the timer's re-arms.
+LOSSY_SWEEP_HEAP_PUSHES = 31_124
 
 
-def test_lossy_sweep_csvs_match_fingerprint(tmp_path):
+def test_lossy_sweep_csvs_match_fingerprint(tmp_path, monkeypatch):
+    pushes = 0
+    schedule = SimClock.schedule
+
+    def counting(self, *args, **kwargs):
+        nonlocal pushes
+        pushes += 1
+        schedule(self, *args, **kwargs)
+
+    monkeypatch.setattr(SimClock, "schedule", counting)
     base = ExperimentConfig(protocol=TransportKind.TCP, loss_prob=0.15, window_size=3, rto_s=0.3)
     sweep = run_sweep(master_seed=20100, base=base, packet_sizes=(256,), receiver_delays=(0.05,))
+    monkeypatch.undo()
+    assert pushes == LOSSY_SWEEP_HEAP_PUSHES
     assert sum(r.report.messages_lost for r in sweep.results) > 0
     write_sweep_csv(str(tmp_path / "sweep_results"), sweep)
     write_destination_csv(str(tmp_path / "destinations"), sweep)
@@ -470,6 +484,26 @@ def test_destination_schedules_match_fingerprint(topology, schedule):
             line = f"{dest},{t!r},{m.seq},{m.kind.value},{m.size_bytes},{t!r}\n"
             digest.update(line.encode())
     assert digest.hexdigest() == SCHEDULE_SHA256[(topology, schedule)]
+
+
+@pytest.mark.parametrize("topology, schedule", sorted(SCHEDULE_SHA256))
+def test_destination_schedules_number_each_destination_in_send_order(topology, schedule):
+    # TcpConnection carries a message under its own seq: each destination's
+    # schedule must number its messages 1..n with send times that never
+    # decrease, including the uniform fan-out's shared round-robin grid.
+    cfg = ExperimentConfig(
+        protocol=TransportKind.TCP,
+        topology=topology,
+        packet_size_bytes=256,
+        schedule=schedule,
+        seed=cell_seed(20100, topology, 256, 0.05),
+    )
+    schedules = destination_schedules(cfg)
+    assert len(schedules) == cfg.destinations
+    for records in schedules:
+        times = [t for t, _ in records]
+        assert [m.seq for _, m in records] == list(range(1, cfg.message_count + 1))
+        assert times == sorted(times)
 
 
 def test_aggregate_csv_header(tmp_path):

@@ -2,7 +2,8 @@
 importing the queue library or the engine loads, how the scripts and
 ``uqsim`` end: bad input, closed stdout, and that the package, the scripts
 and the tests import nothing they do not use, and that the package defines
-no public name only tests use and no defaulted parameter only tests pass."""
+no public name only tests use, no defaulted parameter only tests pass and no
+field that nothing reads."""
 
 import ast
 import importlib.util
@@ -342,3 +343,60 @@ def test_unpassed_defaults_are_found():
     assert unpassed_defaults(tree, passed_arguments(tree)) == ["f(b)", "K.__init__(x)", "K.m(z)"]
     tree = ast.parse(source + "f(*rest)\nK(**options)\n")
     assert unpassed_defaults(tree, passed_arguments(tree)) == ["K.m(z)"]
+
+
+def written_fields(tree):
+    """``Class.attr`` of each ``self.attr`` a class's code assigns."""
+    found = set()
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in ast.walk(cls):
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                for target in getattr(node, "targets", None) or [node.target]:
+                    found |= {
+                        f"{cls.name}.{t.attr}"
+                        for t in ast.walk(target)
+                        if isinstance(t, ast.Attribute) and getattr(t.value, "id", None) == "self"
+                    }
+    return found
+
+
+def read_attributes(tree):
+    """Every attribute name a module reads (an ``ast.Load`` of ``.attr``)."""
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def write_only_fields(tree, read):
+    return sorted(f for f in written_fields(tree) if f.split(".")[1] not in read)
+
+
+def test_fields_are_read():
+    # A field no code reads is a second copy of some fact, kept up to date for nothing.
+    package = sorted((ROOT / "src" / "uqsim").glob("*.py"))
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"))
+        for path in [*package, *SCRIPTS.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    }
+    read = set().union(*map(read_attributes, trees.values()))
+    unread = [f"{path.stem}.{entry}" for path in package for entry in write_only_fields(trees[path], read)]
+    assert unread == []
+
+
+def test_write_only_fields_are_found():
+    source = (
+        "class K:\n"
+        "    def __init__(self):\n"
+        "        self.a = self.b = 0\n"
+        "        self.c: int = 0\n"
+        "        self.d, other.e = 1, 2\n"
+        "    def bump(self):\n"
+        "        self.a += 1\n"
+        "        return self.b\n"
+    )
+    tree = ast.parse(source)
+    assert write_only_fields(tree, read_attributes(tree)) == ["K.a", "K.c", "K.d"]

@@ -92,7 +92,7 @@ def residuals_and_transport(config):
         reports = run_experiment(config).per_destination
     for report, sender in zip(reports, senders, strict=True):
         if isinstance(sender, TcpConnection):
-            held = sender.highest_acked + len(sender.unacked) + 1 - sender.expected
+            held = sender.highest_acked + len(sender.unacked) - sender.receiver.queue.inserted
         else:
             held = sum(at > config.duration_s for at in arrivals.get(sender, ()))
         yield report.conservation_residual(), held
