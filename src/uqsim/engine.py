@@ -392,9 +392,8 @@ class TcpConnection:
             return  # superseded by an earlier event
         self.rto_event_at = inf
         deadline = self.rto_deadline
-        if deadline > now:  # restarted meanwhile, or off
-            if deadline < inf:
-                self._arm(deadline)
+        if deadline > now:  # restarted meanwhile, or off (_arm(inf) pushes nothing)
+            self._arm(deadline)
             return
         self._transmit(self.unacked[0], now, first=False)
         self.rto = min(2.0 * self.rto, backoff_cap(self.rto_s))

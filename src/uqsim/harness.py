@@ -9,11 +9,12 @@ interleaves them round-robin on one grid).
 Cell seeds derive from the master seed and the cell's (topology, size,
 delay) coordinates - deliberately not the protocol, so the four protocols in
 a comparison group see identical traffic (common random numbers; paired
-comparisons). The sweep therefore draws each group's (t_send, kind) traffic
-once and builds fresh messages from it for each protocol; one pool task is
-one group. Changing one cell's parameters never changes another cell's
-results, and groups may run in parallel: rows are gathered and written in
-canonical (protocol, topology, size, delay) order regardless.
+comparisons). The sweep therefore draws and builds each group's (t_send,
+message) traffic once and runs it under each protocol in turn, clearing
+``t_enqueued``, the one mark a run leaves, before each; one pool task is one
+group. Changing one cell's parameters never changes another cell's results,
+and groups may run in parallel: rows are gathered and written in canonical
+(protocol, topology, size, delay) order regardless.
 
 Destinations share no state, so ``run_experiment`` runs each on its own
 ``SimClock``, one after another; a destination's sends never enter the event
@@ -35,7 +36,6 @@ from .metrics import MetricsReport, check_horizon, littles_law_residual, mean, m
 from .traffic import (  # noqa: F401
     FINITE,
     POSITIVE,
-    Draw,
     TrafficConfig,
     check_choice,
     check_range,
@@ -196,37 +196,42 @@ def cell_seed(master_seed: int, topology: str, packet_size_bytes: int, receiver_
     return derive_seed("cell", master_seed, topology, packet_size_bytes, f"{receiver_delay_s:.6g}")
 
 
-def draw_traffic(config: ExperimentConfig) -> list[list[Draw]]:
-    """Per-destination (t_send, kind) draws, shared by a comparison group.
+def draw_traffic(config: ExperimentConfig) -> list[list[TraceRecord]]:
+    """Per-destination (t_send, message) records, shared by a comparison group.
 
     Uniform pacing places all sends on one global grid assigned round-robin
     across destinations. Poisson gives each destination an independent
     stream with the matching per-destination mean rate.
     """
     n_dest = config.destinations
-    return [draw_schedule(config.traffic(dest), dest, n_dest) for dest in range(n_dest)]
+    streams = [config.traffic(dest) for dest in range(n_dest)]
+    return [schedule_messages(s, draw_schedule(s, dest, n_dest)) for dest, s in enumerate(streams)]
 
 
 def destination_schedules(
-    config: ExperimentConfig, draws: Optional[list[list[Draw]]] = None
+    config: ExperimentConfig, draws: Optional[list[list[TraceRecord]]] = None
 ) -> list[list[TraceRecord]]:
-    """Per-destination (t_send, message) schedules of fresh messages.
+    """Per-destination (t_send, message) schedules, ready for a run.
 
-    ``draws`` defaults to the cell's own ``draw_traffic``; every run needs
-    fresh messages, because the queue marks them.
+    ``draws`` defaults to the cell's own ``draw_traffic``. Given draws, made
+    for a cell of the same comparison group and maybe run already, come back
+    with ``t_enqueued``, the one mark a run leaves, cleared on every message.
     """
     if draws is None:
-        draws = draw_traffic(config)
-    traffic = config.traffic()  # its sender and packet size are every destination's
-    return [schedule_messages(traffic, d) for d in draws]
+        return draw_traffic(config)
+    for records in draws:
+        for _, msg in records:
+            msg.t_enqueued = None
+    return draws
 
 
 def run_experiment(
-    config: ExperimentConfig, draws: Optional[list[list[Draw]]] = None
+    config: ExperimentConfig, draws: Optional[list[list[TraceRecord]]] = None
 ) -> ExperimentResult:
     """Run one cell and return its finalized per-destination and mean reports.
 
-    ``draws`` are the cell's traffic if already drawn (see ``draw_traffic``).
+    ``draws``, if given, are ``draw_traffic`` of a cell of the same comparison
+    group: same topology, size, delay and seed (see ``destination_schedules``).
     Destinations share no state, so each runs on a clock of its own, in
     destination order: its connection is built, its sender runs its sorted
     schedule, and its report is finalized before the next.

@@ -650,6 +650,17 @@ def test_residual_is_udp_datagrams_in_flight(monkeypatch):
     assert [rep.conservation_residual() for rep in result.per_destination] == in_flight
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_udp_sends_count_when_their_datagrams_arrive_after_the_run(seed):
+    # Sends until the run end over a 0.5 s wire: the clock stops at the first
+    # arrival past the end, and the sender still sends what follows it.
+    cfg = ExperimentConfig(
+        protocol=TransportKind.UDP, message_count=300, run_duration_s=20.0,
+        send_window_fraction=1.0, propagation_delay_s=0.5, seed=seed,
+    )
+    assert run_experiment(cfg).report.messages_sent == 300
+
+
 @pytest.mark.parametrize(
     "protocol, variant",
     [(TransportKind.TCP, "tail"), (TransportKind.UDP_UQA, "keyed")],

@@ -32,6 +32,7 @@ from uqsim.harness import (
     write_figure_csv,
     write_sweep_csv,
 )
+from uqsim.messages import Message
 
 
 def small_sweep(master=7, jobs=1):
@@ -291,6 +292,18 @@ def test_each_comparison_group_draws_its_traffic_once(monkeypatch, jobs):
     assert sweep_rows(sweep) == [result_row(run_experiment(config)) for config in cells]
 
 
+def test_runs_on_a_groups_shared_messages_match_runs_on_fresh_ones():
+    # A group's messages are built once and run under each protocol in turn,
+    # twice over here: each run starts from messages no queue has marked.
+    cells = default_configs(7, packet_sizes=(256,), receiver_delays=(0.05,))
+    for group in (cells[0::2], cells[1::2]):  # one-to-one, then one-to-many
+        draws = draw_traffic(group[0])
+        for _ in range(2):
+            for config in group:
+                shared = run_experiment(config, draws)
+                assert shared.per_destination == run_experiment(config).per_destination
+
+
 @pytest.mark.parametrize("jobs", [0, -2])
 def test_run_sweep_rejects_jobs_below_one_before_any_cell(monkeypatch, jobs):
     def refuse_group(group):
@@ -396,21 +409,44 @@ DEFAULT_SWEEP_SHA256 = {
 # and the services a busy consumer cannot start at once. Sends and datagram
 # arrivals reach each clock as its arrival stream, never through the heap.
 DEFAULT_SWEEP_HEAP_PUSHES = 307_412
+# Messages the default sweep builds: each of its 24 comparison groups builds
+# 1000 per destination once, and its four protocols run them in turn.
+DEFAULT_SWEEP_MESSAGES = 12 * 1000 + 12 * 4 * 1000
 
 
 def test_default_sweep_csvs_match_fingerprint(tmp_path, monkeypatch):
-    pushes = 0
+    pushes = built = 0
+    scheduled = []  # messages per destination_schedules call
     schedule = SimClock.schedule
+    init = Message.__init__
+    schedules = harness.destination_schedules
 
     def counting(self, *args, **kwargs):
         nonlocal pushes
         pushes += 1
         schedule(self, *args, **kwargs)
 
+    def counting_init(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    def recording(*args):
+        result = schedules(*args)
+        scheduled.append(sum(map(len, result)))
+        return result
+
     monkeypatch.setattr(SimClock, "schedule", counting)
+    monkeypatch.setattr(Message, "__init__", counting_init)
+    monkeypatch.setattr(harness, "destination_schedules", recording)
     sweep = run_sweep(master_seed=20100)
     monkeypatch.undo()
     assert pushes == DEFAULT_SWEEP_HEAP_PUSHES
+    assert built == DEFAULT_SWEEP_MESSAGES
+    # perfbench's traced contract: every scheduled message counts as sent.
+    sent = sum(rep.messages_sent for res in sweep.results for rep in res.per_destination)
+    assert len(scheduled) == 96
+    assert sum(scheduled) == sent == 4 * DEFAULT_SWEEP_MESSAGES
     write_sweep_csv(str(tmp_path / "sweep_results"), sweep)
     write_aggregate_csv(str(tmp_path / "aggregate"), sweep_rows(sweep))
     write_destination_csv(str(tmp_path / "destinations"), sweep)
