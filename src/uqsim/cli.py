@@ -46,7 +46,7 @@ from .harness import (
     write_figure_csv,
     write_sweep_csv,
 )
-from .messages import MAX_MESSAGE_COUNT, format_trace_record, load_trace
+from .messages import format_trace_record, load_trace
 from .metrics import check_horizon
 from .traffic import FINITE, SCHEDULES, check_choice, check_range
 
@@ -209,7 +209,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    records = load_trace(args.trace, MAX_MESSAGE_COUNT)
+    records = load_trace(args.trace)
     records.sort(key=itemgetter(0))  # stable: ties keep file order
     delay = args.receiver_delay
     clock = SimClock()

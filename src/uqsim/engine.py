@@ -304,7 +304,7 @@ class TcpConnection:
     """Fixed-window reliable stream between the source and one destination.
 
     A connection carries each message under its own ``seq``: every schedule
-    numbers its messages from 1 in send order (``schedule_messages``), so the
+    numbers its messages from 1 in send order (``generate_schedule``), so the
     n-th message submitted has seq n. The source keeps one queue, ``unacked``:
     the messages submitted and not yet acked, in seq order, of which the first
     ``in_flight`` are sent; the next is sent while fewer than ``window_size``

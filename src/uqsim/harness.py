@@ -32,17 +32,14 @@ from typing import Iterable, Optional, Sequence
 from .engine import QUEUE_VARIANTS, SimClock, TransportKind, backoff_cap, build_connection
 from .messages import MAX_MESSAGE_COUNT, MAX_SIZE_BYTES, TraceRecord
 from .metrics import MetricsReport, check_horizon, littles_law_residual, mean, mean_report
-# generate_schedule stays a harness name: perfbench/run.py wraps it here.
-from .traffic import (  # noqa: F401
+from .traffic import (
     FINITE,
     POSITIVE,
     TrafficConfig,
     check_choice,
     check_range,
     derive_seed,
-    draw_schedule,
     generate_schedule,
-    schedule_messages,
 )
 
 DEFAULT_PACKET_SIZES = (32, 256, 512)
@@ -199,13 +196,13 @@ def cell_seed(master_seed: int, topology: str, packet_size_bytes: int, receiver_
 def draw_traffic(config: ExperimentConfig) -> list[list[TraceRecord]]:
     """Per-destination (t_send, message) records, shared by a comparison group.
 
+    One ``generate_schedule`` call per destination draws and builds its stream.
     Uniform pacing places all sends on one global grid assigned round-robin
     across destinations. Poisson gives each destination an independent
     stream with the matching per-destination mean rate.
     """
     n_dest = config.destinations
-    streams = [config.traffic(dest) for dest in range(n_dest)]
-    return [schedule_messages(s, draw_schedule(s, dest, n_dest)) for dest, s in enumerate(streams)]
+    return [generate_schedule(config.traffic(dest), dest, n_dest) for dest in range(n_dest)]
 
 
 def destination_schedules(

@@ -100,12 +100,12 @@ def dump_trace(path: str, records: Iterable[TraceRecord]) -> None:
             fh.write(format_trace_record(t_send, msg) + "\n")
 
 
-def load_trace(path: str, limit: int = MAX_MESSAGE_COUNT) -> list[TraceRecord]:
-    """A trace file's records in file order; past ``limit`` of them, none is parsed."""
+def load_trace(path: str) -> list[TraceRecord]:
+    """A trace file's records in file order; past ``MAX_MESSAGE_COUNT``, none is parsed."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines: list = list(islice(filter(None, map(str.strip, fh)), limit + 1))
-    if len(lines) > limit:
-        raise ValueError(f"trace {path} exceeds the ceiling of {limit} records")
+        lines: list = list(islice(filter(None, map(str.strip, fh)), MAX_MESSAGE_COUNT + 1))
+    if len(lines) > MAX_MESSAGE_COUNT:
+        raise ValueError(f"trace {path} exceeds the ceiling of {MAX_MESSAGE_COUNT} records")
     for i, line in enumerate(lines):  # in place: one list, lines become records
         lines[i] = parse_trace_record(line)
     return lines

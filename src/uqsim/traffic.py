@@ -1,7 +1,7 @@
 """Seeded traffic generation: 70% status, 30% command/event.
 
 Kinds are drawn per message (Bernoulli), splitting the non-status share
-evenly between command and event. ``draw_schedule`` alone sets send
+evenly between command and event. ``generate_schedule`` alone sets send
 times, uniformly paced or Poisson with the same mean rate, inside the window
 ``run_duration_s * send_window_fraction`` so every message is sent within
 the run with headroom for the receiver to drain.
@@ -25,9 +25,6 @@ from .messages import MAX_MESSAGE_COUNT, MAX_SIZE_BYTES, Message, MessageKind, S
 
 ScheduleKind = Literal["uniform", "poisson"]
 SCHEDULES: tuple[str, ...] = get_args(ScheduleKind)
-
-# One drawn send: its time and its kind.
-Draw = tuple[float, MessageKind]
 
 # Closed ends for "positive" and "finite" float settings.
 POSITIVE = ulp(0.0)
@@ -87,15 +84,15 @@ def draw_kind(rng: random.Random, p_status: float) -> MessageKind:
     return MessageKind.EVENT
 
 
-def draw_schedule(config: TrafficConfig, slot: int = 0, slots: int = 1) -> list[Draw]:
-    """Draw the (t_send, kind) sequence of one stream.
+def generate_schedule(config: TrafficConfig, slot: int = 0, slots: int = 1) -> list[TraceRecord]:
+    """Draw and build one stream's (t_send, message) records, seq numbered from 1.
 
     Uniform: slot ``slot`` of ``slots`` streams sharing one round-robin grid,
     t_i = (i * slots + slot) * window / (n * slots). Poisson: n sorted iid
     uniforms on the window; given n arrivals in a window, these are exactly
     the arrival times of a Poisson process (Ross, Introduction to Probability
     Models, ch. 5). Either way times are non-decreasing and lie in
-    [0, window]. Kinds are then drawn in time order.
+    [0, window]. Kinds are then drawn in time order, as each message is built.
     """
     config.validate()
     n = config.message_count
@@ -108,16 +105,6 @@ def draw_schedule(config: TrafficConfig, slot: int = 0, slots: int = 1) -> list[
         times = [(i * slots + slot) * gap for i in range(n)]
     else:
         times = sorted([rng.random() * window for _ in range(n)])
-    return [(t, draw_kind(rng, config.p_status)) for t in times]
-
-
-def schedule_messages(config: TrafficConfig, draws: list[Draw]) -> list[TraceRecord]:
-    """Fresh (t_send, message) records for drawn traffic, seq numbered from 1."""
-    sender = config.sender
-    size = config.packet_size_bytes
-    return [(t, Message(seq, sender, kind, size)) for seq, (t, kind) in enumerate(draws, 1)]
-
-
-def generate_schedule(config: TrafficConfig) -> list[TraceRecord]:
-    """Build the full (t_send, message) schedule for one stream (see draw_schedule)."""
-    return schedule_messages(config, draw_schedule(config))
+    sender, size, p_status = config.sender, config.packet_size_bytes, config.p_status
+    return [(t, Message(seq, sender, draw_kind(rng, p_status), size))
+            for seq, t in enumerate(times, 1)]

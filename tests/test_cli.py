@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from uqsim import cli, harness
+from uqsim import cli, harness, messages
 from uqsim.cli import SETTINGS, build_experiment_config, build_parser, load_config_file, main
 from uqsim.engine import TransportKind
 from uqsim.harness import (
@@ -394,13 +394,13 @@ def test_run_rejects_destinations_above_ceiling_before_connecting(tmp_path, caps
 
 
 def refuse_to_draw(*args, **kwargs):
-    raise AssertionError("draw_schedule must not be called")
+    raise AssertionError("generate_schedule must not be called")
 
 
 def test_run_rejects_cell_above_message_budget_before_drawing(tmp_path, capsys, monkeypatch):
     # Each destination was within its own ceiling, so this cell drew 10^9
     # messages until it ran out of memory.
-    monkeypatch.setattr(harness, "draw_schedule", refuse_to_draw)
+    monkeypatch.setattr(harness, "generate_schedule", refuse_to_draw)
     config = tmp_path / "run.conf"
     config.write_text("n_destinations = 1000\n")
     rc = run_cli([
@@ -426,7 +426,7 @@ def test_sweep_rejects_one_to_many_cells_above_message_budget(tmp_path, capsys, 
     # The one-to-one cells of this config are valid; its 4-destination cells
     # are not, and used to fail only once every one-to-one group had run.
     monkeypatch.setattr(cli, "run_sweep", refuse_to_sweep)
-    monkeypatch.setattr(harness, "draw_schedule", refuse_to_draw)
+    monkeypatch.setattr(harness, "generate_schedule", refuse_to_draw)
     config = tmp_path / "sweep.conf"
     config.write_text("message_count = 300000\n")
     rc = run_cli(["sweep", "--config", str(config), "--out", str(tmp_path / "res.csv")])
@@ -544,7 +544,7 @@ def test_lossy_tcp_duration_is_bounded_by_timer_expiries(tmp_path, capsys, monke
     config.write_text("loss_prob = 1.0\n")
     argv = ["run", "--protocol", "tcp", "--messages", "1", "--config", str(config)]
     with monkeypatch.context() as patch:
-        patch.setattr(harness, "draw_schedule", refuse_to_draw)
+        patch.setattr(harness, "generate_schedule", refuse_to_draw)
         rc = run_cli(argv + ["--duration", "1e8"])
         captured = capsys.readouterr()
     assert captured.out == ""
@@ -625,7 +625,7 @@ def test_replay_rejects_fill_only_horizon_that_overflows(tmp_path, capsys):
 def test_replay_rejects_a_trace_past_the_message_ceiling(tmp_path, capsys, monkeypatch, make_msg):
     # A cell holds at most MAX_MESSAGE_COUNT messages, and so does a replayed
     # trace; the ceiling is lowered here so that the trace stays small.
-    monkeypatch.setattr(cli, "MAX_MESSAGE_COUNT", 3)
+    monkeypatch.setattr(messages, "MAX_MESSAGE_COUNT", 3)
     trace = tmp_path / "trace.csv"
     argv = ["replay", "--trace", str(trace), "--queue-variant", "fifo"]
     dump_trace(str(trace), [(0.1 * i, make_msg(sender=1, kind="C")) for i in range(3)])
@@ -641,7 +641,7 @@ def test_replay_rejects_a_trace_past_the_message_ceiling(tmp_path, capsys, monke
 def test_replay_rejects_a_long_trace_before_building_a_message(tmp_path, capsys, monkeypatch):
     # The ceiling is checked on the trace's lines, so a malformed record past
     # it is never read and no Message is built.
-    monkeypatch.setattr(cli, "MAX_MESSAGE_COUNT", 3)
+    monkeypatch.setattr(messages, "MAX_MESSAGE_COUNT", 3)
     built = []
     init = Message.__init__
 

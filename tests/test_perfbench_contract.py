@@ -83,3 +83,21 @@ def test_traced_sweep_counts_service_pushes_and_every_delivery(monkeypatch):
     assert tracer.counts["engine.service_scheduled"] > 0
     delivered = sum(rep.delivered_to_queue for res in sweep.results for rep in res.per_destination)
     assert tracer.aggregate()["Receiver.deliver"]["calls"] == delivered
+
+
+def test_traced_sweep_times_each_destinations_traffic(monkeypatch):
+    # The traffic layer wraps harness.generate_schedule; the sweep must draw
+    # through that name, once per destination of each comparison group: 1 for
+    # each of the 2 one-to-one groups, 4 for each of the 2 fan-out groups.
+    run = load_benchmark(monkeypatch)
+    import spans
+
+    from uqsim.harness import run_sweep
+
+    tracer = spans.Tracer()
+    try:
+        run.install(tracer, True)
+        run_sweep(master_seed=7, packet_sizes=(256,), receiver_delays=(0.0, 0.05))
+    finally:
+        tracer.restore()
+    assert tracer.aggregate()["traffic.generate_schedule"]["calls"] == 2 * 1 + 2 * 4

@@ -10,7 +10,6 @@ from uqsim.traffic import (
     TrafficConfig,
     derive_seed,
     draw_kind,
-    draw_schedule,
     generate_schedule,
 )
 
@@ -116,7 +115,7 @@ def test_poisson_sends_do_not_pile_up_at_the_window_end():
         )
         config = cell.traffic()
         window = config.run_duration_s * config.send_window_fraction
-        most = max(most, sum(t > 0.99 * window for t, _ in draw_schedule(config)))
+        most = max(most, sum(t > 0.99 * window for t, _ in generate_schedule(config)))
     assert most <= 29
 
 
