@@ -30,11 +30,12 @@ from math import inf
 from typing import Iterable, Optional, Sequence
 
 from .engine import QUEUE_VARIANTS, SimClock, TransportKind, backoff_cap, build_connection
-from .messages import MAX_MESSAGE_COUNT, MAX_SIZE_BYTES, TraceRecord
+from .messages import MAX_MESSAGE_COUNT, MAX_SIZE_BYTES
 from .metrics import MetricsReport, check_horizon, littles_law_residual, mean, mean_report
 from .traffic import (
     FINITE,
     POSITIVE,
+    Schedule,
     TrafficConfig,
     check_choice,
     check_range,
@@ -50,7 +51,7 @@ TOPOLOGIES = tuple(DEFAULT_DURATIONS)
 DEFAULT_DESTINATIONS = 4
 # Most destinations one cell may fan out to. Connections are built and run one
 # at a time; at this ceiling a one-to-many TCP cell with one message per
-# destination takes about 8 s and 107 MB (2 vCPU, Python 3.11).
+# destination takes about 4 s of CPU and 109 MB (2 vCPU, Python 3.11).
 MAX_DESTINATIONS = 100_000
 DEFAULT_MASTER_SEED = 20100
 
@@ -193,8 +194,8 @@ def cell_seed(master_seed: int, topology: str, packet_size_bytes: int, receiver_
     return derive_seed("cell", master_seed, topology, packet_size_bytes, f"{receiver_delay_s:.6g}")
 
 
-def draw_traffic(config: ExperimentConfig) -> list[list[TraceRecord]]:
-    """Per-destination (t_send, message) records, shared by a comparison group.
+def draw_traffic(config: ExperimentConfig) -> list[Schedule]:
+    """One ``Schedule`` of (t_send, message) records per destination, shared by a group.
 
     One ``generate_schedule`` call per destination draws and builds its stream.
     Uniform pacing places all sends on one global grid assigned round-robin
@@ -206,8 +207,8 @@ def draw_traffic(config: ExperimentConfig) -> list[list[TraceRecord]]:
 
 
 def destination_schedules(
-    config: ExperimentConfig, draws: Optional[list[list[TraceRecord]]] = None
-) -> list[list[TraceRecord]]:
+    config: ExperimentConfig, draws: Optional[list[Schedule]] = None
+) -> list[Schedule]:
     """Per-destination (t_send, message) schedules, ready for a run.
 
     ``draws`` defaults to the cell's own ``draw_traffic``. Given draws, made
@@ -217,13 +218,13 @@ def destination_schedules(
     if draws is None:
         return draw_traffic(config)
     for records in draws:
-        for _, msg in records:
+        for msg in records.messages:
             msg.t_enqueued = None
     return draws
 
 
 def run_experiment(
-    config: ExperimentConfig, draws: Optional[list[list[TraceRecord]]] = None
+    config: ExperimentConfig, draws: Optional[list[Schedule]] = None
 ) -> ExperimentResult:
     """Run one cell and return its finalized per-destination and mean reports.
 

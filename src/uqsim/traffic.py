@@ -17,9 +17,10 @@ from __future__ import annotations
 import hashlib
 import random
 import sys
+from array import array
 from dataclasses import dataclass
 from math import ulp
-from typing import Collection, Literal, get_args
+from typing import Collection, Iterator, Literal, get_args
 
 from .messages import MAX_MESSAGE_COUNT, MAX_SIZE_BYTES, Message, MessageKind, SenderId, TraceRecord
 
@@ -84,7 +85,28 @@ def draw_kind(rng: random.Random, p_status: float) -> MessageKind:
     return MessageKind.EVENT
 
 
-def generate_schedule(config: TrafficConfig, slot: int = 0, slots: int = 1) -> list[TraceRecord]:
+class Schedule:
+    """One stream's records as two columns: send times and their messages.
+
+    ``times`` is an ``array('d')``, so a send time takes 8 bytes instead of a
+    float object and a tuple per record. Iterating yields the (t_send,
+    message) records in send order; ``len`` counts them.
+    """
+
+    __slots__ = ("times", "messages")
+
+    def __init__(self, times: array, messages: list[Message]) -> None:
+        self.times = times
+        self.messages = messages
+
+    def __len__(self) -> int:
+        return len(self.messages)
+
+    def __iter__(self) -> Iterator[TraceRecord]:
+        return zip(self.times, self.messages)
+
+
+def generate_schedule(config: TrafficConfig, slot: int = 0, slots: int = 1) -> Schedule:
     """Draw and build one stream's (t_send, message) records, seq numbered from 1.
 
     Uniform: slot ``slot`` of ``slots`` streams sharing one round-robin grid,
@@ -97,14 +119,14 @@ def generate_schedule(config: TrafficConfig, slot: int = 0, slots: int = 1) -> l
     config.validate()
     n = config.message_count
     if n == 0:
-        return []
+        return Schedule(array("d"), [])
     rng = random.Random(config.seed)
     window = config.run_duration_s * config.send_window_fraction
     if config.schedule == "uniform":
         gap = window / (n * slots)
-        times = [(i * slots + slot) * gap for i in range(n)]
+        times = array("d", ((i * slots + slot) * gap for i in range(n)))
     else:
-        times = sorted([rng.random() * window for _ in range(n)])
+        times = array("d", sorted([rng.random() * window for _ in range(n)]))
     sender, size, p_status = config.sender, config.packet_size_bytes, config.p_status
-    return [(t, Message(seq, sender, draw_kind(rng, p_status), size))
-            for seq, t in enumerate(times, 1)]
+    return Schedule(times, [Message(seq, sender, draw_kind(rng, p_status), size)
+                            for seq in range(1, n + 1)])

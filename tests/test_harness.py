@@ -2,6 +2,7 @@ import concurrent.futures
 import hashlib
 import math
 import sys
+import tracemalloc
 
 import pytest
 
@@ -11,6 +12,7 @@ from uqsim.harness import (
     AGGREGATE_COLUMNS,
     AGGREGATE_KEY,
     CSV_COLUMNS,
+    DEFAULT_MASTER_SEED,
     DEFAULT_PACKET_SIZES,
     DEFAULT_RECEIVER_DELAYS,
     METRIC_COLUMNS,
@@ -32,7 +34,7 @@ from uqsim.harness import (
     write_figure_csv,
     write_sweep_csv,
 )
-from uqsim.messages import Message
+from uqsim.messages import Message, MessageKind
 
 
 def small_sweep(master=7, jobs=1):
@@ -132,8 +134,8 @@ def test_one_to_many_uniform_round_robin_interleave():
     assert len(schedules) == 4
     global_gap = (720.0 * 0.9) / (1000 * 4)
     for dest, schedule in enumerate(schedules):
-        assert schedule[0][0] == pytest.approx(dest * global_gap)
-        assert schedule[1][0] - schedule[0][0] == pytest.approx(4 * global_gap)
+        assert schedule.times[0] == pytest.approx(dest * global_gap)
+        assert schedule.times[1] - schedule.times[0] == pytest.approx(4 * global_gap)
     merged = sorted(t for schedule in schedules for t, _ in schedule)
     gaps = {round(b - a, 12) for a, b in zip(merged, merged[1:])}
     assert gaps == {round(global_gap, 12)}
@@ -302,6 +304,26 @@ def test_runs_on_a_groups_shared_messages_match_runs_on_fresh_ones():
             for config in group:
                 shared = run_experiment(config, draws)
                 assert shared.per_destination == run_experiment(config).per_destination
+
+
+def test_drawn_traffic_holds_at_most_32_bytes_per_record_beyond_its_messages():
+    # A group keeps its draws through four runs. Per record they may hold a
+    # send time and a list slot (16 bytes), not a tuple and a float object too.
+    config = next(c for c in default_configs(DEFAULT_MASTER_SEED) if c.topology == "one_to_many")
+    records = config.message_count * config.destinations  # 4 x 1000
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        draws = draw_traffic(config)
+        held = tracemalloc.get_traced_memory()[0] - start
+        start = tracemalloc.get_traced_memory()[0]
+        fresh = [Message(seq, 0, MessageKind.STATUS, config.packet_size_bytes)
+                 for _ in range(config.destinations) for seq in range(1, config.message_count + 1)]
+        messages = tracemalloc.get_traced_memory()[0] - start - sys.getsizeof(fresh)
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, draws)) == len(fresh) == records
+    assert (held - messages) / records <= 32
 
 
 @pytest.mark.parametrize("jobs", [0, -2])

@@ -58,7 +58,7 @@ def test_command_event_split_is_even():
 
 
 def test_zero_count_gives_empty_schedule():
-    assert generate_schedule(cfg(message_count=0)) == []
+    assert len(generate_schedule(cfg(message_count=0))) == 0
 
 
 def test_uniform_gap_matches_window():
@@ -143,7 +143,7 @@ def test_schedule_exports_to_trace_format(tmp_path):
 def test_schedule_numbers_fresh_messages_from_one():
     for kind in ("uniform", "poisson"):
         schedule = generate_schedule(cfg(message_count=10, schedule=kind))
-        (t0, first), (t1, second) = schedule[:2]
+        (t0, first), (t1, second) = list(schedule)[:2]
         assert (first.seq, second.seq) == (1, 2)
         assert 0.0 <= t0 < t1
         assert [m.seq for _, m in schedule] == list(range(1, 11))
