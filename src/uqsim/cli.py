@@ -225,8 +225,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
     check_horizon(duration, len(records), blame)
     clock.run(duration, records, fire)
     print(f"final_queue_length: {len(queue)}")
-    for msg in queue.snapshot():
-        print(format_trace_record(msg.t_enqueued or 0.0, msg))
+    for t_enqueued, msg in queue.snapshot():
+        print(format_trace_record(t_enqueued, msg))
     print(f"inserted: {queue.inserted}")
     print(f"replaced: {queue.replaced}")
     print(f"dequeued: {queue.dequeued}")

@@ -246,8 +246,8 @@ class Receiver:
         collector = self.collector
         collector.len_integral += queue.length * (now - collector.last_sample_t)
         collector.last_sample_t = now
-        msg = queue.dequeue()
-        collector.wait_time_sum_s += now - msg.t_enqueued
+        t_enqueued, msg = queue.dequeue()
+        collector.wait_time_sum_s += now - t_enqueued
         if self.on_consume is not None:
             self.on_consume(msg, now)
         if queue.length:

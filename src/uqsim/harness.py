@@ -10,11 +10,11 @@ Cell seeds derive from the master seed and the cell's (topology, size,
 delay) coordinates - deliberately not the protocol, so the four protocols in
 a comparison group see identical traffic (common random numbers; paired
 comparisons). The sweep therefore draws and builds each group's (t_send,
-message) traffic once and runs it under each protocol in turn, clearing
-``t_enqueued``, the one mark a run leaves, before each; one pool task is one
-group. Changing one cell's parameters never changes another cell's results,
-and groups may run in parallel: rows are gathered and written in canonical
-(protocol, topology, size, delay) order regardless.
+message) traffic once and runs it under each protocol in turn, as drawn: a
+run writes no field of a message. One pool task is one group. Changing one
+cell's parameters never changes another cell's results, and groups may run
+in parallel: rows are gathered and written in canonical (protocol, topology,
+size, delay) order regardless.
 
 Destinations share no state, so ``run_experiment`` runs each on its own
 ``SimClock``, one after another; a destination's sends never enter the event
@@ -51,7 +51,7 @@ TOPOLOGIES = tuple(DEFAULT_DURATIONS)
 DEFAULT_DESTINATIONS = 4
 # Most destinations one cell may fan out to. Connections are built and run one
 # at a time; at this ceiling a one-to-many TCP cell with one message per
-# destination takes about 4 s of CPU and 109 MB (2 vCPU, Python 3.11).
+# destination takes about 5 s of CPU and 104 MB (2 vCPU, Python 3.11).
 MAX_DESTINATIONS = 100_000
 DEFAULT_MASTER_SEED = 20100
 
@@ -213,14 +213,9 @@ def destination_schedules(
 
     ``draws`` defaults to the cell's own ``draw_traffic``. Given draws, made
     for a cell of the same comparison group and maybe run already, come back
-    with ``t_enqueued``, the one mark a run leaves, cleared on every message.
+    unchanged: a run writes no field of a message.
     """
-    if draws is None:
-        return draw_traffic(config)
-    for records in draws:
-        for msg in records.messages:
-            msg.t_enqueued = None
-    return draws
+    return draw_traffic(config) if draws is None else draws
 
 
 def run_experiment(

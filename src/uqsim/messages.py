@@ -13,10 +13,10 @@ whether an incoming status update supersedes a stored one.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from math import inf
-from typing import Iterable, Optional
+from typing import Iterable
 
 SenderId = int
 
@@ -25,7 +25,7 @@ SenderId = int
 MAX_SIZE_BYTES = 2**30
 # Most messages one stream, one cell over all its destinations, or one
 # replayed trace may hold. Each is built in memory before the run starts; at
-# this ceiling a cell peaks at about 0.17 GB, a replayed trace at about 0.3 GB.
+# this ceiling a cell peaks at about 0.13 GB, a replayed trace at about 0.26 GB.
 MAX_MESSAGE_COUNT = 1_000_000
 
 
@@ -42,14 +42,13 @@ class Message:
     seq increases per sender in creation order; TCP carries the message
     under it. size_bytes is the payload size; no payload contents are
     modeled. The send time is the ``t_send`` of the record that carries it;
-    t_enqueued, the one field a run sets, stays None until a queue sets it.
+    the queue keeps the enqueue time, so no run writes a field of a message.
     """
 
     seq: int
     sender: SenderId
     kind: MessageKind
     size_bytes: int
-    t_enqueued: Optional[float] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.size_bytes <= MAX_SIZE_BYTES:

@@ -19,9 +19,9 @@ Definitions, chosen to make the four transports comparable:
 * ``avg_queue_len`` - time-weighted mean of the instantaneous queue length,
   integrated exactly by the receiver on every enqueue and dequeue (no grid).
 
-* ``avg_time_in_queue_s`` - mean of (dequeue time - t_enqueued) over delivered
-  messages only. Replaced (coalesced) messages were never delivered and are
-  excluded; they still appear in ``messages_replaced``.
+* ``avg_time_in_queue_s`` - mean of (dequeue time - the queue's enqueue time)
+  over delivered messages only. Replaced (coalesced) messages were never
+  delivered and are excluded; they still appear in ``messages_replaced``.
 
 ``conservation_residual()`` counts the messages still in transport at run
 end (in TCP's ``unacked`` queue or reorder buffer, or datagrams on the

@@ -14,6 +14,9 @@ insertion-ordered map: a status is keyed by its sender, any other message by
 a unique negative key. A replacing status moves its sender's entry to the
 tail and takes its place, so the map holds exactly the queue's contents.
 
+Each entry's enqueue time lives in the queue beside it, not on the message:
+``dequeue`` and ``snapshot`` give ``(t_enqueued, msg)`` records.
+
 Cost per operation: ``enqueue_fifo``, ``enqueue_uqa``, ``enqueue_keyed``,
 ``dequeue`` and ``len`` (the live ``length`` every policy keeps) are O(1);
 ``snapshot`` is linear.
@@ -26,9 +29,9 @@ from __future__ import annotations
 
 import enum
 from collections import OrderedDict, deque
-from typing import Optional
+from typing import Iterator, Optional
 
-from .messages import Message, MessageKind
+from .messages import Message, MessageKind, TraceRecord
 
 
 class EnqueueOutcome(enum.Enum):
@@ -47,18 +50,21 @@ class UpdatableQueue:
     A queue is driven by one insertion policy (``enqueue_fifo``,
     ``enqueue_uqa`` or ``enqueue_keyed``) for its whole life, as ``Receiver``
     binds it. The fifo and uqa policies store their messages in the deque
-    ``_messages``, the keyed policy in the ordered map ``_keyed``; the other
-    store stays empty. ``length`` is the live length: one more per
-    ``INSERTED`` outcome, one less per dequeue.
+    ``_messages`` and times in ``_times``, the keyed policy in the ordered map
+    ``_keyed`` and times in ``_keyed_times``; the other stores stay empty.
+    ``length`` is the live length: one more per ``INSERTED``, one less per dequeue.
     """
 
-    __slots__ = ("_messages", "_keyed", "length", "inserted", "replaced", "dequeued")
+    __slots__ = ("_messages", "_times", "_keyed", "_keyed_times",
+                 "length", "inserted", "replaced", "dequeued")
 
     def __init__(self) -> None:
         self._messages: deque[Message] = deque()
+        self._times: deque[float] = deque()
         # Keyed policy only: a status under its sender, any other message
         # under -inserted; senders are non-negative, so keys never collide.
         self._keyed: OrderedDict[int, Message] = OrderedDict()
+        self._keyed_times: dict[int, float] = {}
         self.length = 0
         self.inserted = 0
         self.replaced = 0
@@ -67,9 +73,11 @@ class UpdatableQueue:
     def __len__(self) -> int:
         return self.length
 
-    def snapshot(self) -> tuple[Message, ...]:
-        """Current contents, head first. For inspection and oracles."""
-        return tuple(self._messages or self._keyed.values())
+    def snapshot(self) -> Iterator[TraceRecord]:
+        """Current ``(t_enqueued, msg)`` records, head first, read lazily: nothing is copied."""
+        if self._messages:
+            return zip(self._times, self._messages)
+        return ((self._keyed_times[key], msg) for key, msg in self._keyed.items())
 
     def enqueue_uqa(self, msg: Message, now: float = 0.0) -> EnqueueOutcome:
         """Insert with tail-only status coalescing.
@@ -79,29 +87,26 @@ class UpdatableQueue:
         place and the queue length is unchanged. An empty queue appends:
         there is nothing stored to supersede.
         """
-        if msg.t_enqueued is not None:
-            raise ValueError("message was already enqueued once")
-        msg.t_enqueued = now
         self.inserted += 1
         messages = self._messages
         if msg.kind is MessageKind.STATUS and messages:
             tail = messages[-1]
             if tail.kind is MessageKind.STATUS and tail.sender == msg.sender:
                 messages[-1] = msg
+                self._times[-1] = now
                 self.replaced += 1
                 return EnqueueOutcome.REPLACED_TAIL
         messages.append(msg)
+        self._times.append(now)
         self.length += 1
         return EnqueueOutcome.INSERTED
 
     def enqueue_fifo(self, msg: Message, now: float = 0.0) -> EnqueueOutcome:
         """Plain append; the no-coalescing baseline."""
-        if msg.t_enqueued is not None:
-            raise ValueError("message was already enqueued once")
-        msg.t_enqueued = now
         self.inserted += 1
         self.length += 1
         self._messages.append(msg)
+        self._times.append(now)
         return EnqueueOutcome.INSERTED
 
     def enqueue_keyed(self, msg: Message, now: float = 0.0) -> EnqueueOutcome:
@@ -111,9 +116,6 @@ class UpdatableQueue:
         with a stored status drops that one, which counts as replaced; the
         outcome is then ``REPLACED_TAIL`` and the length is unchanged.
         """
-        if msg.t_enqueued is not None:
-            raise ValueError("message was already enqueued once")
-        msg.t_enqueued = now
         self.inserted += 1
         keyed = self._keyed
         if msg.kind is MessageKind.STATUS:
@@ -121,22 +123,25 @@ class UpdatableQueue:
             if key in keyed:
                 keyed.move_to_end(key)
                 keyed[key] = msg
+                self._keyed_times[key] = now
                 self.replaced += 1
                 return EnqueueOutcome.REPLACED_TAIL
         else:
             key = -self.inserted
         keyed[key] = msg
+        self._keyed_times[key] = now
         self.length += 1
         return EnqueueOutcome.INSERTED
 
-    def dequeue(self) -> Optional[Message]:
-        """Remove and return the head, or None when empty (not an error)."""
+    def dequeue(self) -> Optional[TraceRecord]:
+        """Remove the head; its ``(t_enqueued, msg)``, or None when empty (not an error)."""
         if self._messages:
-            msg = self._messages.popleft()
+            record = self._times.popleft(), self._messages.popleft()
         elif self._keyed:
-            msg = self._keyed.popitem(last=False)[1]
+            key, msg = self._keyed.popitem(last=False)
+            record = self._keyed_times.pop(key), msg
         else:
             return None
         self.length -= 1
         self.dequeued += 1
-        return msg
+        return record

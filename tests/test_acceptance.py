@@ -88,7 +88,7 @@ def test_1_adjacency_invariant():
                 )
             else:
                 q.dequeue()
-            items = q.snapshot()
+            items = [msg for _, msg in q.snapshot()]
             for left, right in zip(items, items[1:]):
                 if (
                     left.kind is MessageKind.STATUS
@@ -120,7 +120,8 @@ def test_2_oracle_equivalence_exhaustive():
     MAX_DEPTH, DEEP_DEPTH = 12, 7
 
     q = UpdatableQueue()
-    impl = q._messages  # white-box handle for O(1) undo
+    impl = q._messages  # white-box handles for O(1) undo
+    impl_times = q._times
     oracle: list[tuple] = []
     # One pooled message per (depth, symbol); a message is always undone
     # before its slot is reused by a sibling.
@@ -137,7 +138,7 @@ def test_2_oracle_equivalence_exhaustive():
     ]
     enqueue = q.enqueue_uqa
     oracle_append, oracle_pop = oracle.append, oracle.pop
-    impl_pop = impl.pop
+    impl_pop, impl_times_pop = impl.pop, impl_times.pop
     nodes = 0
 
     def rec(depth: int) -> None:
@@ -176,7 +177,8 @@ def test_2_oracle_equivalence_exhaustive():
                     raise AssertionError(f"state mismatch: {state} != {oracle}")
             if deeper:
                 rec(depth + 1)
-            # undo oracle, then the implementation queue
+            # undo oracle, then the implementation queue; every enqueue here
+            # is at the default time 0.0, so a replaced tail's time stands
             if displaced is None:
                 oracle_pop()
             else:
@@ -186,8 +188,8 @@ def test_2_oracle_equivalence_exhaustive():
                 q.replaced -= 1
             else:
                 impl_pop()
+                impl_times_pop()
             q.inserted -= 1
-            msg.t_enqueued = None
 
     rec(1)
     elapsed = time.perf_counter() - start

@@ -27,6 +27,20 @@ def status(seq, sender=0, size=512):
     return Message(seq=seq, sender=sender, kind=MessageKind.STATUS, size_bytes=size)
 
 
+@pytest.fixture
+def enqueued(monkeypatch):
+    """Each message's enqueue time, by ``id``: the queue keeps it, not the message."""
+    times = {}
+    deliver = Receiver.deliver
+
+    def recording_deliver(self, msg, now):
+        times[id(msg)] = now
+        deliver(self, msg, now)
+
+    monkeypatch.setattr(Receiver, "deliver", recording_deliver)
+    return times
+
+
 # -- clock ----------------------------------------------------------------------
 
 
@@ -235,22 +249,22 @@ def build(kind, *, seed=1, **settings):
     return clock, build_connection(clock, config, random.Random(seed))
 
 
-def test_udp_arrival_time_is_serialization_plus_propagation():
+def test_udp_arrival_time_is_serialization_plus_propagation(enqueued):
     _, sender = build(TransportKind.UDP)
     msg = status(1)
     sender.run(1.0, [(0.0, msg)])
-    assert msg.t_enqueued == pytest.approx(SER_512 + PROP)
+    assert enqueued[id(msg)] == pytest.approx(SER_512 + PROP)
 
 
 @pytest.mark.parametrize("kind", [TransportKind.UDP, TransportKind.TCP])
-def test_fan_out_has_one_uplink_per_destination(kind):
+def test_fan_out_has_one_uplink_per_destination(kind, enqueued):
     # Each destination's sender owns its source Wire, so two messages sent
     # to two destinations at t=0 serialize in parallel, not back to back.
     messages = [status(1, sender=0), status(1, sender=1)]
     for msg in messages:
         sender = build_connection(SimClock(), ExperimentConfig(protocol=kind), random.Random(1))
         sender.run(1.0, [(0.0, msg)])
-    assert [m.t_enqueued for m in messages] == pytest.approx([SER_512 + PROP] * 2)
+    assert [enqueued[id(m)] for m in messages] == pytest.approx([SER_512 + PROP] * 2)
 
 
 @pytest.mark.parametrize(
@@ -285,7 +299,7 @@ def test_udp_accounting_under_partial_loss():
     assert 0 < c.messages_lost < 2000
 
 
-def test_tcp_window_one_staggers_arrivals_by_round_trip():
+def test_tcp_window_one_staggers_arrivals_by_round_trip(enqueued):
     # Hand trace, window 1, three packets submitted together at t=0:
     #   data arrives at ser+prop; consumed immediately (no delay); the ack
     #   returns after ack_ser+prop; only then may the next packet leave.
@@ -295,7 +309,7 @@ def test_tcp_window_one_staggers_arrivals_by_round_trip():
     for msg in messages:
         sender.submit(msg, 0.0)
     clock.run(5.0)
-    arrivals = [m.t_enqueued for m in messages]
+    arrivals = [enqueued[id(m)] for m in messages]
     round_trip = SER_512 + ACK_SER + 2 * PROP
     assert arrivals[0] == pytest.approx(SER_512 + PROP)
     assert arrivals[1] - arrivals[0] == pytest.approx(round_trip)
@@ -497,14 +511,15 @@ def test_idle_receiver_schedules_at_most_one_service_per_delivery(
         assert service_calls == []
 
 
-def test_causality_enqueue_after_created_plus_propagation():
+def test_causality_enqueue_after_created_plus_propagation(enqueued):
     for kind in TransportKind:
+        enqueued.clear()
         _, sender = build(kind, receiver_delay_s=0.01)
         records = [(i * 0.05, status(i + 1)) for i in range(100)]
         sender.run(30.0, records)
         for t_send, msg in records:
-            assert msg.t_enqueued is not None
-            assert msg.t_enqueued >= t_send + PROP - 1e-12
+            assert id(msg) in enqueued
+            assert enqueued[id(msg)] >= t_send + PROP - 1e-12
 
 
 # -- receiver ---------------------------------------------------------------------

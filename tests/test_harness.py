@@ -1,8 +1,13 @@
 import concurrent.futures
+import gc
 import hashlib
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -219,6 +224,27 @@ def test_parallel_sweep_matches_serial():
     assert sweep_rows(serial) == sweep_rows(parallel)
 
 
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_parallel_sweep_matches_serial_beyond_fork(method):
+    # The other parallel checks run under Linux's default start method, fork;
+    # Python 3.14 makes forkserver the default. A fresh interpreter sets the
+    # method before its pool starts and prints its rows' repr, which keeps
+    # every float exactly.
+    code = (
+        "import multiprocessing\n"
+        f"multiprocessing.set_start_method({method!r})\n"
+        "from uqsim.harness import run_sweep, sweep_rows\n"
+        "sweep = run_sweep(master_seed=7, packet_sizes=(256,), receiver_delays=(0.0, 0.05), jobs=2)\n"
+        "print(repr(sweep_rows(sweep)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    child = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == repr(sweep_rows(small_sweep(jobs=1)))
+
+
 @pytest.mark.parametrize("axis", ["packet_sizes", "receiver_delays"])
 def test_parallel_sweep_matches_serial_on_an_empty_matrix(axis):
     # An empty axis leaves no comparison group, and a pool of no workers is an error.
@@ -296,7 +322,7 @@ def test_each_comparison_group_draws_its_traffic_once(monkeypatch, jobs):
 
 def test_runs_on_a_groups_shared_messages_match_runs_on_fresh_ones():
     # A group's messages are built once and run under each protocol in turn,
-    # twice over here: each run starts from messages no queue has marked.
+    # twice over here, with no reset: a run writes no field of a message.
     cells = default_configs(7, packet_sizes=(256,), receiver_delays=(0.05,))
     for group in (cells[0::2], cells[1::2]):  # one-to-one, then one-to-many
         draws = draw_traffic(group[0])
@@ -324,6 +350,34 @@ def test_drawn_traffic_holds_at_most_32_bytes_per_record_beyond_its_messages():
         tracemalloc.stop()
     assert sum(map(len, draws)) == len(fresh) == records
     assert (held - messages) / records <= 32
+
+
+def test_runs_on_a_groups_draws_leave_them_holding_what_they_held_when_drawn():
+    # The queue keeps each enqueue time, not the message: a message is its
+    # four drawn fields, and four runs on a group's draws, with no reset
+    # between them, leave the draws no larger. A time kept on the message
+    # would stay behind as a float object, 24 bytes per record.
+    assert Message.__slots__ == ("seq", "sender", "kind", "size_bytes")
+    config = next(c for c in default_configs(DEFAULT_MASTER_SEED) if c.topology == "one_to_many")
+    group = [replace(config, protocol=kind) for kind in TransportKind]
+    records = config.message_count * config.destinations  # 4 x 1000
+    warm_up = draw_traffic(config)  # first calls' allocations are not the draws'
+    for cell in group:
+        run_experiment(cell, warm_up)
+    del warm_up
+    tracemalloc.start()
+    try:
+        draws = draw_traffic(config)
+        gc.collect()
+        start = tracemalloc.get_traced_memory()[0]
+        results = [run_experiment(cell, draws) for cell in group]
+        del results
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, draws)) == records
+    assert grown / records <= 1, grown / records
 
 
 @pytest.mark.parametrize("jobs", [0, -2])

@@ -11,6 +11,20 @@ A one-to-many cell's destinations draw independent Poisson streams and run on
 clocks of their own, so each is an M/D/1 queue at the same rho, and so is
 their mean.
 
+A one-to-one ``udp_uqa`` cell whose sender sends only statuses holds at most
+one message, and a new status replaces it, under tail and keyed coalescing
+alike: a queue with one waiting slot and replacement (M. Costa, M. Codreanu and
+A. Ephremides, "On the Age of Information in Status Update Systems With Packet
+Management", IEEE Trans. Inf. Theory 62(4), 2016). A renewal argument over
+dequeue cycles gives its closed forms. With x = lambda D and e = exp(-x), N ~
+Poisson(x) statuses arrive during each hold D; if N >= 1 the last is served at
+the hold's end and N - 1 are replaced, and if N = 0 the next arrival is served
+at once. So r = (x - 1 + e) / (x + e) of the sent statuses are replaced, a
+delivered one waits W = D ((1 - e) / x - e) on average, and, since an arrival
+replaces exactly when it finds the slot full (PASTA), the slot is full r of
+the send window: ``avg_queue_len`` reads 0.9 r over a run whose last 10% sends
+nothing. Unlike FIFO, this queue is stable at any load, x = 3 included.
+
 The sizes, seeds and bound are fixed: retuning them until the test passes
 would hide the failure it exists to show.
 """
@@ -62,3 +76,43 @@ def test_udp_fifo_wait_matches_pollaczek_khinchine(topology, messages, label, rh
     mean = statistics.fmean(ratios)
     se = statistics.stdev(ratios) / math.sqrt(len(ratios))
     assert abs(mean - 1.0) <= BOUND_SE * se, (mean, se, ratios)
+
+
+@pytest.mark.parametrize("variant", ["tail", "keyed"])
+@pytest.mark.parametrize("x", [0.6, 1.5, 3.0])
+def test_udp_uqa_status_queue_matches_renewal_theory(x, variant):
+    base = ExperimentConfig(
+        protocol=TransportKind.UDP_UQA,
+        packet_size_bytes=32,
+        receiver_delay_s=0.048,
+        message_count=50_000,
+        p_status=1.0,
+        queue_variant=variant,
+    )
+    hold = base.receiver_delay_s + base.udp_app_per_msg_s  # D = 0.05 s
+    e = math.exp(-x)
+    replaced = (x - 1 + e) / (x + e)
+    theory = {
+        "wait": hold * ((1 - e) / x - e),
+        "queue_len": base.send_window_fraction * replaced,
+        "replaced_per_sent": replaced,
+    }
+    ratios: dict[str, list[float]] = {name: [] for name in theory}
+    for s in SEEDS:
+        config = replace(
+            base,
+            run_duration_s=base.message_count * hold / (base.send_window_fraction * x),
+            seed=derive_seed("renewal", x, s),
+        )
+        report = run_experiment(config).report
+        observed = {
+            "wait": report.avg_time_in_queue_s,
+            "queue_len": report.avg_queue_len,
+            "replaced_per_sent": report.messages_replaced / report.messages_sent,
+        }
+        for name, value in observed.items():
+            ratios[name].append(value / theory[name])
+    for name, values in ratios.items():
+        mean = statistics.fmean(values)
+        se = statistics.stdev(values) / math.sqrt(len(values))
+        assert abs(mean - 1.0) <= BOUND_SE * se, (name, mean, se, values)

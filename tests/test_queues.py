@@ -54,6 +54,17 @@ def ids(messages) -> list:
     return [(m.sender, m.kind, m.seq) for m in messages]
 
 
+def contents(q: UpdatableQueue) -> list:
+    """The messages of the queue's ``(t_enqueued, msg)`` records, head first."""
+    return [msg for _, msg in q.snapshot()]
+
+
+def dequeue_msg(q: UpdatableQueue):
+    """The message of the head record ``dequeue`` returns, or None when empty."""
+    record = q.dequeue()
+    return None if record is None else record[1]
+
+
 def conserved(q: UpdatableQueue) -> bool:
     return q.inserted == q.replaced + len(q) + q.dequeued
 
@@ -68,7 +79,7 @@ def test_same_sender_status_replaces_tail(make_msg):
     outcome = q.enqueue_uqa(new)
     assert outcome is EnqueueOutcome.REPLACED_TAIL
     assert len(q) == 1
-    assert q.snapshot()[-1] is new
+    assert contents(q)[-1] is new
     assert q.replaced == 1
 
 
@@ -76,7 +87,7 @@ def test_empty_queue_appends_command(make_msg):
     q = UpdatableQueue()
     msg = make_msg(sender=1, kind="C")
     assert q.enqueue_uqa(msg) is EnqueueOutcome.INSERTED
-    assert ids(q.snapshot()) == ids([msg])
+    assert ids(contents(q)) == ids([msg])
 
 
 def test_empty_queue_appends_status(make_msg):
@@ -123,15 +134,7 @@ def test_random_trace_matches_reference(make_msg):
         q.enqueue_uqa(msg)
         reference_enqueue(reference, shadow)
         assert conserved(q)
-    assert ids(q.snapshot()) == ids(reference)
-
-
-def test_stamp_rejects_double_enqueue(make_msg):
-    q = UpdatableQueue()
-    msg = make_msg()
-    q.enqueue_uqa(msg, now=1.0)
-    with pytest.raises(ValueError, match="already enqueued"):
-        q.enqueue_uqa(msg, now=2.0)
+    assert ids(contents(q)) == ids(reference)
 
 
 # -- FIFO baseline -------------------------------------------------------------
@@ -141,7 +144,7 @@ def test_fifo_appends_on_empty(make_msg):
     q = UpdatableQueue()
     msg = make_msg(sender=0, kind="S")
     assert q.enqueue_fifo(msg) is EnqueueOutcome.INSERTED
-    assert ids(q.snapshot()) == ids([msg])
+    assert ids(contents(q)) == ids([msg])
 
 
 def test_fifo_never_coalesces(make_msg):
@@ -158,7 +161,7 @@ def test_fifo_conservation_over_trace(make_msg):
     dequeues = 0
     for _ in range(1000):
         q.enqueue_fifo(make_msg(sender=rng.randrange(3), kind=rng.choice("SCE")))
-        if rng.random() < 0.3 and q.dequeue() is not None:
+        if rng.random() < 0.3 and dequeue_msg(q) is not None:
             dequeues += 1
     assert len(q) == 1000 - dequeues
 
@@ -172,8 +175,8 @@ def test_dequeue_returns_head(make_msg):
     second = make_msg(sender=2, kind="S")
     q.enqueue_uqa(first)
     q.enqueue_uqa(second)
-    assert q.dequeue() is first
-    assert ids(q.snapshot()) == ids([second])
+    assert dequeue_msg(q) is first
+    assert ids(contents(q)) == ids([second])
 
 
 def test_dequeue_empty_returns_none():
@@ -184,8 +187,9 @@ def test_single_status_round_trip(make_msg):
     q = UpdatableQueue()
     msg = make_msg(kind="S")
     q.enqueue_uqa(msg, now=1.5)
-    assert q.dequeue() is msg
-    assert msg.t_enqueued == 1.5
+    t_enqueued, got = q.dequeue()
+    assert got is msg
+    assert t_enqueued == 1.5
 
 
 def test_replaced_message_is_never_dequeued(make_msg):
@@ -193,8 +197,28 @@ def test_replaced_message_is_never_dequeued(make_msg):
     old, new = make_msg(sender=1, kind="S"), make_msg(sender=1, kind="S")
     q.enqueue_uqa(old, now=1.0)
     q.enqueue_uqa(new, now=2.0)
-    assert q.dequeue() is new
+    assert dequeue_msg(q) is new
     assert q.dequeue() is None
+
+
+@pytest.mark.parametrize("policy", ["fifo", "uqa", "keyed"])
+def test_records_carry_each_entrys_enqueue_time(make_msg, policy):
+    # A replacing status stores its own time; the replaced one's time goes with it.
+    q = UpdatableQueue()
+    enqueue = getattr(q, f"enqueue_{policy}")
+    a1, b, a2, a3 = (make_msg(sender=s, kind=k) for s, k in [(1, "S"), (2, "C"), (1, "S"), (1, "S")])
+    for now, msg in enumerate([a1, b, a2, a3], start=1):
+        enqueue(msg, float(now))
+    expected = {
+        "fifo": [(1.0, a1), (2.0, b), (3.0, a2), (4.0, a3)],
+        "uqa": [(1.0, a1), (2.0, b), (4.0, a3)],  # tail-only: a3 replaces a2
+        "keyed": [(2.0, b), (4.0, a3)],  # a2 replaces a1, then a3 replaces a2
+    }[policy]
+    assert [(t, id(m)) for t, m in q.snapshot()] == [(t, id(m)) for t, m in expected]
+    drained = []
+    while (record := q.dequeue()) is not None:
+        drained.append(record)
+    assert [(t, id(m)) for t, m in drained] == [(t, id(m)) for t, m in expected]
 
 
 # -- keyed variant -------------------------------------------------------------
@@ -208,7 +232,7 @@ def test_keyed_replaces_anywhere(make_msg):
     new = make_msg(sender=1, kind="S", seq=3)
     outcome = q.enqueue_keyed(new)
     assert outcome is EnqueueOutcome.REPLACED_TAIL
-    assert ids(q.snapshot()) == ids([cmd, new])
+    assert ids(contents(q)) == ids([cmd, new])
 
 
 def test_keyed_appends_when_no_match(make_msg):
@@ -225,7 +249,7 @@ def test_keyed_trace_keeps_one_status_per_sender(make_msg):
         q.enqueue_keyed(make_msg(sender=rng.randrange(4), kind=rng.choice("SSSC")))
         assert conserved(q)
     statuses: dict[int, int] = {}
-    for m in q.snapshot():
+    for m in contents(q):
         if m.kind is MessageKind.STATUS:
             statuses[m.sender] = statuses.get(m.sender, 0) + 1
     assert all(count == 1 for count in statuses.values())
@@ -239,7 +263,7 @@ def test_keyed_single_sender_flood_stays_compact(make_msg):
         assert len(q._keyed) == len(q)
     assert len(q) == 1
     assert q.replaced == 9_999
-    assert q.dequeue() is newest
+    assert dequeue_msg(q) is newest
     assert not q
 
 
@@ -272,7 +296,7 @@ def apply_ops(q: UpdatableQueue, ops, enqueue_name: str, check=None):
 
 
 def no_adjacent_same_sender_status(q: UpdatableQueue) -> bool:
-    items = q.snapshot()
+    items = contents(q)
     for left, right in zip(items, items[1:]):
         if (
             left.kind is MessageKind.STATUS
@@ -333,7 +357,7 @@ def test_command_event_multiset_preserved(ops):
             if msg.kind is not MessageKind.STATUS:
                 sent.append((msg.sender, msg.seq))
     drained = []
-    while (msg := q.dequeue()) is not None:
+    while (msg := dequeue_msg(q)) is not None:
         if msg.kind is not MessageKind.STATUS:
             drained.append((msg.sender, msg.seq))
     assert sorted(drained) == sorted(sent)
@@ -350,10 +374,10 @@ def test_dequeue_order_is_arrival_order(ops):
             seq += 1
             q.enqueue_uqa(Message(seq=seq, sender=op[1], kind=LETTERS[op[2]], size_bytes=8))
         else:
-            msg = q.dequeue()
+            msg = dequeue_msg(q)
             if msg is not None:
                 drained_seqs.append(msg.seq)
-    while (msg := q.dequeue()) is not None:
+    while (msg := dequeue_msg(q)) is not None:
         drained_seqs.append(msg.seq)
     assert drained_seqs == sorted(drained_seqs)
 
@@ -376,7 +400,7 @@ def test_uqa_matches_reference_model(ops):
             q.dequeue()
             if reference:
                 reference.pop(0)
-        assert ids(q.snapshot()) == ids(reference)
+        assert ids(contents(q)) == ids(reference)
 
 
 @settings(max_examples=150)
@@ -385,7 +409,7 @@ def test_keyed_at_most_one_status_per_sender(ops):
     q = UpdatableQueue()
     apply_ops(q, ops, "enqueue_keyed")
     seen = set()
-    for m in q.snapshot():
+    for m in contents(q):
         if m.kind is MessageKind.STATUS:
             assert m.sender not in seen
             seen.add(m.sender)
@@ -402,16 +426,17 @@ def test_keyed_matches_reference_model(ops):
             msg = Message(seq=step, sender=op[1], kind=LETTERS[op[2]], size_bytes=8)
             assert q.enqueue_keyed(msg, float(step)) is reference_keyed(reference, msg)
         else:
-            msg = q.dequeue()
+            msg = dequeue_msg(q)
             assert msg is (reference.pop(0) if reference else None)
             if msg is not None:
                 dequeued.append(msg)
-        contents = q.snapshot()
-        assert len(contents) == len(reference)
-        assert all(got is want for got, want in zip(contents, reference))
+        stored = contents(q)
+        assert len(stored) == len(reference)
+        assert all(got is want for got, want in zip(stored, reference))
+        assert all(t == m.seq for t, m in q.snapshot())  # each enqueued at float(seq)
         assert len(q) == len(reference)
         assert bool(q) == bool(reference)
-        assert (contents[-1] if contents else None) is (reference[-1] if reference else None)
+        assert (stored[-1] if stored else None) is (reference[-1] if reference else None)
         assert conserved(q)
     assert q.dequeued == len(dequeued)
     # No message, superseded or not, comes out twice.
@@ -436,9 +461,11 @@ live_length_ops = st.lists(
 @given(ops=live_length_ops)
 def test_live_length_matches_contents_after_every_operation(policy, ops):
     def check(q):
-        assert len(q) == q.length == len(q.snapshot())
-        # Each policy stores exactly its live messages, in one of the stores.
+        assert len(q) == q.length == len(list(q.snapshot()))
+        # Each policy stores exactly its live messages, in one of the stores,
+        # and one enqueue time beside each.
         assert len(q._messages) + len(q._keyed) == q.length
+        assert (len(q._times), len(q._keyed_times)) == (len(q._messages), len(q._keyed))
         assert q.inserted == q.replaced + len(q) + q.dequeued
 
     apply_ops(UpdatableQueue(), ops, f"enqueue_{policy}", check=check)

@@ -147,7 +147,6 @@ def test_schedule_numbers_fresh_messages_from_one():
         assert (first.seq, second.seq) == (1, 2)
         assert 0.0 <= t0 < t1
         assert [m.seq for _, m in schedule] == list(range(1, 11))
-        assert all(m.t_enqueued is None for _, m in schedule)
 
 
 def test_derive_seed_is_stable_and_distinct():
