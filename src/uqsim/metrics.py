@@ -90,11 +90,12 @@ def littles_law_residual(report: MetricsReport) -> float:
     lambda is the delivered-message rate, ``messages_delivered /
     run_duration_s`` (0 for a zero-duration run), and W the delivered-only
     waiting time, so it is meaningful for FIFO runs (no coalescing) and
-    informational otherwise.
+    informational otherwise. Where lambda overflows (a denormal duration),
+    lambda * W is formed as delivered * W / duration instead.
     """
-    duration = report.run_duration_s
+    duration, wait = report.run_duration_s, report.avg_time_in_queue_s
     rate = report.messages_delivered / duration if duration > 0 else 0.0
-    expected = rate * report.avg_time_in_queue_s
+    expected = rate * wait if isfinite(rate) else report.messages_delivered * wait / duration
     return abs(report.avg_queue_len - expected) / max(report.avg_queue_len, LITTLES_EPSILON)
 
 

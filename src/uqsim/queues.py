@@ -14,8 +14,9 @@ insertion-ordered map: a status is keyed by its sender, any other message by
 a unique negative key. A replacing status moves its sender's entry to the
 tail and takes its place, so the map holds exactly the queue's contents.
 
-Each entry's enqueue time lives in the queue beside it, not on the message:
-``dequeue`` and ``snapshot`` give ``(t_enqueued, msg)`` records.
+Each entry's enqueue time lives in the queue, not on the message: the queue
+stores each entry as the ``(t_enqueued, msg)`` record that ``dequeue`` returns
+and ``snapshot`` yields.
 
 Cost per operation: ``enqueue_fifo``, ``enqueue_uqa``, ``enqueue_keyed``,
 ``dequeue`` and ``len`` (the live ``length`` every policy keeps) are O(1);
@@ -49,22 +50,19 @@ class UpdatableQueue:
 
     A queue is driven by one insertion policy (``enqueue_fifo``,
     ``enqueue_uqa`` or ``enqueue_keyed``) for its whole life, as ``Receiver``
-    binds it. The fifo and uqa policies store their messages in the deque
-    ``_messages`` and times in ``_times``, the keyed policy in the ordered map
-    ``_keyed`` and times in ``_keyed_times``; the other stores stay empty.
+    binds it. The fifo and uqa policies store their records in the deque
+    ``_records``, the keyed policy in the values of the ordered map
+    ``_keyed``; the other store stays empty.
     ``length`` is the live length: one more per ``INSERTED``, one less per dequeue.
     """
 
-    __slots__ = ("_messages", "_times", "_keyed", "_keyed_times",
-                 "length", "inserted", "replaced", "dequeued")
+    __slots__ = ("_records", "_keyed", "length", "inserted", "replaced", "dequeued")
 
     def __init__(self) -> None:
-        self._messages: deque[Message] = deque()
-        self._times: deque[float] = deque()
+        self._records: deque[TraceRecord] = deque()
         # Keyed policy only: a status under its sender, any other message
         # under -inserted; senders are non-negative, so keys never collide.
-        self._keyed: OrderedDict[int, Message] = OrderedDict()
-        self._keyed_times: dict[int, float] = {}
+        self._keyed: OrderedDict[int, TraceRecord] = OrderedDict()
         self.length = 0
         self.inserted = 0
         self.replaced = 0
@@ -75,9 +73,7 @@ class UpdatableQueue:
 
     def snapshot(self) -> Iterator[TraceRecord]:
         """Current ``(t_enqueued, msg)`` records, head first, read lazily: nothing is copied."""
-        if self._messages:
-            return zip(self._times, self._messages)
-        return ((self._keyed_times[key], msg) for key, msg in self._keyed.items())
+        return iter(self._records or self._keyed.values())
 
     def enqueue_uqa(self, msg: Message, now: float = 0.0) -> EnqueueOutcome:
         """Insert with tail-only status coalescing.
@@ -88,16 +84,14 @@ class UpdatableQueue:
         there is nothing stored to supersede.
         """
         self.inserted += 1
-        messages = self._messages
-        if msg.kind is MessageKind.STATUS and messages:
-            tail = messages[-1]
+        records = self._records
+        if msg.kind is MessageKind.STATUS and records:
+            tail = records[-1][1]
             if tail.kind is MessageKind.STATUS and tail.sender == msg.sender:
-                messages[-1] = msg
-                self._times[-1] = now
+                records[-1] = (now, msg)
                 self.replaced += 1
                 return EnqueueOutcome.REPLACED_TAIL
-        messages.append(msg)
-        self._times.append(now)
+        records.append((now, msg))
         self.length += 1
         return EnqueueOutcome.INSERTED
 
@@ -105,8 +99,7 @@ class UpdatableQueue:
         """Plain append; the no-coalescing baseline."""
         self.inserted += 1
         self.length += 1
-        self._messages.append(msg)
-        self._times.append(now)
+        self._records.append((now, msg))
         return EnqueueOutcome.INSERTED
 
     def enqueue_keyed(self, msg: Message, now: float = 0.0) -> EnqueueOutcome:
@@ -122,24 +115,21 @@ class UpdatableQueue:
             key = msg.sender
             if key in keyed:
                 keyed.move_to_end(key)
-                keyed[key] = msg
-                self._keyed_times[key] = now
+                keyed[key] = (now, msg)
                 self.replaced += 1
                 return EnqueueOutcome.REPLACED_TAIL
         else:
             key = -self.inserted
-        keyed[key] = msg
-        self._keyed_times[key] = now
+        keyed[key] = (now, msg)
         self.length += 1
         return EnqueueOutcome.INSERTED
 
     def dequeue(self) -> Optional[TraceRecord]:
         """Remove the head; its ``(t_enqueued, msg)``, or None when empty (not an error)."""
-        if self._messages:
-            record = self._times.popleft(), self._messages.popleft()
+        if self._records:
+            record = self._records.popleft()
         elif self._keyed:
-            key, msg = self._keyed.popitem(last=False)
-            record = self._keyed_times.pop(key), msg
+            record = self._keyed.popitem(last=False)[1]
         else:
             return None
         self.length -= 1

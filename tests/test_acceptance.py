@@ -120,8 +120,7 @@ def test_2_oracle_equivalence_exhaustive():
     MAX_DEPTH, DEEP_DEPTH = 12, 7
 
     q = UpdatableQueue()
-    impl = q._messages  # white-box handles for O(1) undo
-    impl_times = q._times
+    impl = q._records  # white-box handle for O(1) undo
     oracle: list[tuple] = []
     # One pooled message per (depth, symbol); a message is always undone
     # before its slot is reused by a sibling.
@@ -138,7 +137,7 @@ def test_2_oracle_equivalence_exhaustive():
     ]
     enqueue = q.enqueue_uqa
     oracle_append, oracle_pop = oracle.append, oracle.pop
-    impl_pop, impl_times_pop = impl.pop, impl_times.pop
+    impl_pop = impl.pop
     nodes = 0
 
     def rec(depth: int) -> None:
@@ -172,13 +171,13 @@ def test_2_oracle_equivalence_exhaustive():
                     f"outcome mismatch at depth {depth} on {sender}/{kind}"
                 )
             if deep_check:
-                state = [(m.sender, m.kind, m.seq) for m in impl]
+                state = [(m.sender, m.kind, m.seq) for _, m in impl]
                 if state != oracle:
                     raise AssertionError(f"state mismatch: {state} != {oracle}")
             if deeper:
                 rec(depth + 1)
-            # undo oracle, then the implementation queue; every enqueue here
-            # is at the default time 0.0, so a replaced tail's time stands
+            # undo oracle, then the implementation queue; a replaced tail's
+            # record, time and message, goes back where it stood
             if displaced is None:
                 oracle_pop()
             else:
@@ -188,7 +187,6 @@ def test_2_oracle_equivalence_exhaustive():
                 q.replaced -= 1
             else:
                 impl_pop()
-                impl_times_pop()
             q.inserted -= 1
 
     rec(1)

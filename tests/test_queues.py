@@ -214,11 +214,14 @@ def test_records_carry_each_entrys_enqueue_time(make_msg, policy):
         "uqa": [(1.0, a1), (2.0, b), (4.0, a3)],  # tail-only: a3 replaces a2
         "keyed": [(2.0, b), (4.0, a3)],  # a2 replaces a1, then a3 replaces a2
     }[policy]
-    assert [(t, id(m)) for t, m in q.snapshot()] == [(t, id(m)) for t, m in expected]
+    snapshot = list(q.snapshot())
+    assert [(t, id(m)) for t, m in snapshot] == [(t, id(m)) for t, m in expected]
     drained = []
     while (record := q.dequeue()) is not None:
         drained.append(record)
     assert [(t, id(m)) for t, m in drained] == [(t, id(m)) for t, m in expected]
+    # The queue hands out the records it stores; dequeue builds none.
+    assert all(got is seen for got, seen in zip(drained, snapshot, strict=True))
 
 
 # -- keyed variant -------------------------------------------------------------
@@ -462,10 +465,8 @@ live_length_ops = st.lists(
 def test_live_length_matches_contents_after_every_operation(policy, ops):
     def check(q):
         assert len(q) == q.length == len(list(q.snapshot()))
-        # Each policy stores exactly its live messages, in one of the stores,
-        # and one enqueue time beside each.
-        assert len(q._messages) + len(q._keyed) == q.length
-        assert (len(q._times), len(q._keyed_times)) == (len(q._messages), len(q._keyed))
+        # Each policy stores exactly its live records, in one of the stores.
+        assert len(q._records) + len(q._keyed) == q.length
         assert q.inserted == q.replaced + len(q) + q.dequeued
 
     apply_ops(UpdatableQueue(), ops, f"enqueue_{policy}", check=check)

@@ -6,6 +6,7 @@ senders far beyond 64 bits."""
 
 import contextlib
 import io
+import math
 import os
 import tempfile
 
@@ -78,6 +79,7 @@ def run_replay(data, variant, delay):
 @example(  # a sender id far beyond 64 bits, its status replaced out of order
     trace=(f"1,{HUGE},2,S,8\n0.5,{HUGE},1,C,8\n0.5,{HUGE},1,S,8\n".encode(), 3, False), delay="0.5"
 )
+@example(trace=(b"5e-324,1,1,S,8\n", 1, False), delay="0")  # lambda overflows on a denormal horizon
 def test_replay_rejects_a_trace_cleanly_or_balances(variant, delayed, trace, delay):
     data, records, bad = trace
     rc, out, err = run_replay(data, variant, delay if delayed else None)
@@ -97,3 +99,5 @@ def test_replay_rejects_a_trace_cleanly_or_balances(variant, delayed, trace, del
     if not delayed:
         assert dequeued == 0  # without a consumer the queue only fills
     assert float(counters["avg_queue_len"]) <= int(counters["peak_queue_len"])
+    metrics = ("avg_queue_len", "peak_queue_len", "avg_time_in_queue_s", "littles_residual")
+    assert all(math.isfinite(float(counters[k])) for k in metrics), counters
