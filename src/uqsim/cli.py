@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields, replace
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, NoReturn, Optional
@@ -58,8 +57,9 @@ CLI_SETTINGS = {"protocol": (str, "udp"), "seed": (int, DEFAULT_MASTER_SEED)}
 # casts as the type of its field's default (float where the default is None),
 # except the CLI_SETTINGS.
 SETTINGS: dict[str, tuple[type, object]] = {
-    f.name: CLI_SETTINGS.get(f.name, (float if f.default is None else type(f.default), f.default))
-    for f in fields(ExperimentConfig)
+    **{name: (float if default is None else type(default), default)
+       for name, default in ExperimentConfig._field_defaults.items()},
+    **CLI_SETTINGS,
 }
 
 
@@ -184,7 +184,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     settings = effective_settings(args, fixed=SWEEP_AXES)
     base = build_experiment_config(settings)
     for topology in TOPOLOGIES:  # the cell budget and duration depend on it
-        replace(base, topology=topology).validate()
+        base._replace(topology=topology).validate()
     if args.print_config:
         shown = {k: v for k, v in settings.items() if k not in SWEEP_AXES}
         print_settings({**shown, "jobs": args.jobs, "out": args.out})

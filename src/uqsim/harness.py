@@ -24,10 +24,9 @@ heap: its sender's ``run`` feeds them to the clock as its arrival stream.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, fields, replace
 from itertools import product
 from math import inf
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .engine import QUEUE_VARIANTS, SimClock, TransportKind, backoff_cap, build_connection
 from .messages import MAX_MESSAGE_COUNT, MAX_SIZE_BYTES
@@ -62,13 +61,9 @@ CELL_COLUMNS = SWEEP_AXES + ("seed",)
 AGGREGATE_KEY = ("protocol", "topology", "receiver_delay_s")
 
 # The CSV metric columns: the MetricsReport fields before run_duration_s.
-_REPORT_FIELDS = tuple(f.name for f in fields(MetricsReport))
-METRIC_COLUMNS = _REPORT_FIELDS[: _REPORT_FIELDS.index("run_duration_s")]
+METRIC_COLUMNS = MetricsReport._fields[: MetricsReport._fields.index("run_duration_s")]
 CSV_COLUMNS = CELL_COLUMNS + METRIC_COLUMNS + ("littles_residual",)
 AGGREGATE_COLUMNS = AGGREGATE_KEY + METRIC_COLUMNS
-
-# TrafficConfig's defaults, read off its fields: a slots class keeps none itself.
-_TRAFFIC_DEFAULTS = {f.name: f.default for f in fields(TrafficConfig)}
 
 # Figure id -> (metric column, topology). 6-10 are one-to-one, 11-13 fan-out.
 FIGURE_SPECS = {
@@ -83,9 +78,8 @@ FIGURE_SPECS = {
 }
 
 
-@dataclass(slots=True)
-class ExperimentConfig:
-    """One cell of the experiment matrix."""
+class ExperimentConfig(NamedTuple):
+    """One cell of the experiment matrix; immutable, so ``_replace`` makes a changed copy."""
 
     protocol: TransportKind
     topology: str = "one_to_one"
@@ -95,9 +89,9 @@ class ExperimentConfig:
     run_duration_s: Optional[float] = None  # default 180 / 720 by topology
     seed: int = 0
     n_destinations: int = DEFAULT_DESTINATIONS
-    p_status: float = _TRAFFIC_DEFAULTS["p_status"]
+    p_status: float = TrafficConfig._field_defaults["p_status"]
     schedule: str = "poisson"
-    send_window_fraction: float = _TRAFFIC_DEFAULTS["send_window_fraction"]
+    send_window_fraction: float = TrafficConfig._field_defaults["send_window_fraction"]
     queue_variant: str = "tail"  # tail | keyed, applies to *_uqa protocols
     propagation_delay_s: float = 0.010
     bandwidth_bps: float = 1_000_000.0
@@ -182,8 +176,7 @@ class ExperimentConfig:
             )
 
 
-@dataclass(slots=True)
-class ExperimentResult:
+class ExperimentResult(NamedTuple):
     config: ExperimentConfig
     per_destination: list[MetricsReport]
     report: MetricsReport  # mean across destinations
@@ -251,13 +244,12 @@ def default_configs(
     template = base if base is not None else ExperimentConfig(protocol=TransportKind.TCP)
     # Each cell sets the SWEEP_AXES; its seed derives from all of them but the protocol.
     return [
-        replace(template, **dict(zip(SWEEP_AXES, cell)), seed=cell_seed(master_seed, *cell[1:]))
+        template._replace(**dict(zip(SWEEP_AXES, cell)), seed=cell_seed(master_seed, *cell[1:]))
         for cell in product(TransportKind, TOPOLOGIES, packet_sizes, receiver_delays)
     ]
 
 
-@dataclass(slots=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     results: list[ExperimentResult]
 
 

@@ -13,7 +13,6 @@ whether an incoming status update supersedes a stored one.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from itertools import islice
 from math import inf
 from typing import Iterable
@@ -35,7 +34,6 @@ class MessageKind(enum.Enum):
     EVENT = "E"
 
 
-@dataclass(slots=True)
 class Message:
     """One unit of traffic.
 
@@ -43,20 +41,21 @@ class Message:
     under it. size_bytes is the payload size; no payload contents are
     modeled. The send time is the ``t_send`` of the record that carries it;
     the queue keeps the enqueue time, so no run writes a field of a message.
+    A slots class, not a tuple, so its field reads stay cheap on the event
+    path. It has no ``__eq__``: every caller compares messages by identity.
     """
 
-    seq: int
-    sender: SenderId
-    kind: MessageKind
-    size_bytes: int
+    __slots__ = ("seq", "sender", "kind", "size_bytes")
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.size_bytes <= MAX_SIZE_BYTES:
-            raise ValueError(
-                f"size_bytes must be in [1, {MAX_SIZE_BYTES}], got {self.size_bytes}"
-            )
-        if self.sender < 0:
-            raise ValueError(f"sender must be non-negative, got {self.sender}")
+    def __init__(self, seq: int, sender: SenderId, kind: MessageKind, size_bytes: int) -> None:
+        if not 1 <= size_bytes <= MAX_SIZE_BYTES:
+            raise ValueError(f"size_bytes must be in [1, {MAX_SIZE_BYTES}], got {size_bytes}")
+        if sender < 0:
+            raise ValueError(f"sender must be non-negative, got {sender}")
+        self.seq = seq
+        self.sender = sender
+        self.kind = kind
+        self.size_bytes = size_bytes
 
 
 # Trace-record line format: t_send,sender_id,seq,kind,size_bytes

@@ -32,8 +32,8 @@ Zero-duration or zero-traffic runs report zeros rather than NaNs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from math import isfinite, isinf
+from typing import NamedTuple
 
 from .queues import UpdatableQueue
 
@@ -54,8 +54,9 @@ def check_horizon(horizon_s: float, messages: int, name: str) -> None:
         )
 
 
-@dataclass(slots=True)
-class MetricsReport:
+class MetricsReport(NamedTuple):
+    """One destination's measurements, or a mean of them: a tuple, so no field is written."""
+
     # The results CSV's metric columns, in column order: every field before
     # run_duration_s (see harness.METRIC_COLUMNS).
     messages_sent: float
@@ -175,6 +176,4 @@ def mean_report(reports: list[MetricsReport]) -> MetricsReport:
     """Field-wise mean across destinations of a fan-out run."""
     if not reports:
         raise ValueError("mean_report needs at least one report")
-    return MetricsReport(
-        **{f.name: mean([getattr(r, f.name) for r in reports]) for f in fields(MetricsReport)}
-    )
+    return MetricsReport._make(mean(list(column)) for column in zip(*reports))

@@ -14,13 +14,11 @@ independent, reproducible stream.
 
 from __future__ import annotations
 
-import hashlib
 import random
 import sys
 from array import array
-from dataclasses import dataclass
 from math import ulp
-from typing import Collection, Iterator, Literal, get_args
+from typing import Collection, Iterator, Literal, NamedTuple, get_args
 
 from .messages import MAX_MESSAGE_COUNT, MAX_SIZE_BYTES, Message, MessageKind, SenderId, TraceRecord
 
@@ -46,13 +44,13 @@ def check_choice(name: str, value: object, choices: Collection[object]) -> None:
 
 def derive_seed(*labels: object) -> int:
     """Map a label tuple to a 64-bit stream seed, stably across platforms."""
+    import hashlib  # OpenSSL loads at the first seed, not when a replay or --help starts
     text = "|".join(str(part) for part in labels)
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 
 
-@dataclass(slots=True)
-class TrafficConfig:
+class TrafficConfig(NamedTuple):
     message_count: int
     packet_size_bytes: int
     run_duration_s: float

@@ -4,7 +4,6 @@ import os
 import shlex
 import subprocess
 import sys
-from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -370,6 +369,28 @@ def test_run_rejects_message_count_above_ceiling_before_generating():
     assert_clean_rejection(child.returncode, child.stderr, "message_count")
 
 
+def test_startup_imports_no_heavy_modules():
+    # dataclasses pulled in inspect (with ast, dis, tokenize) at import, and
+    # hashlib loads OpenSSL: together about a third of a fresh start. A replay
+    # or --help needs neither; sweeps load hashlib at their first cell seed.
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import uqsim.harness\n"
+        "from uqsim import cli\n"
+        "cli.build_parser().parse_args(['replay', '--trace', 'x'])\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    child = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert child.returncode == 0, child.stderr
+    loaded = set(child.stdout.split())
+    assert "uqsim.cli" in loaded
+    assert loaded & {"dataclasses", "inspect", "hashlib"} == set()
+
+
 def test_message_count_ceiling_is_inclusive(capsys):
     ceiling = str(MAX_MESSAGE_COUNT)
     assert run_cli(["run", "--print-config", "--messages", ceiling]) == 0
@@ -414,10 +435,9 @@ def test_run_rejects_cell_above_message_budget_before_drawing(tmp_path, capsys, 
 
 def test_message_budget_is_per_cell_and_inclusive():
     cfg = ExperimentConfig(protocol=TransportKind.UDP, topology="one_to_many")
-    cfg.n_destinations = 1000
-    cfg.message_count = MAX_MESSAGE_COUNT // 1000
+    cfg = cfg._replace(n_destinations=1000, message_count=MAX_MESSAGE_COUNT // 1000)
     cfg.validate()
-    cfg.message_count += 1
+    cfg = cfg._replace(message_count=cfg.message_count + 1)
     with pytest.raises(ValueError, match="n_destinations"):
         cfg.validate()
 
@@ -438,9 +458,9 @@ def test_sweep_rejects_one_to_many_cells_above_message_budget(tmp_path, capsys, 
 def test_destination_ceiling_is_inclusive():
     # An empty cell: the per-cell message budget does not bind, the ceiling does.
     cfg = ExperimentConfig(protocol=TransportKind.TCP, topology="one_to_many", message_count=0)
-    cfg.n_destinations = MAX_DESTINATIONS
+    cfg = cfg._replace(n_destinations=MAX_DESTINATIONS)
     cfg.validate()
-    cfg.n_destinations = MAX_DESTINATIONS + 1
+    cfg = cfg._replace(n_destinations=MAX_DESTINATIONS + 1)
     with pytest.raises(ValueError, match="n_destinations"):
         cfg.validate()
 
@@ -557,16 +577,16 @@ def test_timer_expiry_budget_is_inclusive_and_spares_lossless_and_datagram_cells
     cfg = ExperimentConfig(
         protocol=TransportKind.TCP_UQA, topology="one_to_many", message_count=1, loss_prob=0.5
     )
-    cfg.run_duration_s = MAX_MESSAGE_COUNT * 60.0 / cfg.destinations
+    cfg = cfg._replace(run_duration_s=MAX_MESSAGE_COUNT * 60.0 / cfg.destinations)
     cfg.validate()
-    cfg.rto_s = 120.0  # the backoff cap is max(60 s, rto_s)
-    cfg.run_duration_s *= 2
+    # the backoff cap is max(60 s, rto_s)
+    cfg = cfg._replace(rto_s=120.0, run_duration_s=cfg.run_duration_s * 2)
     cfg.validate()
-    cfg.run_duration_s *= 1.5
+    cfg = cfg._replace(run_duration_s=cfg.run_duration_s * 1.5)
     with pytest.raises(ValueError, match="run_duration_s"):
         cfg.validate()
-    replace(cfg, loss_prob=0.0).validate()
-    replace(cfg, protocol=TransportKind.UDP_UQA).validate()
+    cfg._replace(loss_prob=0.0).validate()
+    cfg._replace(protocol=TransportKind.UDP_UQA).validate()
 
 
 def test_replay_rejects_non_finite_send_time(tmp_path, capsys):
@@ -748,7 +768,7 @@ def test_setting_defaults_are_the_dataclass_defaults():
     defaults = {name: default for name, (_, default) in SETTINGS.items()}
     config = build_experiment_config(defaults)
     assert config == ExperimentConfig(protocol=TransportKind.UDP, seed=derived)
-    assert set(SETTINGS) == {f.name for f in fields(ExperimentConfig)}
+    assert set(SETTINGS) == set(ExperimentConfig._fields)
 
 
 def test_run_builds_each_sweep_cell(capsys):

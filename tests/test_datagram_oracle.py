@@ -16,7 +16,6 @@ a status. Its queue is rebuilt by one list-based single-server pass.
 
 import random
 from bisect import bisect_right
-from dataclasses import replace
 
 import pytest
 
@@ -138,7 +137,7 @@ def test_lossy_udp_cells_follow_lindley_over_the_surviving_sends():
     # datagram returns before the wire, so only the survivors queue.
     checked = 0
     for config in UDP_CELLS:
-        config = replace(config, loss_prob=0.15)
+        config = config._replace(loss_prob=0.15)
         reports = run_experiment(config).per_destination
         for dest, (report, schedule) in enumerate(
             zip(reports, destination_schedules(config), strict=True)

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -444,7 +443,7 @@ def test_non_integral_window_rounds_up(protocol):
         protocol=protocol, topology="one_to_many", receiver_delay_s=0.05, loss_prob=0.2, seed=7
     )
     reports = {
-        w: run_experiment(replace(cfg, window_size=w)).per_destination for w in (2, 2.5, 3)
+        w: run_experiment(cfg._replace(window_size=w)).per_destination for w in (2, 2.5, 3)
     }
     assert reports[2.5] == reports[3]
     assert reports[2.5] != reports[2]

@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -170,15 +169,13 @@ def test_one_to_many_uniform_round_robin_interleave():
     ],
 )
 def test_invalid_config_names_offending_field(field, value, match):
-    cfg = ExperimentConfig(protocol=TransportKind.UDP, seed=1)
-    setattr(cfg, field, value)
+    cfg = ExperimentConfig(protocol=TransportKind.UDP, seed=1)._replace(**{field: value})
     with pytest.raises(ValueError, match=match):
         run_experiment(cfg)
 
 
 def test_bad_protocol_rejected():
-    cfg = ExperimentConfig(protocol=TransportKind.UDP, seed=1)
-    cfg.protocol = "udp"  # type: ignore[assignment]
+    cfg = ExperimentConfig(protocol=TransportKind.UDP, seed=1)._replace(protocol="udp")
     with pytest.raises(ValueError, match="protocol"):
         run_experiment(cfg)
 
@@ -197,7 +194,8 @@ def test_default_matrix_shape_and_order():
 
 def test_cells_share_no_setting_objects():
     configs = default_configs(master_seed=7)
-    configs[0].loss_prob = 0.5
+    with pytest.raises(AttributeError):
+        configs[0].loss_prob = 0.5  # type: ignore[misc]
     assert [c.loss_prob for c in configs[1:]] == [0.0] * 95
 
 
@@ -359,7 +357,7 @@ def test_runs_on_a_groups_draws_leave_them_holding_what_they_held_when_drawn():
     # would stay behind as a float object, 24 bytes per record.
     assert Message.__slots__ == ("seq", "sender", "kind", "size_bytes")
     config = next(c for c in default_configs(DEFAULT_MASTER_SEED) if c.topology == "one_to_many")
-    group = [replace(config, protocol=kind) for kind in TransportKind]
+    group = [config._replace(protocol=kind) for kind in TransportKind]
     records = config.message_count * config.destinations  # 4 x 1000
     warm_up = draw_traffic(config)  # first calls' allocations are not the draws'
     for cell in group:

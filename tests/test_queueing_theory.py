@@ -31,7 +31,6 @@ would hide the failure it exists to show.
 
 import math
 import statistics
-from dataclasses import replace
 
 import pytest
 
@@ -66,8 +65,7 @@ def test_udp_fifo_wait_matches_pollaczek_khinchine(topology, messages, label, rh
     wait = rho * hold / (2 * (1 - rho))
     ratios = []
     for s in SEEDS:
-        config = replace(
-            base,
+        config = base._replace(
             run_duration_s=messages / (base.send_window_fraction * send_rate),
             seed=derive_seed(label, rho, loss, s),
         )
@@ -99,8 +97,7 @@ def test_udp_uqa_status_queue_matches_renewal_theory(x, variant):
     }
     ratios: dict[str, list[float]] = {name: [] for name in theory}
     for s in SEEDS:
-        config = replace(
-            base,
+        config = base._replace(
             run_duration_s=base.message_count * hold / (base.send_window_fraction * x),
             seed=derive_seed("renewal", x, s),
         )

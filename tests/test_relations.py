@@ -20,7 +20,6 @@ timer on the same head double the gap up to ``max(60 s, rto_s)``.
 """
 
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -55,7 +54,7 @@ def test_lossless_udp_uqa_queue_is_no_longer_than_udp_on_the_same_draws():
     for udp in udp_cells:
         draws = draw_traffic(udp)
         plain = run_experiment(udp, draws).per_destination
-        coalesced = run_experiment(replace(udp, protocol=TransportKind.UDP_UQA), draws).per_destination
+        coalesced = run_experiment(udp._replace(protocol=TransportKind.UDP_UQA), draws).per_destination
         for fifo, uqa in zip(plain, coalesced, strict=True):
             assert uqa.peak_queue_len <= fifo.peak_queue_len
             assert uqa.avg_queue_len <= fifo.avg_queue_len
@@ -72,7 +71,7 @@ def test_fifo_udp_queue_does_not_shrink_as_the_receiver_slows(topology):
     for seed in range(20):
         base = ExperimentConfig(protocol=TransportKind.UDP, topology=topology,
                                 message_count=300, seed=seed)
-        runs = [run_experiment(replace(base, receiver_delay_s=d)).per_destination for d in DELAYS]
+        runs = [run_experiment(base._replace(receiver_delay_s=d)).per_destination for d in DELAYS]
         for faster, slower in zip(runs, runs[1:]):
             for fast, slow in zip(faster, slower, strict=True):
                 assert slow.avg_queue_len >= fast.avg_queue_len
