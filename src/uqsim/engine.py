@@ -308,8 +308,8 @@ class TcpConnection:
     n-th message submitted has seq n. The source keeps one queue, ``unacked``:
     the messages submitted and not yet acked, in seq order, of which the first
     ``in_flight`` are sent; the next is sent while fewer than ``window_size``
-    are in flight. A message's seq is ``highest_acked`` plus its place in the
-    queue, and a cumulative ack pops from the head. Data packets are subject to
+    are in flight. Queued seqs are consecutive, so an ack of ``cum`` pops every
+    head entry whose seq is at most ``cum``. Data packets are subject to
     link loss; acknowledgements are not lost. The connection keeps one
     retransmission timer, managed as RFC 6298 §5 does: a send starts it when it
     is off, an ack of new data restarts it and resets the timeout to ``rto_s``,
@@ -348,7 +348,6 @@ class TcpConnection:
         self.data_wire = Wire(config)
         self.ack_wire = Wire(config)
         self.ack_ser_s = self.ack_wire.serialization_s(config.ack_size_bytes)
-        self.highest_acked = 0
         self.unacked: deque[Message] = deque()
         self.in_flight = 0
         self.ooo: dict[int, Message] = {}
@@ -422,12 +421,12 @@ class TcpConnection:
 
     def _ack_arrive(self, cum: int, now: float) -> None:
         self.collector.source_busy_s += self.ack_ser_s
-        if cum > self.highest_acked:
-            unacked = self.unacked
-            for _ in range(cum - self.highest_acked):
+        unacked = self.unacked
+        if unacked and cum >= unacked[0].seq:
+            acked = cum - unacked[0].seq + 1
+            for _ in range(acked):
                 unacked.popleft()
-            self.in_flight -= cum - self.highest_acked
-            self.highest_acked = cum
+            self.in_flight -= acked
             self.rto = self.rto_s
             if self.in_flight:
                 self._arm(now + self.rto_s)

@@ -1,6 +1,6 @@
 """Experiment harness: single cells, the full 96-cell sweep, CSV emitters.
 
-The default matrix crosses 4 protocols x 3 packet sizes x 4 receiver delays
+The sweep matrix crosses 4 protocols x 3 packet sizes x 4 receiver delays
 x 2 topologies. One-to-one runs send 1000 messages over 180 s; one-to-many
 runs fan 1000 messages out to each of 4 equidistant destinations over 720 s,
 each destination on an independent Poisson stream (a uniform schedule instead
@@ -90,7 +90,7 @@ class ExperimentConfig(NamedTuple):
     seed: int = 0
     n_destinations: int = DEFAULT_DESTINATIONS
     p_status: float = TrafficConfig._field_defaults["p_status"]
-    schedule: str = "poisson"
+    schedule: str = TrafficConfig._field_defaults["schedule"]
     send_window_fraction: float = TrafficConfig._field_defaults["send_window_fraction"]
     queue_variant: str = "tail"  # tail | keyed, applies to *_uqa protocols
     propagation_delay_s: float = 0.010
@@ -237,15 +237,13 @@ def run_experiment(
 def default_configs(
     master_seed: int = DEFAULT_MASTER_SEED,
     base: Optional[ExperimentConfig] = None,
-    packet_sizes: Sequence[int] = DEFAULT_PACKET_SIZES,
-    receiver_delays: Sequence[float] = DEFAULT_RECEIVER_DELAYS,
 ) -> list[ExperimentConfig]:
-    """The sweep matrix in canonical (protocol, topology, size, delay) order."""
+    """The one sweep matrix, protocol x topology x size x delay, in that canonical order."""
     template = base if base is not None else ExperimentConfig(protocol=TransportKind.TCP)
     # Each cell sets the SWEEP_AXES; its seed derives from all of them but the protocol.
     return [
         template._replace(**dict(zip(SWEEP_AXES, cell)), seed=cell_seed(master_seed, *cell[1:]))
-        for cell in product(TransportKind, TOPOLOGIES, packet_sizes, receiver_delays)
+        for cell in product(TransportKind, TOPOLOGIES, DEFAULT_PACKET_SIZES, DEFAULT_RECEIVER_DELAYS)
     ]
 
 
@@ -261,17 +259,15 @@ def run_sweep(
     master_seed: int = DEFAULT_MASTER_SEED,
     jobs: int = 1,
     base: Optional[ExperimentConfig] = None,
-    packet_sizes: Sequence[int] = DEFAULT_PACKET_SIZES,
-    receiver_delays: Sequence[float] = DEFAULT_RECEIVER_DELAYS,
 ) -> SweepResult:
-    """Run every cell of the matrix; abort naming the cell on any failure.
+    """Run every cell of ``default_configs``; abort naming the cell on any failure.
 
     Every cell is validated before any traffic is drawn. One task is one
     comparison group: its traffic is drawn once and run under each protocol
     in turn.
     """
     check_jobs(jobs)
-    configs = default_configs(master_seed, base, packet_sizes, receiver_delays)
+    configs = default_configs(master_seed, base)
     for config in configs:
         try:
             config.validate()
@@ -281,10 +277,9 @@ def run_sweep(
     n_groups = len(configs) // len(TransportKind)
     groups = [configs[g::n_groups] for g in range(n_groups)]
     group_results: list[list[ExperimentResult]]
-    if jobs > 1 and n_groups:
+    if jobs > 1:
         # Largest groups first (canonical order among equals), so no worker idles
-        # on a long last group; the pool starts at most one worker per group,
-        # and none on an empty matrix.
+        # on a long last group; the pool starts at most one worker per group.
         work = [-config.message_count * config.destinations for config in configs[:n_groups]]
         order = sorted(range(n_groups), key=work.__getitem__)
         from concurrent.futures import ProcessPoolExecutor  # multiprocessing only when forking
@@ -378,7 +373,7 @@ def aggregate_rows(rows: Iterable[dict[str, object]]) -> list[dict[str, object]]
     """Average the metric columns over packet sizes.
 
     Returns one row per (protocol, topology, receiver delay), in the order the
-    rows first name each; 32 rows for the default matrix.
+    rows first name each; 32 rows for the sweep.
     """
     groups: dict[tuple, list[dict[str, object]]] = {}
     for row in rows:

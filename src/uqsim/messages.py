@@ -57,6 +57,10 @@ class Message:
         self.kind = kind
         self.size_bytes = size_bytes
 
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"Message({fields})"
+
 
 # Trace-record line format: t_send,sender_id,seq,kind,size_bytes
 # kind is one of S/C/E, times are decimal seconds, one record per line.

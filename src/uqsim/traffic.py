@@ -57,7 +57,7 @@ class TrafficConfig(NamedTuple):
     seed: int
     sender: SenderId = 0
     p_status: float = 0.70
-    schedule: ScheduleKind = "uniform"
+    schedule: ScheduleKind = "poisson"
     send_window_fraction: float = 0.9
 
     def validate(self) -> None:

@@ -1,5 +1,8 @@
+from contextlib import contextmanager
+
 import pytest
 
+from uqsim import harness
 from uqsim.messages import Message, MessageKind
 
 LETTER_KIND = {
@@ -22,3 +25,13 @@ def make_msg():
         return Message(seq=seq, sender=sender, kind=k, size_bytes=size)
 
     return _make
+
+
+@contextmanager
+def sweep_axes(packet_sizes, receiver_delays):
+    """Within the block, the sweep matrix crosses these sizes and delays: a
+    test-sized stand-in for the default axes, which every sweep reads."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "DEFAULT_PACKET_SIZES", packet_sizes)
+        mp.setattr(harness, "DEFAULT_RECEIVER_DELAYS", receiver_delays)
+        yield

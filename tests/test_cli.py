@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import sweep_axes
 
 from uqsim import cli, harness, messages
 from uqsim.cli import SETTINGS, build_experiment_config, build_parser, load_config_file, main
@@ -172,12 +173,11 @@ def test_sweep_writes_all_csvs(tmp_path, capsys):
 
 def test_sweep_figures_are_the_tables_of_its_own_rows(tmp_path, capsys, monkeypatch):
     # A 16-cell, 20-message matrix stands in for the default sweep.
-    small = run_sweep(
-        master_seed=5,
-        base=ExperimentConfig(protocol=TransportKind.TCP, message_count=20),
-        packet_sizes=(32, 256),
-        receiver_delays=(0.0, 0.05),
-    )
+    with sweep_axes((32, 256), (0.0, 0.05)):
+        small = run_sweep(
+            master_seed=5,
+            base=ExperimentConfig(protocol=TransportKind.TCP, message_count=20),
+        )
     monkeypatch.setattr(cli, "run_sweep", lambda **kwargs: small)
     assert run_cli(["sweep", "--out", str(tmp_path / "res.csv")]) == 0
     rows = sweep_rows(small)

@@ -9,6 +9,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from conftest import sweep_axes
 
 from uqsim import harness
 from uqsim.engine import SimClock, TransportKind
@@ -43,7 +44,8 @@ from uqsim.messages import Message, MessageKind
 
 def small_sweep(master=7, jobs=1):
     # One packet size and two delays: 16 cells, fast enough for unit tests.
-    return run_sweep(master_seed=master, jobs=jobs, packet_sizes=(256,), receiver_delays=(0.0, 0.05))
+    with sweep_axes((256,), (0.0, 0.05)):
+        return run_sweep(master_seed=master, jobs=jobs)
 
 
 def test_lossless_udp_delivers_everything():
@@ -227,13 +229,15 @@ def test_parallel_sweep_matches_serial_beyond_fork(method):
     # The other parallel checks run under Linux's default start method, fork;
     # Python 3.14 makes forkserver the default. A fresh interpreter sets the
     # method before its pool starts and prints its rows' repr, which keeps
-    # every float exactly.
+    # every float exactly. It sets small_sweep's axes in its own module only:
+    # a spawned worker runs just the cells it is handed.
     code = (
         "import multiprocessing\n"
         f"multiprocessing.set_start_method({method!r})\n"
-        "from uqsim.harness import run_sweep, sweep_rows\n"
-        "sweep = run_sweep(master_seed=7, packet_sizes=(256,), receiver_delays=(0.0, 0.05), jobs=2)\n"
-        "print(repr(sweep_rows(sweep)))\n"
+        "from uqsim import harness\n"
+        "harness.DEFAULT_PACKET_SIZES, harness.DEFAULT_RECEIVER_DELAYS = (256,), (0.0, 0.05)\n"
+        "sweep = harness.run_sweep(master_seed=7, jobs=2)\n"
+        "print(repr(harness.sweep_rows(sweep)))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
     child = subprocess.run(
@@ -241,13 +245,6 @@ def test_parallel_sweep_matches_serial_beyond_fork(method):
     )
     assert child.returncode == 0, child.stderr
     assert child.stdout.strip() == repr(sweep_rows(small_sweep(jobs=1)))
-
-
-@pytest.mark.parametrize("axis", ["packet_sizes", "receiver_delays"])
-def test_parallel_sweep_matches_serial_on_an_empty_matrix(axis):
-    # An empty axis leaves no comparison group, and a pool of no workers is an error.
-    serial, parallel = (run_sweep(jobs=jobs, **{axis: ()}) for jobs in (1, 2))
-    assert sweep_rows(serial) == sweep_rows(parallel) == []
 
 
 class SerialPool:
@@ -294,7 +291,8 @@ def test_parallel_sweep_submits_the_largest_groups_first(monkeypatch):
     assert all(a >= b for a, b in zip(work, work[1:]))
     assert work[0] > work[-1]
     # Ties keep canonical order, and the rows come back in canonical order.
-    cells = default_configs(7, packet_sizes=(256,), receiver_delays=(0.0, 0.05))
+    with sweep_axes((256,), (0.0, 0.05)):
+        cells = default_configs(7)
     assert [group[0] for group in SerialPool.tasks] == [cells[2], cells[3], cells[0], cells[1]]
     assert sweep_rows(parallel) == sweep_rows(small_sweep(jobs=1))
 
@@ -314,14 +312,16 @@ def test_each_comparison_group_draws_its_traffic_once(monkeypatch, jobs):
     assert len(drawn) == len(set(drawn)) == 4
     assert SerialPool.workers == ([] if jobs == 1 else [2])
     # Shared draws give each cell exactly the traffic it draws on its own.
-    cells = default_configs(7, packet_sizes=(256,), receiver_delays=(0.0, 0.05))
+    with sweep_axes((256,), (0.0, 0.05)):
+        cells = default_configs(7)
     assert sweep_rows(sweep) == [result_row(run_experiment(config)) for config in cells]
 
 
 def test_runs_on_a_groups_shared_messages_match_runs_on_fresh_ones():
     # A group's messages are built once and run under each protocol in turn,
     # twice over here, with no reset: a run writes no field of a message.
-    cells = default_configs(7, packet_sizes=(256,), receiver_delays=(0.05,))
+    with sweep_axes((256,), (0.05,)):
+        cells = default_configs(7)
     for group in (cells[0::2], cells[1::2]):  # one-to-one, then one-to-many
         draws = draw_traffic(group[0])
         for _ in range(2):
@@ -391,7 +391,8 @@ def test_run_sweep_rejects_jobs_below_one_before_any_cell(monkeypatch, jobs):
 def test_sweep_failure_names_cell():
     bad = ExperimentConfig(protocol=TransportKind.UDP, loss_prob=2.0)
     with pytest.raises(RuntimeError, match="protocol=tcp topology=one_to_one packet_size=256"):
-        run_sweep(master_seed=1, base=bad, packet_sizes=(256,), receiver_delays=(0.0,))
+        with sweep_axes((256,), (0.0,)):
+            run_sweep(master_seed=1, base=bad)
 
 
 def test_sweep_validates_every_cell_before_drawing_traffic(monkeypatch):
@@ -406,7 +407,8 @@ def test_sweep_validates_every_cell_before_drawing_traffic(monkeypatch):
 
 
 def test_aggregate_rows_average_packet_sizes():
-    sweep = run_sweep(master_seed=7, packet_sizes=(32, 256), receiver_delays=(0.05,))
+    with sweep_axes((32, 256), (0.05,)):
+        sweep = run_sweep(master_seed=7)
     rows = sweep_rows(sweep)
     agg = aggregate_rows(rows)
     assert len(agg) == 8  # 4 protocols x 1 delay x 2 topologies
@@ -441,7 +443,8 @@ def test_aggregate_rows_keep_the_sweeps_delay_order():
     # Delays swept unsorted: the aggregate follows the rows, as the results CSV
     # does, while a figure table still sorts its delays.
     base = ExperimentConfig(protocol=TransportKind.TCP, message_count=50)
-    rows = sweep_rows(run_sweep(master_seed=7, base=base, packet_sizes=(32,), receiver_delays=(0.05, 0.0)))
+    with sweep_axes((32,), (0.05, 0.0)):
+        rows = sweep_rows(run_sweep(master_seed=7, base=base))
     keys = [tuple(r[col] for col in AGGREGATE_KEY) for r in aggregate_rows(rows)]
     assert keys == [
         (kind.value, topology, delay)
@@ -555,7 +558,8 @@ def test_lossy_sweep_csvs_match_fingerprint(tmp_path, monkeypatch):
 
     monkeypatch.setattr(SimClock, "schedule", counting)
     base = ExperimentConfig(protocol=TransportKind.TCP, loss_prob=0.15, window_size=3, rto_s=0.3)
-    sweep = run_sweep(master_seed=20100, base=base, packet_sizes=(256,), receiver_delays=(0.05,))
+    with sweep_axes((256,), (0.05,)):
+        sweep = run_sweep(master_seed=20100, base=base)
     monkeypatch.undo()
     assert pushes == LOSSY_SWEEP_HEAP_PUSHES
     assert sum(r.report.messages_lost for r in sweep.results) > 0
@@ -626,7 +630,8 @@ def test_aggregate_csv_header(tmp_path):
 
 
 def test_figure_table_shape_and_metric():
-    sweep = run_sweep(master_seed=7, packet_sizes=(32, 256), receiver_delays=(0.0, 0.05))
+    with sweep_axes((32, 256), (0.0, 0.05)):
+        sweep = run_sweep(master_seed=7)
     rows = sweep_rows(sweep)
     table = figure_table(rows, 8)
     assert [entry["receiver_delay_s"] for entry in table] == [0.0, 0.05]

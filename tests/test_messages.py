@@ -26,6 +26,11 @@ def test_message_rejects_negative_sender():
         Message(seq=1, sender=-1, kind=MessageKind.STATUS, size_bytes=8)
 
 
+def test_message_repr_names_every_field():
+    msg = Message(seq=1, sender=0, kind=MessageKind.STATUS, size_bytes=8)
+    assert repr(msg) == "Message(seq=1, sender=0, kind=<MessageKind.STATUS: 'S'>, size_bytes=8)"
+
+
 def test_trace_record_round_trip(make_msg):
     msg = make_msg(sender=3, kind="C", size=256)
     line = format_trace_record(1.25, msg)

@@ -4,6 +4,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+from conftest import sweep_axes
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -76,7 +78,8 @@ def test_traced_sweep_counts_service_pushes_and_every_delivery(monkeypatch):
     tracer = spans.Tracer()
     try:
         run.install(tracer, True)
-        sweep = run_sweep(master_seed=7, packet_sizes=(256,), receiver_delays=(0.0, 0.05))
+        with sweep_axes((256,), (0.0, 0.05)):
+            sweep = run_sweep(master_seed=7)
     finally:
         tracer.restore()
     assert len(sweep.results) == 16
@@ -97,7 +100,8 @@ def test_traced_sweep_times_each_destinations_traffic(monkeypatch):
     tracer = spans.Tracer()
     try:
         run.install(tracer, True)
-        run_sweep(master_seed=7, packet_sizes=(256,), receiver_delays=(0.0, 0.05))
+        with sweep_axes((256,), (0.0, 0.05)):
+            run_sweep(master_seed=7)
     finally:
         tracer.restore()
     assert tracer.aggregate()["traffic.generate_schedule"]["calls"] == 2 * 1 + 2 * 4

@@ -307,13 +307,9 @@ def unpassed_defaults(tree, passed):
 # Defaulted parameters that no caller outside the tests passes, each with the
 # reason it stays.
 UNPASSED_ALLOWED = {
-    "harness.run_sweep(packet_sizes)": "tests pass it to run test-sized sweeps",
-    "harness.run_sweep(receiver_delays)": "tests pass it to run test-sized sweeps",
-    **{
-        f"queues.UpdatableQueue.enqueue_{policy}(now)":
-            "Receiver binds the method with getattr, so no call names it"
-        for policy in ("fifo", "uqa", "keyed")
-    },
+    f"queues.UpdatableQueue.enqueue_{policy}(now)":
+        "Receiver binds the method with getattr, so no call names it"
+    for policy in ("fifo", "uqa", "keyed")
 }
 
 

@@ -20,6 +20,7 @@ def cfg(**overrides) -> TrafficConfig:
         packet_size_bytes=512,
         run_duration_s=180.0,
         seed=42,
+        schedule="uniform",
     )
     base.update(overrides)
     return TrafficConfig(**base)
@@ -169,3 +170,12 @@ def test_derive_seed_is_stable_and_distinct():
 def test_config_validation(field, value, match):
     with pytest.raises(ValueError, match=match):
         generate_schedule(cfg(**{field: value}))
+
+
+def test_a_setting_both_configs_default_has_one_default():
+    # A cell's traffic settings default as a stream's do, so building a
+    # TrafficConfig by hand gives the traffic a default cell draws.
+    shared = ExperimentConfig._field_defaults.keys() & TrafficConfig._field_defaults.keys()
+    assert {"p_status", "schedule", "send_window_fraction"} <= shared
+    for name in shared:
+        assert ExperimentConfig._field_defaults[name] == TrafficConfig._field_defaults[name], name
